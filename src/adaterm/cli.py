@@ -23,6 +23,7 @@ from pathlib import Path
 from .harness import (
     ConfigError,
     VerificationError,
+    grid_paths,
     load_config,
     read_results_csv,
     run_experiment,
@@ -72,7 +73,10 @@ def _cmd_run(args, expect_kind=None):
             f"Expected a {expect_kind} config, got {cfg.kind!r} in {args.config}"
         )
     rows = run_experiment(cfg)
-    print(f"{cfg.kind}: wrote {len(rows)} result rows to {cfg.output_dir}")
+    if cfg.kind == "surfaces":
+        print("surfaces: wrote " + ", ".join(str(p) for p in grid_paths(cfg)))
+    else:
+        print(f"{cfg.kind}: wrote {len(rows)} result rows to {cfg.output_dir}")
     return EXIT_OK
 
 

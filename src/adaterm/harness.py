@@ -1,16 +1,14 @@
-"""Experiment harness: config files, seeded trial fan-out, result tables.
+"""Experiment harness: config files, batched seeded trials, result tables.
 
 One YAML config describes one experiment run.  Trials are independent:
-trial i always uses seed ``base_seed + i`` and its own generator, so any
-fan-out (threads, chunked vectorization) produces byte-identical results.
+trial i always uses seed ``base_seed + i`` and its own generator.
 
-For the many-seed experiments the harness advances all trials of a cell
-as one batched array computation (trial axis leading) instead of looping
-optimizers per trial; the update rules are the same pure functions the
-per-group optimizer classes call, so both paths agree exactly.  The
-canonical per-trial draw order is documented on the draw helpers; the
-sequential single-trial runners below consume draws in the same order
-and serve as the equivalence reference.
+The harness advances all trials of a cell as one batched array
+computation (trial axis leading) through ``optimizers.GroupState``, the
+same state the optimizer classes hold at n = 1.  A single trial i is the
+same cell run with ``lo=i, hi=i + 1``, and any split of a cell's trials
+into contiguous batches gives byte-identical rows.  The canonical
+per-trial draw order is documented on the draw helpers.
 
 Result files: ``results.csv`` with one row per (experiment id, optimizer,
 seed, metric, step, value), plus ``summary.csv`` with count/mean/std
@@ -21,26 +19,16 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .mlp import DEFAULT_LAYER_SIZES, MlpModel, forward as mlp_forward
-from .optimizers import (
-    OptimizerConfig,
-    adabelief_moments,
-    adam_eta,
-    adam_moments,
-    adaterm_eta,
-    adaterm_moments,
-    make_optimizer,
-    make_param_groups,
-    tadam_moments,
-    update_bias_accumulator,
-)
+from .mlp import DEFAULT_LAYER_SIZES, MlpModel, stack_parameters
+# Imported under these names because the benchmark's span tracer wraps them here.
+from .mlp import backward as _batched_backward, forward as _batched_forward
+from .optimizers import GroupState, OptimizerConfig
 from .problems import (
     TEST_FUNCTIONS,
     NOISE_HALF_RANGE,
@@ -53,13 +41,7 @@ from .problems import (
 from .regret import run_regret_experiment, sublinearity_ratio, write_regret_csv
 from .rng import make_rng
 from .surfaces import GRID_KINDS, GridSpec, write_grid_csv
-from .tdist import (
-    NonFiniteGradientError,
-    grad_m,
-    grad_nu_exact,
-    grad_v,
-    log_density,
-)
+from .tdist import NonFiniteGradientError, grad_m, grad_nu_exact, grad_v, log_density
 
 __all__ = [
     "ConfigError",
@@ -70,8 +52,7 @@ __all__ = [
     "ExperimentConfig",
     "load_config",
     "run_experiment",
-    "run_test_function_trial",
-    "run_regression_trial",
+    "grid_paths",
     "run_gradient_verification",
     "summarize_rows",
     "write_results_csv",
@@ -199,7 +180,6 @@ class ExperimentConfig:
     seed: int = 0
     trials: int = 1
     steps: int = 1000
-    workers: int = 1
     record_every: int = 0
     problem: dict = field(default_factory=dict)
     optimizers: list = field(default_factory=list)  # (name, OptimizerConfig)
@@ -226,6 +206,18 @@ _OPTIMIZER_KEYS = {
     "lr_schedule",
     "weight_decay",
     "bias_correction",
+}
+
+
+# Top-level keys each experiment kind reads, besides schema_version,
+# experiment and output_dir.  Any other key is rejected: a misspelt or
+# leftover key would otherwise be silently ignored.
+_KIND_KEYS = {
+    "test_function": {"seed", "trials", "steps", "record_every", "problem", "optimizers"},
+    "regression": {"seed", "trials", "problem", "model", "optimizers"},
+    "regret": {"seed", "trials", "horizon", "dims", "problem", "optimizer"},
+    "surfaces": {"problem", "grids"},
+    "verify_gradients": {"seed", "points", "dims", "tolerance"},
 }
 
 
@@ -264,9 +256,12 @@ def load_config(path) -> ExperimentConfig:
     kind = raw.get("experiment")
     if kind not in EXPERIMENT_KINDS:
         raise ConfigError(f"Unknown experiment kind: {kind!r}")
+    unknown = set(raw) - {"schema_version", "experiment", "output_dir"} - _KIND_KEYS[kind]
+    if unknown:
+        raise ConfigError(f"{kind} configs do not use key(s) {sorted(unknown)}")
 
     cfg = ExperimentConfig(kind=kind, output_dir=Path(raw.get("output_dir", "results")))
-    for key in ("seed", "trials", "steps", "workers", "record_every", "horizon", "points"):
+    for key in ("seed", "trials", "steps", "record_every", "horizon", "points"):
         if key in raw:
             val = raw[key]
             if not isinstance(val, int) or isinstance(val, bool):
@@ -274,8 +269,6 @@ def load_config(path) -> ExperimentConfig:
             setattr(cfg, key, val)
     if cfg.trials < 1:
         raise ConfigError(f"trials must be >= 1, got {cfg.trials}")
-    if cfg.workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {cfg.workers}")
     if "tolerance" in raw:
         cfg.tolerance = float(raw["tolerance"])
 
@@ -346,8 +339,8 @@ def draw_test_function_noise(rng, steps):
     """Canonical per-trial draw order for test-function noise.
 
     One trigger uniform per step, then one (steps, 2) block of coordinate
-    perturbations.  Both the batched and sequential runners consume draws
-    in exactly this order, so trajectories match per trial.
+    perturbations.  A trial's trajectory depends only on its own draws, so
+    it is the same in any batch of trials.
     """
     us = rng.random(steps)
     deltas = rng.uniform(-NOISE_HALF_RANGE, NOISE_HALF_RANGE, size=(steps, 2))
@@ -365,130 +358,50 @@ def draw_regression_trial(spec: RegressionStreamSpec, sizes, rng):
 
 
 # ---------------------------------------------------------------------------
-# Batched optimizer state (trial axis leading)
-# ---------------------------------------------------------------------------
-
-
-class _BatchedGroup:
-    """State of one parameter group for a batch of independent trials.
-
-    Wraps the same pure update functions the optimizer classes use, with
-    arrays shaped (n_trials, d).
-    """
-
-    def __init__(self, cfg: OptimizerConfig, n, d):
-        self.cfg = cfg
-        self.m = np.zeros((n, d))
-        algo = cfg.algorithm
-        if algo == "AdaTerm":
-            self.v = np.full((n, d), cfg.eps * cfg.eps)
-            self.nu = np.full(n, cfg.nu_tilde_init)
-            self.c = np.zeros(n)
-        else:
-            self.v = np.zeros((n, d))
-            if algo == "TAdam":
-                self.W = np.full(n, cfg.beta1 / (1.0 - cfg.beta1))
-
-    def direction(self, g, t):
-        cfg = self.cfg
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradientError(f"Non-finite gradient at step {t}")
-        if cfg.algorithm == "AdaTerm":
-            self.m, self.v, self.nu, tau = adaterm_moments(
-                self.m, self.v, self.nu, g, cfg
-            )
-            self.c = update_bias_accumulator(self.c, tau)
-            return adaterm_eta(self.m, self.v, self.c, t, cfg)
-        if cfg.algorithm == "Adam":
-            self.m, self.v = adam_moments(self.m, self.v, g, cfg.beta1, cfg.beta2)
-        elif cfg.algorithm == "AdaBelief":
-            self.m, self.v = adabelief_moments(
-                self.m, self.v, g, cfg.beta1, cfg.beta2
-            )
-        else:
-            self.m, self.v, self.W = tadam_moments(
-                self.m, self.v, self.W, g,
-                cfg.beta1, cfg.beta2, cfg.nu_tilde_min * g.shape[-1], cfg.eps,
-            )
-        return adam_eta(
-            self.m, self.v, t, cfg.beta1, cfg.beta2, cfg.eps, cfg.bias_correction
-        )
-
-
-# ---------------------------------------------------------------------------
 # Test-function experiment
 # ---------------------------------------------------------------------------
 
 
 def _error_norm(diff):
-    """Euclidean norm over the trailing axis, the only error-norm formula.
+    """Euclidean norm over the trailing axis, as a plain sum-reduce.
 
-    Both test-function runners report through this one expression, so a
-    single trial (shape (d,)) and a batched cell (shape (n, d)) give the
-    same bits for the same point.  ``np.linalg.norm`` does not: its 1-D
+    Each trial's norm is reduced over its own row only, so it has the same
+    bits in a cell of any size.  ``np.linalg.norm`` is not used: its 1-D
     path goes through a BLAS dot product, which may fuse multiply-adds.
     """
     return np.sqrt(np.add.reduce(diff * diff, axis=-1))
 
 
-def run_test_function_trial(function, p, opt_cfg, steps, rng, record_every=0):
-    """Sequential single-trial reference: optimizer classes, one trial.
+def _run_test_function_cell(function, p, opt_cfg, steps, base_seed, lo, hi,
+                            record_every=0):
+    """Trials [lo, hi) of one (function, ratio, optimizer) cell as a single
+    batched run; a single trial i is ``lo=i, hi=i + 1``.
 
-    Returns (final point, final nu_tilde or nan, [(step, error_norm)]).
+    Returns (final error norms (n,), final nu_tilde (n,) or None,
+    [(step, error norms (n,))]).
     """
     tf = TEST_FUNCTIONS[function]
-    us, deltas = draw_test_function_noise(rng, steps)
-    theta = np.array(tf.start, dtype=np.float64)
-    opt = make_optimizer(theta, opt_cfg)
-    theta = opt.groups[0].values
-    opt_pt = np.asarray(tf.optimum)
-    trail = []
-    for t in range(steps):
-        noisy = apply_coordinate_noise(theta, us[t], deltas[t], p)
-        opt.step([tf.grad(noisy)])
-        if record_every and (t + 1) % record_every == 0:
-            trail.append((t + 1, float(_error_norm(theta - opt_pt))))
-    nu = (
-        float(opt.groups[0].state.tdist.nu_tilde)
-        if opt_cfg.algorithm == "AdaTerm"
-        else float("nan")
-    )
-    return theta.copy(), nu, trail
-
-
-def _run_test_function_cell(function, p, opt_cfg, steps, base_seed, trial_lo, trial_hi,
-                            record_every=0):
-    """All trials [trial_lo, trial_hi) of one (function, ratio, optimizer)
-    cell as a single batched run."""
-    tf = TEST_FUNCTIONS[function]
-    n = trial_hi - trial_lo
+    n = hi - lo
     us = np.empty((n, steps))
     deltas = np.empty((n, steps, 2))
     for i in range(n):
-        us[i], deltas[i] = draw_test_function_noise(
-            make_rng(base_seed + trial_lo + i), steps
-        )
+        us[i], deltas[i] = draw_test_function_noise(make_rng(base_seed + lo + i), steps)
     theta = np.tile(np.asarray(tf.start, dtype=np.float64), (n, 1))
-    group = _BatchedGroup(opt_cfg, n, 2)
+    state = GroupState(opt_cfg, n, 2)
     opt_pt = np.asarray(tf.optimum)
     trails = []
     for t in range(1, steps + 1):
         noisy = apply_coordinate_noise(theta, us[:, t - 1], deltas[:, t - 1], p)
-        g = tf.grad(noisy)
+        eta = state.direction(tf.grad(noisy), t)
         alpha_t = opt_cfg.learning_rate(t)
         if opt_cfg.weight_decay:
             theta -= alpha_t * opt_cfg.weight_decay * theta
-        theta -= alpha_t * group.direction(g, t)
+        theta -= alpha_t * eta
         if record_every and t % record_every == 0:
             trails.append((t, _error_norm(theta - opt_pt)))
     final_norm = _error_norm(theta - opt_pt)
-    final_nu = group.nu if opt_cfg.algorithm == "AdaTerm" else None
+    final_nu = state.nu if opt_cfg.algorithm == "AdaTerm" else None
     return final_norm, final_nu, trails
-
-
-def _chunk_ranges(n, workers):
-    size = math.ceil(n / workers)
-    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
 def _run_test_function_experiment(cfg: ExperimentConfig):
@@ -498,35 +411,25 @@ def _run_test_function_experiment(cfg: ExperimentConfig):
     for p in ratios:
         exp_id = f"{function}:p={p:g}"
         for name, opt_cfg in cfg.optimizers:
-            chunks = _chunk_ranges(cfg.trials, cfg.workers)
-
-            def work(rg, _p=p, _oc=opt_cfg):
-                return _run_test_function_cell(
-                    function, _p, _oc, cfg.steps, cfg.seed, rg[0], rg[1],
-                    cfg.record_every,
+            norms, nus, trails = _run_test_function_cell(
+                function, p, opt_cfg, cfg.steps, cfg.seed, 0, cfg.trials,
+                cfg.record_every,
+            )
+            for i in range(cfg.trials):
+                seed = cfg.seed + i
+                rows.append(
+                    ResultRow(exp_id, name, seed, "final_error_norm",
+                              cfg.steps, float(norms[i]))
                 )
-            if cfg.workers > 1 and len(chunks) > 1:
-                with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                    parts = list(pool.map(work, chunks))
-            else:
-                parts = [work(rg) for rg in chunks]
-            for (lo, hi), (norms, nus, trails) in zip(chunks, parts):
-                for i in range(hi - lo):
-                    seed = cfg.seed + lo + i
+                if nus is not None:
                     rows.append(
-                        ResultRow(exp_id, name, seed, "final_error_norm",
-                                  cfg.steps, float(norms[i]))
+                        ResultRow(exp_id, name, seed, "final_nu_tilde",
+                                  cfg.steps, float(nus[i]))
                     )
-                    if nus is not None:
-                        rows.append(
-                            ResultRow(exp_id, name, seed, "final_nu_tilde",
-                                      cfg.steps, float(nus[i]))
-                        )
-                    for step, vec in trails:
-                        rows.append(
-                            ResultRow(exp_id, name, seed, "error_norm",
-                                      step, float(vec[i]))
-                        )
+                for step, vec in trails:
+                    rows.append(
+                        ResultRow(exp_id, name, seed, "error_norm", step, float(vec[i]))
+                    )
     return rows
 
 
@@ -535,85 +438,21 @@ def _run_test_function_experiment(cfg: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 
-def _stacked_parameters(models):
-    """Stack per-trial model parameters into (n, ...) arrays, one entry per
-    layer: ([(n, in, out) weights], [(n, out) biases])."""
-    Ws = [np.stack([m.weights[j] for m in models]) for j in range(len(models[0].weights))]
-    Bs = [np.stack([m.biases[j] for m in models]) for j in range(len(models[0].biases))]
-    return Ws, Bs
-
-
-def _batched_forward(Ws, Bs, x):
-    """x: (n, batch, in) -> (activations per layer, pre-activation masks)."""
-    inputs = [x]
-    masks = []
-    a = x
-    last = len(Ws) - 1
-    for j, (W, B) in enumerate(zip(Ws, Bs)):
-        z = a @ W + B[:, None, :]
-        if j < last:
-            masks.append(z > 0.0)
-            a = np.where(masks[-1], z, 0.0)
-            inputs.append(a)
-        else:
-            a = z
-    return a, inputs, masks
-
-
-def _batched_backward(Ws, inputs, masks, delta):
-    """delta: gradient of the per-trial scalar loss w.r.t. the output."""
-    gWs = [None] * len(Ws)
-    gBs = [None] * len(Ws)
-    for j in range(len(Ws) - 1, -1, -1):
-        if j < len(Ws) - 1:
-            delta = delta * masks[j]
-        gWs[j] = np.swapaxes(inputs[j], 1, 2) @ delta
-        gBs[j] = delta.sum(axis=1)
-        if j > 0:
-            delta = delta @ np.swapaxes(Ws[j], 1, 2)
-    return gWs, gBs
-
-
-def run_regression_trial(spec: RegressionStreamSpec, sizes, opt_cfg, rng,
-                         x_test=None):
-    """Sequential single-trial reference: MlpModel + optimizer classes.
-
-    Returns the final test MSE against the clean target on ``x_test``
-    (default: the fixed evaluation grid).
-    """
-    from .mlp import backward as mlp_backward, mse_loss
-
-    model = MlpModel(sizes, rng)
-    groups = make_param_groups(model)
-    opt = make_optimizer(groups, opt_cfg)
-    for x, y, _ in generate_regression_stream(spec, rng):
-        y_hat, tape = mlp_forward(model, x)
-        _, dloss = mse_loss(y_hat, y)
-        grads = mlp_backward(model, tape, dloss)
-        opt.step(grads)
-    if x_test is None:
-        x_test = np.linspace(0.0, 1.0, TEST_X_POINTS)[:, None]
-    y_hat, _ = mlp_forward(model, x_test)
-    f = true_regression_fn(x_test[:, 0])[:, None]
-    return float(np.mean((y_hat - f) ** 2))
-
-
-def _run_regression_cell(spec, sizes, opt_cfg, base_seed, trial_lo, trial_hi,
-                         x_test):
-    n = trial_hi - trial_lo
-    models, xs, ys = [], None, None
-    data_x, data_y = [], []
+def _run_regression_cell(spec, sizes, opt_cfg, base_seed, lo, hi, x_test):
+    """Trials [lo, hi) of one (ratio, optimizer) cell as a single batched
+    run; a single trial i is ``lo=i, hi=i + 1``.  Returns each trial's
+    final test MSE against the clean target on ``x_test``."""
+    n = hi - lo
+    models, data_x, data_y = [], [], []
     for i in range(n):
-        model, bx, by = draw_regression_trial(
-            spec, sizes, make_rng(base_seed + trial_lo + i)
-        )
+        model, bx, by = draw_regression_trial(spec, sizes, make_rng(base_seed + lo + i))
         models.append(model)
         data_x.append(bx)
         data_y.append(by)
-    Ws, Bs = _stacked_parameters(models)
+    Ws, Bs = stack_parameters(models)
     layer_count = len(Ws)
-    groups = [_BatchedGroup(opt_cfg, n, Ws[j][0].size) for j in range(layer_count)]
-    groups += [_BatchedGroup(opt_cfg, n, Bs[j][0].size) for j in range(layer_count)]
+    states = [GroupState(opt_cfg, n, Ws[j][0].size) for j in range(layer_count)]
+    states += [GroupState(opt_cfg, n, Bs[j][0].size) for j in range(layer_count)]
 
     n_batches = len(data_x[0])
     for t in range(1, n_batches + 1):
@@ -627,12 +466,12 @@ def _run_regression_cell(spec, sizes, opt_cfg, base_seed, trial_lo, trial_hi,
         gWs, gBs = _batched_backward(Ws, inputs, masks, delta)
         alpha_t = opt_cfg.learning_rate(t)
         for j in range(layer_count):
+            eta_w = states[j].direction(gWs[j].reshape(n, -1), t)
+            eta_b = states[layer_count + j].direction(gBs[j].reshape(n, -1), t)
             if opt_cfg.weight_decay:
                 Ws[j] -= alpha_t * opt_cfg.weight_decay * Ws[j]
                 Bs[j] -= alpha_t * opt_cfg.weight_decay * Bs[j]
-            eta_w = groups[j].direction(gWs[j].reshape(n, -1), t)
             Ws[j] -= alpha_t * eta_w.reshape(Ws[j].shape)
-            eta_b = groups[layer_count + j].direction(gBs[j].reshape(n, -1), t)
             Bs[j] -= alpha_t * eta_b.reshape(Bs[j].shape)
 
     xt = np.broadcast_to(x_test, (n,) + x_test.shape)
@@ -643,9 +482,7 @@ def _run_regression_cell(spec, sizes, opt_cfg, base_seed, trial_lo, trial_hi,
 
 def _run_regression_experiment(cfg: ExperimentConfig):
     ratios = [float(p) for p in cfg.problem.get("noise_ratios", [0.0])]
-    base = {
-        k: v for k, v in cfg.problem.items() if k != "noise_ratios"
-    }
+    base = {k: v for k, v in cfg.problem.items() if k != "noise_ratios"}
     x_test = np.linspace(0.0, 1.0, TEST_X_POINTS)[:, None]
     rows = []
     for p in ratios:
@@ -654,25 +491,16 @@ def _run_regression_experiment(cfg: ExperimentConfig):
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"problem section: {exc}") from exc
         exp_id = f"regression:p={p:g}"
+        n_steps = math.ceil(spec.n_pairs / spec.batch_size)
         for name, opt_cfg in cfg.optimizers:
-            chunks = _chunk_ranges(cfg.trials, cfg.workers)
-
-            def work(rg, _spec=spec, _oc=opt_cfg):
-                return _run_regression_cell(
-                    _spec, cfg.model_sizes, _oc, cfg.seed, rg[0], rg[1], x_test
+            mses = _run_regression_cell(
+                spec, cfg.model_sizes, opt_cfg, cfg.seed, 0, cfg.trials, x_test
+            )
+            for i in range(cfg.trials):
+                rows.append(
+                    ResultRow(exp_id, name, cfg.seed + i, "test_mse", n_steps,
+                              float(mses[i]))
                 )
-            if cfg.workers > 1 and len(chunks) > 1:
-                with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                    parts = list(pool.map(work, chunks))
-            else:
-                parts = [work(rg) for rg in chunks]
-            n_steps = math.ceil(spec.n_pairs / spec.batch_size)
-            for (lo, hi), mses in zip(chunks, parts):
-                for i in range(hi - lo):
-                    rows.append(
-                        ResultRow(exp_id, name, cfg.seed + lo + i, "test_mse",
-                                  n_steps, float(mses[i]))
-                    )
     return rows
 
 
@@ -684,54 +512,48 @@ def _run_regression_experiment(cfg: ExperimentConfig):
 def _run_regret_experiment_kind(cfg: ExperimentConfig):
     name, opt_cfg = cfg.optimizers[0]
     base = {k: v for k, v in cfg.problem.items() if k != "dims"}
-    rows = []
-    jobs = []
+    specs = []
     for d in cfg.dims:
         try:
-            spec = OnlineConvexSpec(dim=d, **base)
+            specs.append(OnlineConvexSpec(dim=d, **base))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"problem section: {exc}") from exc
-        for i in range(cfg.trials):
-            jobs.append((spec, cfg.seed + i))
-
-    def work(job):
-        spec, seed = job
-        return run_regret_experiment(spec, opt_cfg, cfg.horizon, make_rng(seed))
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            reports = list(pool.map(work, jobs))
-    else:
-        reports = [work(j) for j in jobs]
-    for (spec, seed), rep in zip(jobs, reports):
+    rows = []
+    for spec in specs:
         exp_id = f"regret:d={spec.dim}"
-        ok = bool(np.all(rep.regret_prefix <= rep.bound_rhs_prefix))
-        rows.extend(
-            [
-                ResultRow(exp_id, name, seed, "R_T", rep.T, rep.R_T),
-                ResultRow(exp_id, name, seed, "bound_rhs", rep.T,
-                          float(rep.bound_rhs_prefix[-1])),
-                ResultRow(exp_id, name, seed, "bound_holds_all_prefixes", rep.T,
-                          float(ok)),
-                ResultRow(exp_id, name, seed, "tau_low", rep.T, rep.underline_tau),
-                ResultRow(exp_id, name, seed, "sublinearity_ratio", rep.T,
-                          sublinearity_ratio(rep, min(1000, rep.T), rep.T)),
-            ]
-        )
-        write_regret_csv(
-            rep, cfg.output_dir / f"regret_d{spec.dim}_seed{seed}.csv"
-        )
+        for seed in range(cfg.seed, cfg.seed + cfg.trials):
+            rep = run_regret_experiment(spec, opt_cfg, cfg.horizon, make_rng(seed))
+            ok = bool(np.all(rep.regret_prefix <= rep.bound_rhs_prefix))
+            rows.extend(
+                [
+                    ResultRow(exp_id, name, seed, "R_T", rep.T, rep.R_T),
+                    ResultRow(exp_id, name, seed, "bound_rhs", rep.T,
+                              float(rep.bound_rhs_prefix[-1])),
+                    ResultRow(exp_id, name, seed, "bound_holds_all_prefixes", rep.T,
+                              float(ok)),
+                    ResultRow(exp_id, name, seed, "tau_low", rep.T, rep.underline_tau),
+                    ResultRow(exp_id, name, seed, "sublinearity_ratio", rep.T,
+                              sublinearity_ratio(rep, min(1000, rep.T), rep.T)),
+                ]
+            )
+            write_regret_csv(
+                rep, cfg.output_dir / f"regret_d{spec.dim}_seed{seed}.csv"
+            )
     return rows
 
 
+def grid_paths(cfg: ExperimentConfig):
+    """The grid CSVs a surfaces run writes, one per grid kind."""
+    return [cfg.output_dir / f"{kind}.csv" for kind in cfg.grids]
+
+
 def _run_surfaces_experiment(cfg: ExperimentConfig):
-    overrides = cfg.problem
-    for kind in cfg.grids:
+    for kind, path in zip(cfg.grids, grid_paths(cfg)):
         try:
-            spec = GridSpec(kind=kind, **overrides.get(kind, {}))
+            spec = GridSpec(kind=kind, **cfg.problem.get(kind, {}))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"grid {kind}: {exc}") from exc
-        write_grid_csv(spec, cfg.output_dir / f"{kind}.csv")
+        write_grid_csv(spec, path)
     return []
 
 
@@ -828,10 +650,7 @@ _RUNNERS = {
 def run_experiment(cfg: ExperimentConfig):
     """Execute one experiment; writes results.csv + summary.csv, returns rows."""
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        rows = _RUNNERS[cfg.kind](cfg)
-    except VerificationError:
-        raise
+    rows = _RUNNERS[cfg.kind](cfg)
     if rows:
         write_results_csv(rows, cfg.output_dir / "results.csv")
         write_summary_csv(summarize_rows(rows), cfg.output_dir / "summary.csv")

@@ -1,18 +1,18 @@
-"""A small fully-connected network with explicit forward/backward passes.
+"""A small fully-connected ReLU network with explicit batched passes.
 
-Hidden layers use ReLU (subgradient 0 at exactly 0), the output layer is
-linear, and the batch loss is a mean, so gradient magnitudes do not scale
-with batch size.  This is all the model machinery the regression experiment
-needs; there is deliberately no general autodiff here.
+The parameters of n independent models are stacked on a leading trial axis
+(``stack_parameters``), and ``forward`` / ``backward`` evaluate all n at
+once; a single model is the case n = 1.  Hidden layers use ReLU
+(subgradient 0 at exactly 0) and the output layer is linear.  This is all
+the model machinery the regression experiment needs; there is deliberately
+no general autodiff here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-__all__ = ["MlpModel", "ForwardTape", "forward", "backward", "mse_loss"]
+__all__ = ["MlpModel", "stack_parameters", "forward", "backward"]
 
 DEFAULT_LAYER_SIZES = (1, 50, 50, 50, 50, 50, 1)
 
@@ -43,74 +43,47 @@ class MlpModel:
             self.weights.append(rng.uniform(-limit, limit, size=(n_in, n_out)))
             self.biases.append(np.zeros(n_out))
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.weights)
+
+def stack_parameters(models):
+    """Stack the parameters of n models on a leading trial axis, one entry
+    per layer: ([(n, in, out) weights], [(n, out) biases])."""
+    Ws = [np.stack(ws) for ws in zip(*(m.weights for m in models))]
+    Bs = [np.stack(bs) for bs in zip(*(m.biases for m in models))]
+    return Ws, Bs
 
 
-@dataclass
-class ForwardTape:
-    """Per-layer inputs and pre-activations cached for one backward pass."""
+def forward(Ws, Bs, x):
+    """x: (n, batch, in) -> (y_hat, layer inputs, ReLU masks).
 
-    inputs: list = field(default_factory=list)
-    pre_activations: list = field(default_factory=list)
-    consumed: bool = False
-
-
-def forward(model: MlpModel, x_batch):
-    """Evaluate the network; returns (y_hat, tape).
-
-    ``x_batch`` has shape (batch, n_in).  ReLU is applied after every layer
-    except the last.
+    ``masks[j]`` marks the strictly positive pre-activations of hidden
+    layer j; the inputs and masks are what ``backward`` needs.
     """
-    a = np.asarray(x_batch, dtype=np.float64)
-    if a.ndim != 2 or (model.n_layers and a.shape[1] != model.layer_sizes[0]):
-        raise ValueError(
-            f"Expected input of shape (batch, {model.layer_sizes[0]}), got {a.shape}"
-        )
-    tape = ForwardTape()
-    last = model.n_layers - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        tape.inputs.append(a)
-        z = a @ w + b
-        tape.pre_activations.append(z)
-        a = z if i == last else np.maximum(z, 0.0)
-    return a, tape
+    inputs = [x]
+    masks = []
+    a = x
+    last = len(Ws) - 1
+    for j, (W, B) in enumerate(zip(Ws, Bs)):
+        z = a @ W + B[:, None, :]
+        if j < last:
+            masks.append(z > 0.0)
+            a = np.where(masks[-1], z, 0.0)
+            inputs.append(a)
+        else:
+            a = z
+    return a, inputs, masks
 
 
-def backward(model: MlpModel, tape: ForwardTape, loss_grad):
-    """Exact gradients of the batch loss w.r.t. every weight and bias.
-
-    ``loss_grad`` is d(loss)/d(y_hat) from the loss function.  Returns a
-    flat list (dW0, db0, dW1, db1, ...) matching the parameter-group order.
-    The tape is single-use; a second backward on it raises.
-    """
-    if tape.consumed:
-        raise ValueError("ForwardTape already consumed by a previous backward")
-    if len(tape.inputs) != model.n_layers:
-        raise ValueError(
-            f"Tape length {len(tape.inputs)} does not match model depth {model.n_layers}"
-        )
-    tape.consumed = True
-    delta = np.asarray(loss_grad, dtype=np.float64)
-    grads = [None] * (2 * model.n_layers)
-    for i in range(model.n_layers - 1, -1, -1):
-        if i < model.n_layers - 1:
-            # ReLU subgradient: strictly positive pre-activations pass.
-            delta = delta * (tape.pre_activations[i] > 0.0)
-        grads[2 * i] = tape.inputs[i].T @ delta
-        grads[2 * i + 1] = delta.sum(axis=0)
-        if i > 0:
-            delta = delta @ model.weights[i].T
-    return grads
-
-
-def mse_loss(y_hat, y):
-    """Mean squared error over every element; returns (loss, d loss/d y_hat)."""
-    y_hat = np.asarray(y_hat, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if y_hat.shape != y.shape:
-        raise ValueError(f"Shape mismatch: {y_hat.shape} vs {y.shape}")
-    diff = y_hat - y
-    n = diff.size
-    return float(np.mean(diff**2)), 2.0 * diff / n
+def backward(Ws, inputs, masks, delta):
+    """Exact gradients of each trial's scalar loss w.r.t. every weight and
+    bias, given ``delta``, the loss gradient w.r.t. the (n, batch, out)
+    output.  Returns ([dW per layer], [dB per layer])."""
+    gWs = [None] * len(Ws)
+    gBs = [None] * len(Ws)
+    for j in range(len(Ws) - 1, -1, -1):
+        if j < len(Ws) - 1:
+            delta = delta * masks[j]
+        gWs[j] = np.swapaxes(inputs[j], 1, 2) @ delta
+        gBs[j] = delta.sum(axis=1)
+        if j > 0:
+            delta = delta @ np.swapaxes(Ws[j], 1, 2)
+    return gWs, gBs

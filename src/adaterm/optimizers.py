@@ -7,24 +7,20 @@ supplied by the caller, so analytic test functions and backprop share the
 same code path.
 
 The update rules are written as pure array functions with optional leading
-batch axes (shapes (..., d)), which lets the experiment harness advance many
-independent trials in one vectorized call.  The classes below wrap those
-functions for the ordinary one-group-per-parameter case.
+batch axes (shapes (..., d)).  ``GroupState`` steps them for one parameter
+group of n independent trials, trial axis leading, so the experiment
+harness advances a whole cell of trials in one vectorized call.  The
+optimizer classes are the n = 1 case, one state per group.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .tdist import (
-    NonFiniteGradientError,
-    TDistState,
-    advance_arrays,
-    diagnostics_arrays,
-)
+from .tdist import NonFiniteGradientError, advance_arrays, diagnostics_arrays
 
 __all__ = [
     "ALGORITHMS",
@@ -35,6 +31,7 @@ __all__ = [
     "ParamGroup",
     "make_param_groups",
     "make_optimizer",
+    "GroupState",
     "AdaTerm",
     "Adam",
     "AdaBelief",
@@ -255,38 +252,79 @@ def tadam_moments(m, v, W, g, beta1, beta2, nu, eps):
 
 
 # ---------------------------------------------------------------------------
-# Per-group optimizer classes
+# One group's state for n trials, and the n = 1 optimizer classes
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _AdaTermGroupState:
-    tdist: TDistState
-    c: float = 0.0  # adaptive bias-correction accumulator
+class GroupState:
+    """State of one parameter group for n independent trials.
 
+    Arrays are shaped (n, d) with the trial axis leading; per-trial scalars
+    (nu_tilde, the bias accumulator c, t-Adam's weight sum W) are shaped
+    (n,).  The harness steps whole cells of trials through it, and the
+    optimizer classes below hold one n = 1 state per parameter group.
+    """
 
-@dataclass
-class _AdamGroupState:
-    m: np.ndarray
-    v: np.ndarray
+    def __init__(self, cfg: OptimizerConfig, n, d):
+        self.cfg = cfg
+        self.m = np.zeros((n, d))
+        algo = cfg.algorithm
+        if algo == "AdaTerm":
+            self.v = np.full((n, d), cfg.eps * cfg.eps)
+            self.nu = np.full(n, cfg.nu_tilde_init)
+            self.c = np.zeros(n)  # adaptive bias-correction accumulator
+        else:
+            self.v = np.zeros((n, d))
+            if algo == "TAdam":
+                # W_0 = beta1/(1-beta1): the effective sample count under
+                # which the first step's weight reduces to Adam's 1-beta1
+                # for an inlier.
+                self.W = np.full(n, cfg.beta1 / (1.0 - cfg.beta1))
 
-
-@dataclass
-class _TAdamGroupState:
-    m: np.ndarray
-    v: np.ndarray
-    W: float = 0.0
+    def direction(self, g, t):
+        """Advance the state by the (n, d) gradient ``g`` at 1-based step
+        ``t`` and return the (n, d) update direction."""
+        cfg = self.cfg
+        if not np.all(np.isfinite(g)):
+            raise NonFiniteGradientError(f"Non-finite gradient at step {t}")
+        if cfg.algorithm == "AdaTerm":
+            self.m, self.v, self.nu, tau = adaterm_moments(
+                self.m, self.v, self.nu, g, cfg
+            )
+            self.c = update_bias_accumulator(self.c, tau)
+            return adaterm_eta(self.m, self.v, self.c, t, cfg)
+        if cfg.algorithm == "Adam":
+            self.m, self.v = adam_moments(self.m, self.v, g, cfg.beta1, cfg.beta2)
+        elif cfg.algorithm == "AdaBelief":
+            self.m, self.v = adabelief_moments(
+                self.m, self.v, g, cfg.beta1, cfg.beta2
+            )
+        else:
+            self.m, self.v, self.W = tadam_moments(
+                self.m, self.v, self.W, g,
+                cfg.beta1, cfg.beta2, cfg.nu_tilde_min * g.shape[-1], cfg.eps,
+            )
+        return adam_eta(
+            self.m, self.v, t, cfg.beta1, cfg.beta2, cfg.eps, cfg.bias_correction
+        )
 
 
 class GradientOptimizer:
-    """Base driving loop: validation, weight decay, schedules, bookkeeping.
+    """Steps named parameter groups, each through its own n = 1 GroupState.
 
-    Subclasses implement ``_init_state`` and ``_direction`` (which also
-    advances the group's moment state).  Groups are independent: reordering
-    or renaming them never changes any single group's trajectory.
+    Subclasses name the algorithm they run; the config must agree.  Groups
+    are independent: reordering or renaming them never changes any single
+    group's trajectory.
     """
 
+    algorithm = None
+
     def __init__(self, groups, cfg: OptimizerConfig):
+        if cfg.algorithm != self.algorithm:
+            raise ValueError(
+                f"{type(self).__name__} needs algorithm={self.algorithm!r}, "
+                f"got {cfg.algorithm!r}"
+            )
         if isinstance(groups, np.ndarray):
             groups = [ParamGroup(name="theta", values=groups)]
         self.groups = list(groups)
@@ -296,19 +334,15 @@ class GradientOptimizer:
         self.cfg = cfg
         self.t = 0
         for group in self.groups:
-            group.state = self._init_state(group)
-
-    def _init_state(self, group):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _direction(self, group, g):  # pragma: no cover - abstract
-        raise NotImplementedError
+            group.state = GroupState(cfg, 1, group.d)
 
     def step(self, grads=None):
         """Advance every group one step.
 
         ``grads`` may be a sequence aligned with the groups, a name-keyed
-        mapping, or None to use each group's ``grad`` slot.
+        mapping, or None to use each group's ``grad`` slot.  The direction
+        is computed before weight decay touches the values, so a rejected
+        gradient leaves its group's parameters unchanged.
         """
         if grads is None:
             grads = [g.grad for g in self.groups]
@@ -326,109 +360,37 @@ class GradientOptimizer:
                     f"Gradient shape {grad.shape} does not match group "
                     f"{group.name!r} shape {group.values.shape}"
                 )
-            if not np.all(np.isfinite(grad)):
-                raise NonFiniteGradientError(
-                    f"Non-finite gradient for group {group.name!r} at step {self.t}"
-                )
+            eta = group.state.direction(grad.reshape(1, -1), self.t)
             if wd:
                 group.values -= alpha_t * wd * group.values
-            eta = self._direction(group, grad.reshape(-1))
             group.values -= alpha_t * eta.reshape(group.values.shape)
 
 
 class AdaTerm(GradientOptimizer):
     """Noise-robust optimizer: Student's-t moment estimation per group."""
 
-    def _init_state(self, group):
-        cfg = self.cfg
-        return _AdaTermGroupState(
-            tdist=TDistState.fresh(
-                group.values.size,
-                beta=cfg.beta,
-                eps=cfg.eps,
-                nu_tilde_min=cfg.nu_tilde_min,
-                nu_tilde_init=cfg.nu_tilde_init,
-            )
-        )
-
-    def _direction(self, group, g):
-        st = group.state.tdist
-        m, v, nu, tau = adaterm_moments(
-            st.m, st.v, st.nu_tilde, g, self.cfg
-        )
-        group.state.tdist = replace(
-            st, m=m, v=v, nu_tilde=float(nu), t=st.t + 1
-        )
-        group.state.c = float(
-            update_bias_accumulator(group.state.c, float(tau))
-        )
-        return adaterm_eta(m, v, group.state.c, self.t, self.cfg)
+    algorithm = "AdaTerm"
 
     @property
     def nu_tilde(self):
         """Per-group nu_tilde values, by group name."""
-        return {g.name: g.state.tdist.nu_tilde for g in self.groups}
+        return {g.name: float(g.state.nu[0]) for g in self.groups}
 
 
 class Adam(GradientOptimizer):
-    def _init_state(self, group):
-        flat = group.values.size
-        return _AdamGroupState(m=np.zeros(flat), v=np.zeros(flat))
-
-    def _direction(self, group, g):
-        st = group.state
-        st.m, st.v = adam_moments(st.m, st.v, g, self.cfg.beta1, self.cfg.beta2)
-        return adam_eta(
-            st.m, st.v, self.t, self.cfg.beta1, self.cfg.beta2, self.cfg.eps,
-            self.cfg.bias_correction,
-        )
+    algorithm = "Adam"
 
 
 class AdaBelief(GradientOptimizer):
     """Adam skeleton tracking the spread (g - m)^2 instead of g^2."""
 
-    def __init__(self, groups, cfg, centered=True):
-        self.centered = centered
-        super().__init__(groups, cfg)
-
-    def _init_state(self, group):
-        flat = group.values.size
-        return _AdamGroupState(m=np.zeros(flat), v=np.zeros(flat))
-
-    def _direction(self, group, g):
-        st = group.state
-        st.m, st.v = adabelief_moments(
-            st.m, st.v, g, self.cfg.beta1, self.cfg.beta2, self.centered
-        )
-        return adam_eta(
-            st.m, st.v, self.t, self.cfg.beta1, self.cfg.beta2, self.cfg.eps,
-            self.cfg.bias_correction,
-        )
+    algorithm = "AdaBelief"
 
 
 class TAdam(GradientOptimizer):
     """Adam with a Student's-t first moment (fixed nu = d by default)."""
 
-    def _init_state(self, group):
-        flat = group.values.size
-        # W_0 = beta1/(1-beta1): the effective sample count under which the
-        # first step's weight reduces to Adam's 1-beta1 for an inlier.
-        return _TAdamGroupState(
-            m=np.zeros(flat),
-            v=np.zeros(flat),
-            W=self.cfg.beta1 / (1.0 - self.cfg.beta1),
-        )
-
-    def _direction(self, group, g):
-        st = group.state
-        nu = self.cfg.nu_tilde_min * group.values.size
-        st.m, st.v, st.W = tadam_moments(
-            st.m, st.v, st.W, g, self.cfg.beta1, self.cfg.beta2, nu, self.cfg.eps
-        )
-        return adam_eta(
-            st.m, st.v, self.t, self.cfg.beta1, self.cfg.beta2, self.cfg.eps,
-            self.cfg.bias_correction,
-        )
+    algorithm = "TAdam"
 
 
 _CLASSES = {"AdaTerm": AdaTerm, "Adam": Adam, "AdaBelief": AdaBelief, "TAdam": TAdam}

@@ -18,15 +18,12 @@ from .rng import sample_bernoulli_mask, sample_student_t
 __all__ = [
     "TEST_FUNCTIONS",
     "TestFunction",
-    "eval_test_function",
-    "inject_coordinate_noise",
     "apply_coordinate_noise",
     "RegressionStreamSpec",
     "true_regression_fn",
     "generate_regression_stream",
     "OnlineConvexSpec",
     "QuadraticSequence",
-    "make_online_convex_losses",
 ]
 
 NOISE_HALF_RANGE = 0.1
@@ -123,39 +120,15 @@ TEST_FUNCTIONS = {
 }
 
 
-def eval_test_function(name, point):
-    """Exact value and analytic gradient of a named test function."""
-    try:
-        tf = TEST_FUNCTIONS[name]
-    except KeyError:
-        raise ValueError(f"Unknown test function: {name!r}") from None
-    pt = np.asarray(point, dtype=np.float64)
-    if pt.shape[-1] != 2:
-        raise ValueError(f"Expected 2-D point(s), got shape {pt.shape}")
-    return tf.fn(pt), tf.grad(pt)
-
-
 def apply_coordinate_noise(point, trigger_u, deltas, p):
     """Shared noise semantics: when the trigger fires (u < p) every
     coordinate receives its independent perturbation.  The caller's point is
-    never mutated; a noisy copy is returned."""
+    never mutated; a noisy copy is returned.  The perturbation is
+    transient: it applies to the point at which a gradient is evaluated,
+    not to the stored iterate."""
     pt = np.asarray(point, dtype=np.float64)
     fire = np.asarray(trigger_u) < p
     return pt + np.where(np.asarray(fire)[..., None], deltas, 0.0)
-
-
-def inject_coordinate_noise(point, p, rng):
-    """With probability p, perturb each coordinate by uniform(-0.1, 0.1).
-
-    The perturbation is transient: it applies to the point at which a
-    gradient is evaluated, not to the stored iterate.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"Invalid noise probability: {p}")
-    pt = np.asarray(point, dtype=np.float64)
-    u = rng.random()
-    deltas = rng.uniform(-NOISE_HALF_RANGE, NOISE_HALF_RANGE, size=pt.shape)
-    return apply_coordinate_noise(pt, u, deltas, p)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +237,9 @@ class OnlineConvexSpec:
 class QuadraticSequence:
     """T random strongly-convex quadratics l_t(x) = 0.5 (x-c_t)' A_t (x-c_t).
 
-    Indexable as a sequence of (loss, gradient) callable pairs; the raw
-    coefficient arrays stay accessible for the closed-form offline optimum.
+    Round t's loss and gradient are ``loss(t, theta)`` and ``grad(t,
+    theta)``; the raw coefficient arrays stay accessible for the
+    closed-form offline optimum.
     """
 
     def __init__(self, spec: OnlineConvexSpec, rng, T: int):
@@ -289,14 +263,6 @@ class QuadraticSequence:
     def grad(self, t, theta):
         return self.A[t] * (theta - self.C[t])
 
-    def __getitem__(self, t):
-        if not 0 <= t < len(self):
-            raise IndexError(t)
-        return (
-            lambda theta, t=t: self.loss(t, theta),
-            lambda theta, t=t: self.grad(t, theta),
-        )
-
     def offline_optimum(self, upto=None):
         """argmin of the summed losses: the A-weighted mean of the centers
         (coordinate-wise, hence inside the box).  A coordinate with zero
@@ -310,7 +276,3 @@ class QuadraticSequence:
     def summed_loss(self, theta):
         diff = theta[None, :] - self.C
         return 0.5 * float(np.sum(self.A * diff * diff))
-
-
-def make_online_convex_losses(spec: OnlineConvexSpec, rng, T: int) -> QuadraticSequence:
-    return QuadraticSequence(spec, rng, T)

@@ -34,12 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .optimizers import OptimizerConfig, adaterm_eta, adaterm_moments
-from .problems import OnlineConvexSpec, QuadraticSequence, make_online_convex_losses
+from .problems import OnlineConvexSpec, QuadraticSequence
 
 __all__ = [
     "RegretReport",
     "weighted_projection",
-    "young_inequality_check",
     "run_regret_experiment",
     "theorem_rhs",
     "corollary_rhs",
@@ -48,13 +47,13 @@ __all__ = [
 ]
 
 
-def weighted_projection(theta, v_weights, box):
+def weighted_projection(theta, box):
     """Project theta onto an axis-aligned box under a diagonal metric.
 
     For a diagonal metric the weighted distance separates per coordinate,
-    so the minimizer is the plain clamp whatever the (positive) weights
-    are; they are validated but do not enter the arithmetic.  The
-    operation is therefore exact and non-expansive in the weighted norm.
+    so the minimizer is the plain clamp whatever the positive weights are;
+    they do not enter the arithmetic and are not passed.  The operation is
+    therefore exact and non-expansive in every such weighted norm.
     """
     lo, hi = box
     lo = np.asarray(lo, dtype=np.float64)
@@ -63,24 +62,7 @@ def weighted_projection(theta, v_weights, box):
         raise ValueError("Empty box")
     if np.any(hi < lo):
         raise ValueError("Empty box: upper bound below lower bound")
-    w = np.asarray(v_weights, dtype=np.float64)
-    if not np.all(w > 0.0):
-        raise ValueError("Projection weights must be positive")
     return np.clip(np.asarray(theta, dtype=np.float64), lo, hi)
-
-
-def young_inequality_check(zeta, x, y):
-    """xy <= (zeta/2) x^2 + (1/(2 zeta)) y^2 for zeta > 0.
-
-    Accepts scalars or arrays; returns True only if the inequality holds
-    everywhere.  It always should: the gap is (sqrt(zeta) x - y/sqrt(zeta))^2 / 2.
-    """
-    zeta = np.asarray(zeta, dtype=np.float64)
-    if not np.all(zeta > 0.0):
-        raise ValueError("zeta must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    return bool(np.all(x * y <= 0.5 * zeta * x * x + 0.5 / zeta * y * y))
 
 
 @dataclass(frozen=True)
@@ -163,7 +145,7 @@ def run_regret_experiment(
     if seq is None:
         if rng is None:
             raise ValueError("Either seq or rng must be provided")
-        seq = make_online_convex_losses(spec, rng, T)
+        seq = QuadraticSequence(spec, rng, T)
     if len(seq) < T:
         raise ValueError(f"Loss sequence shorter than horizon: {len(seq)} < {T}")
     d = spec.dim
@@ -180,7 +162,7 @@ def run_regret_experiment(
         hi.copy() if theta_init is None
         else np.asarray(theta_init, dtype=np.float64).copy()
     )
-    theta = weighted_projection(theta, np.ones(d), (lo, hi))
+    theta = weighted_projection(theta, (lo, hi))
 
     alpha, beta, eps = cfg.alpha, cfg.beta, cfg.eps
     m = np.zeros(d)
@@ -214,7 +196,7 @@ def run_regret_experiment(
         tau_t = float(tau_t)
         alpha_t = cfg.learning_rate(t)
         eta = adaterm_eta(m, v, 0.0, t, cfg)
-        theta = weighted_projection(theta - alpha_t * eta, np.sqrt(v), (lo, hi))
+        theta = weighted_projection(theta - alpha_t * eta, (lo, hi))
 
         losses[t - 1] = loss_t
         regret_prefix[t - 1] = regret

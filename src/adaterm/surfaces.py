@@ -17,7 +17,7 @@ Three grid kinds, all emitted as CSV tables rather than plots:
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

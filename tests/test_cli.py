@@ -51,6 +51,30 @@ optimizer:
 """
 
 
+SMALL_REGRESSION = """\
+schema_version: 1
+experiment: regression
+output_dir: {out}
+trials: 1
+problem:
+  n_pairs: 20
+  noise_ratios: [0.0]
+model:
+  layer_sizes: [1, 4, 1]
+optimizers:
+  - {{algorithm: Adam}}
+"""
+
+SMALL_SURFACES = """\
+schema_version: 1
+experiment: surfaces
+output_dir: {out}
+grids: [Fig1, TauSurface]
+problem:
+  TauSurface: {{n_nu: 3, n_D: 4}}
+"""
+
+
 def write_config(tmp_path, template, name="cfg.yaml"):
     path = tmp_path / name
     path.write_text(template.format(out=tmp_path / "out"))
@@ -77,6 +101,35 @@ def test_run_small_experiment(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
     assert (tmp_path / "out" / "results.csv").exists()
     assert (tmp_path / "out" / "summary.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "template, old, new, key",
+    [
+        (SMALL_RUN, "trials: 2", "trails: 50", "trails"),
+        (SMALL_RUN, "steps: 30", "steps: 30\nworkers: 4", "workers"),
+        (SMALL_REGRESSION, "trials: 1", "trials: 1\nsteps: 10", "steps"),
+    ],
+    ids=["misspelt-trials", "workers", "steps-in-regression"],
+)
+def test_run_rejects_unused_top_level_key(tmp_path, capsys, template, old, new, key):
+    cfg = write_config(tmp_path, template.replace(old, new))
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert f"['{key}']" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_surfaces_reports_grid_files(tmp_path, capsys):
+    cfg = write_config(tmp_path, SMALL_SURFACES)
+    assert main(["run", str(cfg)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "result rows" not in out
+    for kind in ("Fig1", "TauSurface"):
+        path = tmp_path / "out" / f"{kind}.csv"
+        assert path.exists()
+        assert str(path) in out
 
 
 def test_run_missing_config(tmp_path, capsys):

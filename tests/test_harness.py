@@ -1,11 +1,14 @@
-"""Config parsing, result tables, and the batched-vs-sequential trial
-equivalence the harness is built around."""
+"""Config parsing, result tables, and the batch-layout independence the
+harness is built around: a cell's rows do not depend on how its trials are
+split into batches, a single trial (n = 1) included."""
 
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaterm.harness import (
     ConfigError,
@@ -13,8 +16,6 @@ from adaterm.harness import (
     ResultRow,
     TEST_X_POINTS,
     VerificationError,
-    _chunk_ranges,
-    _error_norm,
     _run_regression_cell,
     _run_test_function_cell,
     draw_regression_trial,
@@ -23,18 +24,15 @@ from adaterm.harness import (
     read_results_csv,
     run_experiment,
     run_gradient_verification,
-    run_regression_trial,
-    run_test_function_trial,
     summarize_rows,
     write_results_csv,
     write_summary_csv,
 )
 from adaterm.mlp import MlpModel
-from adaterm.optimizers import OptimizerConfig
+from adaterm.optimizers import ALGORITHMS, OptimizerConfig
 from adaterm.problems import (
     NOISE_HALF_RANGE,
     RegressionStreamSpec,
-    TEST_FUNCTIONS,
     generate_regression_stream,
 )
 from adaterm.rng import make_rng
@@ -55,7 +53,6 @@ output_dir: out
 seed: 3
 trials: 4
 steps: 100
-workers: 2
 record_every: 10
 problem:
   function: Rosenbrock
@@ -75,7 +72,7 @@ def test_load_valid_test_function_config(tmp_path):
     cfg = load_config(write_cfg(tmp_path, VALID_TEST_FUNCTION))
     assert cfg.kind == "test_function"
     assert cfg.output_dir == Path("out")
-    assert (cfg.seed, cfg.trials, cfg.steps, cfg.workers) == (3, 4, 100, 2)
+    assert (cfg.seed, cfg.trials, cfg.steps) == (3, 4, 100)
     assert cfg.record_every == 10
     assert [n for n, _ in cfg.optimizers] == ["AdaTerm", "Adam-small"]
     assert cfg.optimizers[0][1].alpha == 0.01
@@ -131,9 +128,6 @@ def test_non_integer_counts(tmp_path):
 def test_count_lower_bounds(tmp_path):
     text = VALID_TEST_FUNCTION.replace("trials: 4", "trials: 0")
     with pytest.raises(ConfigError, match="trials must be >= 1"):
-        load_config(write_cfg(tmp_path, text))
-    text = VALID_TEST_FUNCTION.replace("workers: 2", "workers: 0")
-    with pytest.raises(ConfigError, match="workers must be >= 1"):
         load_config(write_cfg(tmp_path, text))
 
 
@@ -300,15 +294,8 @@ def test_regression_draw_order():
         np.testing.assert_array_equal(y, ry)
 
 
-def test_chunk_ranges():
-    assert _chunk_ranges(10, 4) == [(0, 3), (3, 6), (6, 9), (9, 10)]
-    assert _chunk_ranges(5, 1) == [(0, 5)]
-    assert _chunk_ranges(3, 8) == [(0, 1), (1, 2), (2, 3)]
-    assert _chunk_ranges(4, 2) == [(0, 2), (2, 4)]
-
-
 # ---------------------------------------------------------------------------
-# Batched-vs-sequential equivalence
+# Batch-layout independence
 # ---------------------------------------------------------------------------
 
 EQUIV_CONFIGS = [
@@ -323,51 +310,70 @@ EQUIV_CONFIGS = [
 
 
 @pytest.mark.parametrize("label, kwargs", EQUIV_CONFIGS, ids=[c[0] for c in EQUIV_CONFIGS])
-def test_batched_cell_matches_sequential_trials(label, kwargs):
+def test_batched_cell_matches_single_trial_cells(label, kwargs):
     cfg = OptimizerConfig(**kwargs)
     steps, n = 200, 3
     norms, nus, trails = _run_test_function_cell(
         "Rosenbrock", 0.05, cfg, steps, 0, 0, n, record_every=50
     )
-    opt_pt = np.asarray(TEST_FUNCTIONS["Rosenbrock"].optimum)
+    assert [s for s, _ in trails] == [50, 100, 150, 200]
     for i in range(n):
-        theta, nu, trail = run_test_function_trial(
-            "Rosenbrock", 0.05, cfg, steps, make_rng(i), record_every=50
+        norm1, nu1, trail1 = _run_test_function_cell(
+            "Rosenbrock", 0.05, cfg, steps, 0, i, i + 1, record_every=50
         )
-        assert float(_error_norm(theta - opt_pt)) == norms[i]
+        assert norm1[0] == norms[i]
         if cfg.algorithm == "AdaTerm":
-            assert nu == nus[i]
+            assert nu1[0] == nus[i]
         else:
-            assert math.isnan(nu) and nus is None
-        assert [s for s, _ in trail] == [50, 100, 150, 200]
-        for (s_seq, e_seq), (s_bat, vec) in zip(trail, trails):
-            assert s_seq == s_bat
-            assert e_seq == vec[i]
+            assert nu1 is None and nus is None
+        for (s_one, e_one), (s_bat, vec) in zip(trail1, trails):
+            assert s_one == s_bat
+            assert e_one[0] == vec[i]
 
 
-@pytest.mark.parametrize("algo", ["AdaTerm", "Adam"])
-def test_batched_regression_matches_sequential(algo):
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_batched_regression_matches_single_trial_cells(algo):
     cfg = OptimizerConfig(algorithm=algo)
     spec = RegressionStreamSpec(n_pairs=40, batch_size=10, noise_ratio=0.2)
     sizes = (1, 8, 1)
     x_test = np.linspace(0.0, 1.0, 101)[:, None]
     mses = _run_regression_cell(spec, sizes, cfg, 7, 0, 3, x_test)
     for i in range(3):
-        seq = run_regression_trial(spec, sizes, cfg, make_rng(7 + i), x_test=x_test)
-        assert seq == mses[i]
+        one = _run_regression_cell(spec, sizes, cfg, 7, i, i + 1, x_test)
+        assert one[0] == mses[i]
 
 
-def test_worker_count_does_not_change_rows(tmp_path):
-    text = VALID_TEST_FUNCTION.replace("trials: 4", "trials: 6").replace(
-        "steps: 100", "steps: 50"
-    )
-    cfg1 = load_config(write_cfg(tmp_path, text))
-    cfg1.output_dir = tmp_path / "w1"
-    cfg1.workers = 1
-    cfg4 = load_config(write_cfg(tmp_path, text))
-    cfg4.output_dir = tmp_path / "w4"
-    cfg4.workers = 4
-    assert run_experiment(cfg1) == run_experiment(cfg4)
+@settings(max_examples=40, deadline=None)
+@given(
+    algorithm=st.sampled_from(ALGORITHMS),
+    p=st.sampled_from([0.0, 0.05, 0.15]),
+    base_seed=st.integers(0, 1000),
+    n=st.integers(1, 6),
+    steps=st.integers(1, 60),
+    data=st.data(),
+)
+def test_any_contiguous_split_gives_identical_rows(algorithm, p, base_seed, n,
+                                                   steps, data):
+    cuts = data.draw(st.sets(st.integers(1, n - 1)) if n > 1 else st.just(set()))
+    record_every = data.draw(st.integers(0, steps))
+    bounds = [0, *sorted(cuts), n]
+    cfg = OptimizerConfig(algorithm=algorithm, alpha=0.01)
+
+    def cell(lo, hi):
+        return _run_test_function_cell(
+            "Rosenbrock", p, cfg, steps, base_seed, lo, hi, record_every
+        )
+
+    norms, nus, trails = cell(0, n)
+    parts = [cell(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    assert np.concatenate([q[0] for q in parts]).tobytes() == norms.tobytes()
+    if nus is None:
+        assert all(q[1] is None for q in parts)
+    else:
+        assert np.concatenate([q[1] for q in parts]).tobytes() == nus.tobytes()
+    for k, (step, vec) in enumerate(trails):
+        assert all(q[2][k][0] == step for q in parts)
+        assert np.concatenate([q[2][k][1] for q in parts]).tobytes() == vec.tobytes()
 
 
 def test_rerun_is_byte_identical(tmp_path):

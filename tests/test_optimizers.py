@@ -1,5 +1,6 @@
 """Optimizer suite: configuration, frozen step traces, variants, ablations,
-and the group-driving loop."""
+and the group-driving loop.  Each optimizer class holds one n = 1
+GroupState per parameter group: arrays (1, d), per-trial scalars (1,)."""
 
 import numpy as np
 import pytest
@@ -104,11 +105,11 @@ def test_adaterm_first_step_against_golden():
     opt = AdaTerm(np.array([0.5]), cfg)
     opt.step([np.array([0.01])])
     G = ADATERM_STEP1_D1
-    st = opt.groups[0].state.tdist
-    assert st.m[0] == pytest.approx(G["m1"], rel=1e-12)
-    assert st.v[0] == pytest.approx(G["v1"], rel=1e-12)
-    assert st.nu_tilde == pytest.approx(G["nu1"], rel=1e-12)
-    assert opt.groups[0].state.c == pytest.approx(G["c1"], rel=1e-12)
+    st = opt.groups[0].state
+    assert st.m[0, 0] == pytest.approx(G["m1"], rel=1e-12)
+    assert st.v[0, 0] == pytest.approx(G["v1"], rel=1e-12)
+    assert st.nu[0] == pytest.approx(G["nu1"], rel=1e-12)
+    assert st.c[0] == pytest.approx(G["c1"], rel=1e-12)
     assert opt.groups[0].values[0] == pytest.approx(G["theta1"], rel=1e-12)
 
 
@@ -153,11 +154,11 @@ def test_adaterm_three_step_trace():
         opt.step([np.array(g)])
         np.testing.assert_allclose(opt.groups[0].values, G["thetas"][k],
                                    rtol=1e-12)
-    st = opt.groups[0].state.tdist
-    np.testing.assert_allclose(st.m, G["m3"], rtol=1e-12)
-    np.testing.assert_allclose(st.v, G["v3"], rtol=1e-12)
-    assert st.nu_tilde == pytest.approx(G["nu3"], rel=1e-12)
-    assert opt.groups[0].state.c == pytest.approx(G["c3"], rel=1e-12)
+    st = opt.groups[0].state
+    np.testing.assert_allclose(st.m[0], G["m3"], rtol=1e-12)
+    np.testing.assert_allclose(st.v[0], G["v3"], rtol=1e-12)
+    assert st.nu[0] == pytest.approx(G["nu3"], rel=1e-12)
+    assert st.c[0] == pytest.approx(G["c3"], rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -171,8 +172,8 @@ def test_adam_family_trace(cls, algo, trace):
     for k, g in enumerate(trace["grads"]):
         opt.step([np.array(g)])
         st = opt.groups[0].state
-        np.testing.assert_allclose(st.m, trace["ms"][k], rtol=1e-12)
-        np.testing.assert_allclose(st.v, trace["vs"][k], rtol=1e-12)
+        np.testing.assert_allclose(st.m[0], trace["ms"][k], rtol=1e-12)
+        np.testing.assert_allclose(st.v[0], trace["vs"][k], rtol=1e-12)
         np.testing.assert_allclose(opt.groups[0].values, trace["thetas"][k],
                                    rtol=1e-12)
 
@@ -192,14 +193,14 @@ def test_t_momentum_trace():
 def test_tadam_class_matches_functional_rule():
     cfg = OptimizerConfig(algorithm="TAdam", alpha=1e-3)
     opt = TAdam(np.zeros(2), cfg)
-    assert opt.groups[0].state.W == 0.9 / (1.0 - 0.9)
+    assert opt.groups[0].state.W[0] == 0.9 / (1.0 - 0.9)
     G = TMOMENTUM_TRACE_D2
     for g in G["grads"]:
         opt.step([np.array(g)])
     st = opt.groups[0].state
-    np.testing.assert_allclose(st.m, G["ms"][-1], rtol=1e-12)
-    np.testing.assert_allclose(st.v, G["vs"][-1], rtol=1e-12)
-    assert st.W == pytest.approx(G["Ws"][-1], rel=1e-12)
+    np.testing.assert_allclose(st.m[0], G["ms"][-1], rtol=1e-12)
+    np.testing.assert_allclose(st.v[0], G["vs"][-1], rtol=1e-12)
+    assert st.W[0] == pytest.approx(G["Ws"][-1], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -227,16 +228,16 @@ def test_adam_constant_gradient_approaches_sign():
 
 
 def test_adabelief_without_centering_is_adam():
-    cfg_b = OptimizerConfig(algorithm="AdaBelief")
-    cfg_a = OptimizerConfig(algorithm="Adam")
-    ob = AdaBelief(np.array([0.3, -0.2]), cfg_b, centered=False)
-    oa = Adam(np.array([0.3, -0.2]), cfg_a)
+    theta_b = theta_a = np.array([0.3, -0.2])
+    mb = vb = ma = va = np.zeros(2)
     rng = make_rng(2)
-    for _ in range(50):
+    for t in range(1, 51):
         g = rng.normal(size=2)
-        ob.step([g])
-        oa.step([g])
-        assert np.array_equal(ob.groups[0].values, oa.groups[0].values)
+        mb, vb = adabelief_moments(mb, vb, g, 0.9, 0.999, centered=False)
+        ma, va = adam_moments(ma, va, g, 0.9, 0.999)
+        theta_b = theta_b - 1e-3 * adam_eta(mb, vb, t, 0.9, 0.999, 1e-8)
+        theta_a = theta_a - 1e-3 * adam_eta(ma, va, t, 0.9, 0.999, 1e-8)
+        assert np.array_equal(theta_b, theta_a)
 
 
 def test_adabelief_constant_gradient_spread_collapses():
@@ -352,7 +353,7 @@ def test_noadaptiveness_freezes_dof():
     rng = make_rng(8)
     for _ in range(25):
         opt.step([rng.normal(size=2) * 10.0])
-    assert opt.groups[0].state.tdist.nu_tilde == 100.0
+    assert opt.groups[0].state.nu[0] == 100.0
 
 
 def test_large_init_decays_under_outliers():
@@ -361,7 +362,7 @@ def test_large_init_decays_under_outliers():
     rng = make_rng(9)
     for _ in range(200):
         opt.step([rng.normal(size=1) * (10.0 ** rng.uniform(-2, 2))])
-    assert 1.0 < opt.groups[0].state.tdist.nu_tilde < 100.0
+    assert 1.0 < opt.groups[0].state.nu[0] < 100.0
 
 
 def test_bias_accumulator_closed_form_short():
@@ -450,9 +451,16 @@ def test_step_error_paths():
         opt.step([np.zeros(3)])
     with pytest.raises(NonFiniteGradientError):
         opt.step([np.array([np.nan, 0.0])])
+    # A rejected gradient is caught before weight decay moves the values.
+    decayed = Adam(np.ones(2), OptimizerConfig(algorithm="Adam", weight_decay=0.5))
+    with pytest.raises(NonFiniteGradientError):
+        decayed.step([np.array([np.inf, 0.0])])
+    np.testing.assert_array_equal(decayed.groups[0].values, [1.0, 1.0])
     with pytest.raises(ValueError, match="Duplicate"):
         Adam([ParamGroup("a", np.zeros(1)), ParamGroup("a", np.zeros(1))],
              OptimizerConfig(algorithm="Adam"))
+    with pytest.raises(ValueError, match="needs algorithm='Adam'"):
+        Adam(np.zeros(1), OptimizerConfig(algorithm="AdaTerm"))
 
 
 def test_weight_decay_applies_before_direction():

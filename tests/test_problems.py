@@ -6,17 +6,14 @@ import math
 import numpy as np
 import pytest
 
+from adaterm.harness import draw_test_function_noise
 from adaterm.problems import (
-    NOISE_HALF_RANGE,
     OnlineConvexSpec,
     QuadraticSequence,
     RegressionStreamSpec,
     TEST_FUNCTIONS,
     apply_coordinate_noise,
-    eval_test_function,
     generate_regression_stream,
-    inject_coordinate_noise,
-    make_online_convex_losses,
     true_regression_fn,
 )
 from adaterm.rng import make_rng
@@ -81,14 +78,10 @@ def test_analytic_gradients_match_finite_differences(name):
             assert abs(fd - grads[k, axis]) <= 1e-6 * max(1.0, abs(grads[k, axis]))
 
 
-def test_eval_test_function_batches_and_errors():
-    vals, grads = eval_test_function("Rosenbrock", np.zeros((4, 3, 2)))
-    assert vals.shape == (4, 3)
-    assert grads.shape == (4, 3, 2)
-    with pytest.raises(ValueError, match="Unknown test function"):
-        eval_test_function("Sphere", np.zeros(2))
-    with pytest.raises(ValueError, match="2-D"):
-        eval_test_function("Rosenbrock", np.zeros(3))
+def test_test_functions_batch_over_leading_axes():
+    tf = TEST_FUNCTIONS["Rosenbrock"]
+    assert tf.fn(np.zeros((4, 3, 2))).shape == (4, 3)
+    assert tf.grad(np.zeros((4, 3, 2))).shape == (4, 3, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -116,32 +109,10 @@ def test_apply_noise_broadcasts_over_trials():
     np.testing.assert_array_equal(out[2], [0.1, 0.1])
 
 
-def test_inject_noise_replays_canonical_draw_order():
-    pt = np.array([0.3, -0.4])
-    got = inject_coordinate_noise(pt, 1.0, make_rng(5))
-    rng = make_rng(5)
-    u = rng.random()
-    deltas = rng.uniform(-NOISE_HALF_RANGE, NOISE_HALF_RANGE, size=2)
-    assert u < 1.0
-    np.testing.assert_array_equal(got, pt + deltas)
-    # p = 0 never perturbs but consumes the same draws.
-    clean = inject_coordinate_noise(pt, 0.0, make_rng(5))
-    np.testing.assert_array_equal(clean, pt)
-
-
-def test_inject_noise_rejects_bad_probability():
-    with pytest.raises(ValueError):
-        inject_coordinate_noise(np.zeros(2), 1.5, make_rng(0))
-
-
 def test_trigger_rate_matches_probability():
-    rng = make_rng(88)
-    fired = sum(
-        not np.array_equal(
-            inject_coordinate_noise(np.zeros(2), 0.05, rng), np.zeros(2)
-        )
-        for _ in range(15000)
-    )
+    us, deltas = draw_test_function_noise(make_rng(88), 15000)
+    noisy = apply_coordinate_noise(np.zeros((15000, 2)), us, deltas, 0.05)
+    fired = int(np.count_nonzero(np.any(noisy != 0.0, axis=1)))
     assert 670 <= fired <= 830  # 750 +- ~4 sigma
 
 
@@ -241,7 +212,7 @@ def test_online_spec_validation(kwargs):
 
 def test_quadratic_sequence_coefficient_ranges():
     spec = OnlineConvexSpec(dim=4)
-    seq = make_online_convex_losses(spec, make_rng(0), 500)
+    seq = QuadraticSequence(spec, make_rng(0), 500)
     assert len(seq) == 500
     cap = spec.grad_bound / spec.diameter
     assert np.all((spec.curvature_low <= seq.A) & (seq.A <= cap))
@@ -253,7 +224,7 @@ def test_quadratic_sequence_coefficient_ranges():
 
 
 def test_quadratic_hand_values():
-    seq = make_online_convex_losses(OnlineConvexSpec(dim=2), make_rng(1), 3)
+    seq = QuadraticSequence(OnlineConvexSpec(dim=2), make_rng(1), 3)
     seq.A[:] = [[1.0, 2.0], [2.0, 2.0], [3.0, 2.0]]
     seq.C[:] = [[0.0, 0.0], [3.0, 0.0], [-1.0, 0.0]]
     theta = np.array([1.0, 1.0])
@@ -269,20 +240,13 @@ def test_quadratic_hand_values():
 
 
 def test_offline_optimum_zero_curvature_guard():
-    seq = make_online_convex_losses(OnlineConvexSpec(dim=2), make_rng(2), 2)
+    seq = QuadraticSequence(OnlineConvexSpec(dim=2), make_rng(2), 2)
     seq.A[:, 0] = 0.0
     star = seq.offline_optimum()
     assert star[0] == 0.0
     assert np.isfinite(star).all()
 
 
-def test_sequence_indexing():
-    seq = make_online_convex_losses(OnlineConvexSpec(dim=2), make_rng(3), 4)
-    loss_fn, grad_fn = seq[2]
-    theta = np.array([0.2, -0.1])
-    assert loss_fn(theta) == seq.loss(2, theta)
-    np.testing.assert_array_equal(grad_fn(theta), seq.grad(2, theta))
-    with pytest.raises(IndexError):
-        seq[4]
+def test_quadratic_sequence_rejects_empty_horizon():
     with pytest.raises(ValueError):
         QuadraticSequence(OnlineConvexSpec(dim=2), make_rng(0), 0)

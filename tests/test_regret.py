@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from adaterm.optimizers import OptimizerConfig, adaterm_eta, adaterm_moments
-from adaterm.problems import OnlineConvexSpec, make_online_convex_losses
+from adaterm.problems import OnlineConvexSpec, QuadraticSequence
 from adaterm.regret import (
     corollary_rhs,
     run_regret_experiment,
@@ -15,7 +15,6 @@ from adaterm.regret import (
     theorem_rhs,
     weighted_projection,
     write_regret_csv,
-    young_inequality_check,
 )
 from adaterm.rng import make_rng
 
@@ -38,21 +37,20 @@ def test_projection_identity_inside_box():
     box = (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
     theta = np.array([0.3, -0.7])
     np.testing.assert_array_equal(
-        weighted_projection(theta, np.array([2.0, 0.5]), box), theta
+        weighted_projection(theta, box), theta
     )
 
 
 def test_projection_clamps_outside():
     box = (np.array([-1.0, 0.0]), np.array([1.0, 2.0]))
-    out = weighted_projection(np.array([5.0, -3.0]), np.ones(2), box)
+    out = weighted_projection(np.array([5.0, -3.0]), box)
     np.testing.assert_array_equal(out, [1.0, -0.0])
 
 
 def test_projection_idempotent():
     box = (np.full(3, -0.5), np.full(3, 0.5))
-    w = np.array([1.0, 10.0, 0.01])
-    once = weighted_projection(np.array([2.0, 0.1, -9.0]), w, box)
-    np.testing.assert_array_equal(weighted_projection(once, w, box), once)
+    once = weighted_projection(np.array([2.0, 0.1, -9.0]), box)
+    np.testing.assert_array_equal(weighted_projection(once, box), once)
 
 
 def test_projection_nonexpansive_in_weighted_norm():
@@ -62,8 +60,8 @@ def test_projection_nonexpansive_in_weighted_norm():
         a = rng.uniform(-3.0, 3.0, 5)
         b = rng.uniform(-3.0, 3.0, 5)
         w = rng.uniform(0.1, 10.0, 5)
-        pa = weighted_projection(a, w, box)
-        pb = weighted_projection(b, w, box)
+        pa = weighted_projection(a, box)
+        pb = weighted_projection(b, box)
         before = np.sum(w * (a - b) ** 2)
         after = np.sum(w * (pa - pb) ** 2)
         assert after <= before * (1.0 + 1e-12)
@@ -72,41 +70,9 @@ def test_projection_nonexpansive_in_weighted_norm():
 def test_projection_validation():
     ok = np.zeros(2)
     with pytest.raises(ValueError, match="Empty box"):
-        weighted_projection(ok, np.ones(2), (np.array([]), np.array([])))
+        weighted_projection(ok, (np.array([]), np.array([])))
     with pytest.raises(ValueError, match="upper bound below"):
-        weighted_projection(ok, np.ones(2), (np.ones(2), -np.ones(2)))
-    with pytest.raises(ValueError, match="positive"):
-        weighted_projection(ok, np.array([1.0, 0.0]), (-np.ones(2), np.ones(2)))
-
-
-# ---------------------------------------------------------------------------
-# Young's inequality helper
-# ---------------------------------------------------------------------------
-
-
-def test_young_hand_case():
-    # 3*2 = 6 against (2/2)*9 + (1/4)*4 = 10.
-    assert young_inequality_check(2.0, 3.0, 2.0)
-
-
-def test_young_equality_case():
-    # y = zeta * x makes both sides equal (18 = 9 + 9).
-    assert young_inequality_check(2.0, 3.0, 6.0)
-
-
-def test_young_fuzz():
-    rng = make_rng(7)
-    zeta = 10.0 ** rng.uniform(-3.0, 3.0, 500)
-    x = rng.standard_normal(500) * 10.0 ** rng.uniform(-2.0, 2.0, 500)
-    y = rng.standard_normal(500) * 10.0 ** rng.uniform(-2.0, 2.0, 500)
-    assert young_inequality_check(zeta, x, y)
-
-
-def test_young_rejects_nonpositive_zeta():
-    with pytest.raises(ValueError):
-        young_inequality_check(0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        young_inequality_check(np.array([1.0, -2.0]), 1.0, 1.0)
+        weighted_projection(ok, (np.ones(2), -np.ones(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +111,7 @@ def test_run_rejects_bad_horizon_and_missing_sources():
         run_regret_experiment(spec, regret_config(), 0, make_rng(0))
     with pytest.raises(ValueError, match="seq or rng"):
         run_regret_experiment(spec, regret_config(), 10)
-    short = make_online_convex_losses(spec, make_rng(0), 5)
+    short = QuadraticSequence(spec, make_rng(0), 5)
     with pytest.raises(ValueError, match="shorter than horizon"):
         run_regret_experiment(spec, regret_config(), 10, seq=short)
 
@@ -158,7 +124,7 @@ def test_run_rejects_bad_horizon_and_missing_sources():
 def test_short_run_replays_exactly():
     spec = OnlineConvexSpec(dim=2)
     cfg = regret_config()
-    seq = make_online_convex_losses(spec, make_rng(0), 3)
+    seq = QuadraticSequence(spec, make_rng(0), 3)
     report = run_regret_experiment(spec, cfg, 3, seq=seq)
 
     lo, hi = spec.box
@@ -177,9 +143,7 @@ def test_short_run_replays_exactly():
         m, v, nu, tau = adaterm_moments(m, v, nu, g, cfg)
         nu = float(nu)
         eta = adaterm_eta(m, v, 0.0, t, cfg)
-        theta = weighted_projection(
-            theta - cfg.learning_rate(t) * eta, np.sqrt(v), (lo, hi)
-        )
+        theta = weighted_projection(theta - cfg.learning_rate(t) * eta, (lo, hi))
         assert report.losses[t - 1] == loss_t
         assert report.tau[t - 1] == float(tau)
         assert report.regret_prefix[t - 1] == regret
@@ -303,9 +267,9 @@ def test_explicit_comparator_and_start():
     # The start is projected into the box before the first loss.
     assert report.losses[0] == pytest.approx(
         0.5 * np.sum(
-            make_online_convex_losses(spec, make_rng(1), 50).A[0]
+            QuadraticSequence(spec, make_rng(1), 50).A[0]
             * (np.array([1.0, -1.0])
-               - make_online_convex_losses(spec, make_rng(1), 50).C[0]) ** 2
+               - QuadraticSequence(spec, make_rng(1), 50).C[0]) ** 2
         ),
         rel=1e-15,
     )
