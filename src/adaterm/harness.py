@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .mlp import DEFAULT_LAYER_SIZES, MlpModel, stack_parameters
+from .mlp import DEFAULT_LAYER_SIZES, MlpModel, mse_loss, stack_parameters
 # Imported under these names because the benchmark's span tracer wraps them here.
 from .mlp import backward as _batched_backward, forward as _batched_forward
 from .optimizers import GroupState, OptimizerConfig
@@ -380,6 +380,8 @@ def _run_test_function_cell(function, p, opt_cfg, steps, base_seed, lo, hi,
     Returns (final error norms (n,), final nu_tilde (n,) or None,
     [(step, error norms (n,))]).
     """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"Invalid noise probability: {p}")
     tf = TEST_FUNCTIONS[function]
     n = hi - lo
     us = np.empty((n, steps))
@@ -459,8 +461,7 @@ def _run_regression_cell(spec, sizes, opt_cfg, base_seed, lo, hi, x_test):
         x = np.stack([data_x[i][t - 1] for i in range(n)])  # (n, b, 1)
         y = np.stack([data_y[i][t - 1] for i in range(n)])
         y_hat, inputs, masks = _batched_forward(Ws, Bs, x)
-        per_trial_n = y_hat[0].size
-        delta = 2.0 * (y_hat - y) / per_trial_n
+        _, delta = mse_loss(y_hat, y)
         if not np.all(np.isfinite(delta)):
             raise NonFiniteGradientError(f"Non-finite loss gradient at batch {t}")
         gWs, gBs = _batched_backward(Ws, inputs, masks, delta)
@@ -477,7 +478,7 @@ def _run_regression_cell(spec, sizes, opt_cfg, base_seed, lo, hi, x_test):
     xt = np.broadcast_to(x_test, (n,) + x_test.shape)
     y_hat, _, _ = _batched_forward(Ws, Bs, xt)
     f = true_regression_fn(x_test[:, 0])[None, :, None]
-    return np.mean((y_hat - f) ** 2, axis=(1, 2))
+    return mse_loss(y_hat, np.broadcast_to(f, y_hat.shape))[0]
 
 
 def _run_regression_experiment(cfg: ExperimentConfig):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["MlpModel", "stack_parameters", "forward", "backward"]
+__all__ = ["MlpModel", "stack_parameters", "forward", "backward", "mse_loss"]
 
 DEFAULT_LAYER_SIZES = (1, 50, 50, 50, 50, 50, 1)
 
@@ -58,6 +58,9 @@ def forward(Ws, Bs, x):
     ``masks[j]`` marks the strictly positive pre-activations of hidden
     layer j; the inputs and masks are what ``backward`` needs.
     """
+    if x.ndim != 3 or (Ws and x.shape[2] != Ws[0].shape[1]):
+        n_in = Ws[0].shape[1] if Ws else "in"
+        raise ValueError(f"Expected input of shape (n, batch, {n_in}), got {x.shape}")
     inputs = [x]
     masks = []
     a = x
@@ -77,6 +80,10 @@ def backward(Ws, inputs, masks, delta):
     """Exact gradients of each trial's scalar loss w.r.t. every weight and
     bias, given ``delta``, the loss gradient w.r.t. the (n, batch, out)
     output.  Returns ([dW per layer], [dB per layer])."""
+    if len(masks) != max(len(Ws) - 1, 0):
+        raise ValueError(
+            f"{len(masks)} ReLU masks do not match a model of depth {len(Ws)}"
+        )
     gWs = [None] * len(Ws)
     gBs = [None] * len(Ws)
     for j in range(len(Ws) - 1, -1, -1):
@@ -87,3 +94,12 @@ def backward(Ws, inputs, masks, delta):
         if j > 0:
             delta = delta @ np.swapaxes(Ws[j], 1, 2)
     return gWs, gBs
+
+
+def mse_loss(y_hat, y):
+    """Per-trial mean squared error over each (batch, out) block; returns
+    (loss (n,), d loss/d y_hat), the ``delta`` that ``backward`` takes."""
+    if y_hat.shape != y.shape:
+        raise ValueError(f"Shape mismatch: {y_hat.shape} vs {y.shape}")
+    diff = y_hat - y
+    return np.mean(diff**2, axis=(1, 2)), 2.0 * diff / diff[0].size

@@ -39,6 +39,7 @@ from .problems import OnlineConvexSpec, QuadraticSequence
 __all__ = [
     "RegretReport",
     "weighted_projection",
+    "young_inequality_check",
     "run_regret_experiment",
     "theorem_rhs",
     "corollary_rhs",
@@ -63,6 +64,20 @@ def weighted_projection(theta, box):
     if np.any(hi < lo):
         raise ValueError("Empty box: upper bound below lower bound")
     return np.clip(np.asarray(theta, dtype=np.float64), lo, hi)
+
+
+def young_inequality_check(zeta, x, y):
+    """xy <= (zeta/2) x^2 + (1/(2 zeta)) y^2 for zeta > 0.
+
+    Accepts scalars or arrays; returns True only if the inequality holds
+    everywhere.  It always should: the gap is (sqrt(zeta) x - y/sqrt(zeta))^2 / 2.
+    """
+    zeta = np.asarray(zeta, dtype=np.float64)
+    if not np.all(zeta > 0.0):
+        raise ValueError("zeta must be positive")
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    return bool(np.all(x * y <= 0.5 * zeta * x * x + 0.5 / zeta * y * y))
 
 
 @dataclass(frozen=True)

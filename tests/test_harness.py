@@ -310,7 +310,7 @@ EQUIV_CONFIGS = [
 
 
 @pytest.mark.parametrize("label, kwargs", EQUIV_CONFIGS, ids=[c[0] for c in EQUIV_CONFIGS])
-def test_batched_cell_matches_single_trial_cells(label, kwargs):
+def test_batched_cell_matches_sequential_trials(label, kwargs):
     cfg = OptimizerConfig(**kwargs)
     steps, n = 200, 3
     norms, nus, trails = _run_test_function_cell(
@@ -332,7 +332,7 @@ def test_batched_cell_matches_single_trial_cells(label, kwargs):
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)
-def test_batched_regression_matches_single_trial_cells(algo):
+def test_batched_regression_matches_sequential(algo):
     cfg = OptimizerConfig(algorithm=algo)
     spec = RegressionStreamSpec(n_pairs=40, batch_size=10, noise_ratio=0.2)
     sizes = (1, 8, 1)

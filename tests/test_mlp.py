@@ -4,16 +4,8 @@ parameters stacked on a leading trial axis (a single model is n = 1)."""
 import numpy as np
 import pytest
 
-from adaterm.mlp import MlpModel, backward, forward, stack_parameters
+from adaterm.mlp import MlpModel, backward, forward, mse_loss, stack_parameters
 from adaterm.rng import make_rng
-
-
-def mean_loss_delta(y_hat, y):
-    """Per-trial mean squared error and its gradient w.r.t. y_hat, the loss
-    the regression experiment trains on."""
-    diff = y_hat - y
-    per_trial_n = diff[0].size
-    return np.mean(diff**2, axis=(1, 2)), 2.0 * diff / per_trial_n
 
 
 def test_single_linear_layer_exact():
@@ -54,6 +46,14 @@ def test_layer_size_validation(bad):
         MlpModel(bad, make_rng(0))
 
 
+def test_forward_input_validation():
+    Ws, Bs = stack_parameters([MlpModel((2, 3, 1), make_rng(0))])
+    with pytest.raises(ValueError):
+        forward(Ws, Bs, np.zeros((4, 2)))  # no trial axis
+    with pytest.raises(ValueError):
+        forward(Ws, Bs, np.zeros((1, 4, 3)))  # wrong feature count
+
+
 def test_gradients_match_finite_differences():
     models = [MlpModel((2, 6, 5, 1), make_rng(s)) for s in (1, 3)]
     Ws, Bs = stack_parameters(models)
@@ -61,10 +61,10 @@ def test_gradients_match_finite_differences():
     y = np.sin(x[..., :1] + x[..., 1:])
 
     def loss_values():
-        return mean_loss_delta(forward(Ws, Bs, x)[0], y)[0]
+        return mse_loss(forward(Ws, Bs, x)[0], y)[0]
 
     y_hat, inputs, masks = forward(Ws, Bs, x)
-    _, delta = mean_loss_delta(y_hat, y)
+    _, delta = mse_loss(y_hat, y)
     gWs, gBs = backward(Ws, inputs, masks, delta)
 
     h = 1e-6
@@ -91,11 +91,11 @@ def test_batch_loss_gradient_is_mean_scaled():
     x = np.array([[[0.2], [0.8]]])
     y = np.array([[[0.1], [0.9]]])
     y1, in1, m1 = forward(Ws, Bs, x)
-    g1 = backward(Ws, in1, m1, mean_loss_delta(y1, y)[1])
+    g1 = backward(Ws, in1, m1, mse_loss(y1, y)[1])
     x2 = np.concatenate([x, x], axis=1)
     y2t = np.concatenate([y, y], axis=1)
     y2, in2, m2 = forward(Ws, Bs, x2)
-    g2 = backward(Ws, in2, m2, mean_loss_delta(y2, y2t)[1])
+    g2 = backward(Ws, in2, m2, mse_loss(y2, y2t)[1])
     for a, b in zip(g1[0] + g1[1], g2[0] + g2[1]):
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
@@ -113,3 +113,26 @@ def test_relu_blocks_gradient_at_zero():
     gWs, _ = backward(Ws, inputs, masks, np.ones((1, 1, 1)))
     assert gWs[0][0, 0, 0] == 0.0  # no flow through the dead unit
     assert gWs[1][0, 0, 0] == 0.0  # second-layer weight sees a zero input
+
+
+def test_tape_depth_mismatch_detected():
+    shallow = stack_parameters([MlpModel((1, 3), make_rng(0))])
+    Ws_deep, _ = stack_parameters([MlpModel((1, 3, 1), make_rng(0))])
+    _, inputs, masks = forward(*shallow, np.zeros((1, 2, 1)))
+    with pytest.raises(ValueError, match="depth"):
+        backward(Ws_deep, inputs, masks, np.zeros((1, 2, 3)))
+
+
+def test_mse_hand_values():
+    # Two trials of two outputs each; the loss and its gradient are per trial.
+    loss, grad = mse_loss(
+        np.array([[[1.0], [0.0]], [[2.0], [2.0]]]),
+        np.array([[[0.0], [1.0]], [[0.0], [2.0]]]),
+    )
+    np.testing.assert_array_equal(loss, [1.0, 2.0])
+    np.testing.assert_array_equal(grad, [[[1.0], [-1.0]], [[2.0], [0.0]]])
+
+
+def test_mse_shape_mismatch():
+    with pytest.raises(ValueError):
+        mse_loss(np.zeros((1, 2, 1)), np.zeros((1, 1, 2)))

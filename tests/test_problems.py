@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from adaterm.harness import draw_test_function_noise
+from adaterm.harness import _run_test_function_cell, draw_test_function_noise
+from adaterm.optimizers import OptimizerConfig
 from adaterm.problems import (
+    NOISE_HALF_RANGE,
     OnlineConvexSpec,
     QuadraticSequence,
     RegressionStreamSpec,
@@ -78,10 +80,12 @@ def test_analytic_gradients_match_finite_differences(name):
             assert abs(fd - grads[k, axis]) <= 1e-6 * max(1.0, abs(grads[k, axis]))
 
 
-def test_test_functions_batch_over_leading_axes():
+def test_eval_test_function_batches_and_errors():
     tf = TEST_FUNCTIONS["Rosenbrock"]
     assert tf.fn(np.zeros((4, 3, 2))).shape == (4, 3)
     assert tf.grad(np.zeros((4, 3, 2))).shape == (4, 3, 2)
+    with pytest.raises(KeyError, match="Sphere"):
+        _run_test_function_cell("Sphere", 0.0, OptimizerConfig(), 1, 0, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +111,29 @@ def test_apply_noise_broadcasts_over_trials():
     np.testing.assert_array_equal(out[0], [0.1, 0.1])
     np.testing.assert_array_equal(out[1], [0.0, 0.0])
     np.testing.assert_array_equal(out[2], [0.1, 0.1])
+
+
+def test_inject_noise_replays_canonical_draw_order():
+    pt = np.array([[0.3, -0.4]])
+    us, deltas = draw_test_function_noise(make_rng(5), 3)
+    # All trigger uniforms first, then the (steps, 2) perturbation block.
+    rng = make_rng(5)
+    np.testing.assert_array_equal(us, rng.random(3))
+    np.testing.assert_array_equal(
+        deltas, rng.uniform(-NOISE_HALF_RANGE, NOISE_HALF_RANGE, size=(3, 2))
+    )
+    for t in range(3):
+        got = apply_coordinate_noise(pt, us[t:t + 1], deltas[t:t + 1], 1.0)
+        np.testing.assert_array_equal(got, pt + deltas[t])
+        # p = 0 never perturbs; the draws are the same whatever p is.
+        clean = apply_coordinate_noise(pt, us[t:t + 1], deltas[t:t + 1], 0.0)
+        np.testing.assert_array_equal(clean, pt)
+
+
+def test_inject_noise_rejects_bad_probability():
+    for p in (1.5, -0.1):
+        with pytest.raises(ValueError, match="noise probability"):
+            _run_test_function_cell("Rosenbrock", p, OptimizerConfig(), 1, 0, 0, 1)
 
 
 def test_trigger_rate_matches_probability():
@@ -247,6 +274,13 @@ def test_offline_optimum_zero_curvature_guard():
     assert np.isfinite(star).all()
 
 
-def test_quadratic_sequence_rejects_empty_horizon():
+def test_sequence_indexing():
+    seq = QuadraticSequence(OnlineConvexSpec(dim=2), make_rng(3), 4)
+    theta = np.array([0.2, -0.1])
+    diff = theta - seq.C[2]
+    assert seq.loss(2, theta) == 0.5 * float(np.sum(seq.A[2] * diff * diff))
+    np.testing.assert_array_equal(seq.grad(2, theta), seq.A[2] * diff)
+    with pytest.raises(IndexError):
+        seq.loss(4, theta)
     with pytest.raises(ValueError):
         QuadraticSequence(OnlineConvexSpec(dim=2), make_rng(0), 0)

@@ -15,6 +15,7 @@ from adaterm.regret import (
     theorem_rhs,
     weighted_projection,
     write_regret_csv,
+    young_inequality_check,
 )
 from adaterm.rng import make_rng
 
@@ -73,6 +74,36 @@ def test_projection_validation():
         weighted_projection(ok, (np.array([]), np.array([])))
     with pytest.raises(ValueError, match="upper bound below"):
         weighted_projection(ok, (np.ones(2), -np.ones(2)))
+
+
+# ---------------------------------------------------------------------------
+# Young's inequality helper
+# ---------------------------------------------------------------------------
+
+
+def test_young_hand_case():
+    # 3*2 = 6 against (2/2)*9 + (1/4)*4 = 10.
+    assert young_inequality_check(2.0, 3.0, 2.0)
+
+
+def test_young_equality_case():
+    # y = zeta * x makes both sides equal (18 = 9 + 9).
+    assert young_inequality_check(2.0, 3.0, 6.0)
+
+
+def test_young_fuzz():
+    rng = make_rng(7)
+    zeta = 10.0 ** rng.uniform(-3.0, 3.0, 500)
+    x = rng.standard_normal(500) * 10.0 ** rng.uniform(-2.0, 2.0, 500)
+    y = rng.standard_normal(500) * 10.0 ** rng.uniform(-2.0, 2.0, 500)
+    assert young_inequality_check(zeta, x, y)
+
+
+def test_young_rejects_nonpositive_zeta():
+    with pytest.raises(ValueError):
+        young_inequality_check(0.0, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        young_inequality_check(np.array([1.0, -2.0]), 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
