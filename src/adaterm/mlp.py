@@ -59,8 +59,7 @@ def forward(Ws, Bs, x):
     layer j; the inputs and masks are what ``backward`` needs.
     """
     if x.ndim != 3 or (Ws and x.shape[2] != Ws[0].shape[1]):
-        n_in = Ws[0].shape[1] if Ws else "in"
-        raise ValueError(f"Expected input of shape (n, batch, {n_in}), got {x.shape}")
+        raise ValueError(f"Expected input of shape (n, batch, in), got {x.shape}")
     inputs = [x]
     masks = []
     a = x
