@@ -5,9 +5,9 @@ trial i always uses seed ``base_seed + i`` and its own generator.
 
 The harness advances all trials of a cell as one batched array
 computation (trial axis leading) through ``optimizers.GroupState``, the
-same state the optimizer classes hold at n = 1.  A single trial i is the
-same cell run with ``lo=i, hi=i + 1``, and any split of a cell's trials
-into contiguous batches gives byte-identical rows.  The canonical
+same state the regret loop and the optimizer classes hold at n = 1.  A
+single trial i is the same cell run with ``lo=i, hi=i + 1``, and any split
+of a cell's trials into contiguous batches gives byte-identical rows.  The canonical
 per-trial draw order is documented on the draw helpers.
 
 Result files: ``results.csv`` with one row per (experiment id, optimizer,
@@ -38,6 +38,7 @@ from .problems import (
     generate_regression_stream,
     true_regression_fn,
 )
+from .regret import _validate_regret_config
 from .regret import run_regret_experiment, sublinearity_ratio, write_regret_csv
 from .rng import make_rng
 from .surfaces import GRID_KINDS, GridSpec, write_grid_csv
@@ -221,6 +222,29 @@ _KIND_KEYS = {
 }
 
 
+def _number(value, kind, what):
+    """``value`` as ``kind`` (int or float), or a ConfigError naming ``what``.
+
+    Booleans are refused, and an int must be written as one, so ``2.5`` is
+    not truncated.  A float may come as a string: YAML reads ``1e-5``
+    (no decimal point) as one.
+    """
+    try:
+        if isinstance(value, bool) or (kind is int and not isinstance(value, int)):
+            raise TypeError
+        return kind(value)
+    except (TypeError, ValueError):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{what} must be {noun}, got {value!r}") from None
+
+
+def _number_list(value, kind, what):
+    """A non-empty list of numbers, each through ``_number``."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"need non-empty {what}: a non-empty list, got {value!r}")
+    return [_number(x, kind, f"{what} entry") for x in value]
+
+
 def _parse_optimizer(section, index):
     if not isinstance(section, dict):
         raise ConfigError(f"optimizers[{index}] must be a mapping")
@@ -263,14 +287,11 @@ def load_config(path) -> ExperimentConfig:
     cfg = ExperimentConfig(kind=kind, output_dir=Path(raw.get("output_dir", "results")))
     for key in ("seed", "trials", "steps", "record_every", "horizon", "points"):
         if key in raw:
-            val = raw[key]
-            if not isinstance(val, int) or isinstance(val, bool):
-                raise ConfigError(f"{key} must be an integer, got {val!r}")
-            setattr(cfg, key, val)
+            setattr(cfg, key, _number(raw[key], int, key))
     if cfg.trials < 1:
         raise ConfigError(f"trials must be >= 1, got {cfg.trials}")
     if "tolerance" in raw:
-        cfg.tolerance = float(raw["tolerance"])
+        cfg.tolerance = _number(raw["tolerance"], float, "tolerance")
 
     problem = raw.get("problem", {})
     if not isinstance(problem, dict):
@@ -290,30 +311,36 @@ def load_config(path) -> ExperimentConfig:
         if not isinstance(section, dict):
             raise ConfigError("optimizer section must be a mapping")
         cfg.optimizers = [_parse_optimizer(section, 0)]
+        try:
+            _validate_regret_config(cfg.optimizers[0][1])
+        except ValueError as exc:
+            raise ConfigError(f"optimizer: {exc}") from None
         dims = raw.get("dims", problem.get("dims", [2]))
-        if not isinstance(dims, list) or not dims:
-            raise ConfigError("regret experiments need a non-empty dims list")
-        cfg.dims = tuple(int(d) for d in dims)
+        cfg.dims = tuple(_number_list(dims, int, "dims"))
+    if kind in ("test_function", "regression"):
+        ratios = problem.get("noise_ratios", [0.0])
+        problem["noise_ratios"] = _number_list(ratios, float, "noise_ratios")
+        for p in problem["noise_ratios"]:
+            if not 0.0 <= p <= 1.0:
+                raise ConfigError(f"noise ratio out of [0, 1]: {p}")
     if kind == "test_function":
+        unknown = set(problem) - {"function", "noise_ratios"}
+        if unknown:
+            raise ConfigError(f"problem: unknown key(s) {sorted(unknown)}")
         fn = problem.get("function")
         if fn not in TEST_FUNCTIONS:
             raise ConfigError(
                 f"Unknown test function: {fn!r} (choose from {sorted(TEST_FUNCTIONS)})"
             )
-        ratios = problem.get("noise_ratios", [0.0])
-        if not isinstance(ratios, list) or not ratios:
-            raise ConfigError("noise_ratios must be a non-empty list")
-        for p in ratios:
-            if not 0.0 <= float(p) <= 1.0:
-                raise ConfigError(f"noise ratio out of [0, 1]: {p}")
     if kind == "regression":
-        sizes = raw.get("model", {}).get("layer_sizes", list(DEFAULT_LAYER_SIZES))
-        if not isinstance(sizes, list) or len(sizes) < 2:
+        model = raw.get("model", {})
+        if not isinstance(model, dict) or set(model) - {"layer_sizes"}:
+            raise ConfigError(f"model must map layer_sizes only, got {model!r}")
+        sizes = model.get("layer_sizes", list(DEFAULT_LAYER_SIZES))
+        sizes = _number_list(sizes, int, "model.layer_sizes")
+        if len(sizes) < 2:
             raise ConfigError(f"model.layer_sizes must list >= 2 sizes, got {sizes!r}")
-        cfg.model_sizes = tuple(int(s) for s in sizes)
-        ratios = problem.get("noise_ratios", [0.0])
-        if not isinstance(ratios, list) or not ratios:
-            raise ConfigError("noise_ratios must be a non-empty list")
+        cfg.model_sizes = tuple(sizes)
     if kind == "surfaces":
         grids = raw.get("grids", list(GRID_KINDS))
         if not isinstance(grids, list) or not grids:
@@ -323,10 +350,7 @@ def load_config(path) -> ExperimentConfig:
                 raise ConfigError(f"Unknown grid kind: {g!r}")
         cfg.grids = tuple(grids)
     if kind == "verify_gradients":
-        dims = raw.get("dims", [1, 2, 5, 8])
-        if not isinstance(dims, list) or not dims:
-            raise ConfigError("verify_gradients needs a non-empty dims list")
-        cfg.dims = tuple(int(d) for d in dims)
+        cfg.dims = tuple(_number_list(raw.get("dims", [1, 2, 5, 8]), int, "dims"))
     return cfg
 
 
@@ -394,11 +418,7 @@ def _run_test_function_cell(function, p, opt_cfg, steps, base_seed, lo, hi,
     trails = []
     for t in range(1, steps + 1):
         noisy = apply_coordinate_noise(theta, us[:, t - 1], deltas[:, t - 1], p)
-        eta = state.direction(tf.grad(noisy), t)
-        alpha_t = opt_cfg.learning_rate(t)
-        if opt_cfg.weight_decay:
-            theta -= alpha_t * opt_cfg.weight_decay * theta
-        theta -= alpha_t * eta
+        state.step(theta, tf.grad(noisy), t)
         if record_every and t % record_every == 0:
             trails.append((t, _error_norm(theta - opt_pt)))
     final_norm = _error_norm(theta - opt_pt)
@@ -408,7 +428,7 @@ def _run_test_function_cell(function, p, opt_cfg, steps, base_seed, lo, hi,
 
 def _run_test_function_experiment(cfg: ExperimentConfig):
     function = cfg.problem["function"]
-    ratios = [float(p) for p in cfg.problem.get("noise_ratios", [0.0])]
+    ratios = cfg.problem["noise_ratios"]
     rows = []
     for p in ratios:
         exp_id = f"{function}:p={p:g}"
@@ -465,15 +485,9 @@ def _run_regression_cell(spec, sizes, opt_cfg, base_seed, lo, hi, x_test):
         if not np.all(np.isfinite(delta)):
             raise NonFiniteGradientError(f"Non-finite loss gradient at batch {t}")
         gWs, gBs = _batched_backward(Ws, inputs, masks, delta)
-        alpha_t = opt_cfg.learning_rate(t)
         for j in range(layer_count):
-            eta_w = states[j].direction(gWs[j].reshape(n, -1), t)
-            eta_b = states[layer_count + j].direction(gBs[j].reshape(n, -1), t)
-            if opt_cfg.weight_decay:
-                Ws[j] -= alpha_t * opt_cfg.weight_decay * Ws[j]
-                Bs[j] -= alpha_t * opt_cfg.weight_decay * Bs[j]
-            Ws[j] -= alpha_t * eta_w.reshape(Ws[j].shape)
-            Bs[j] -= alpha_t * eta_b.reshape(Bs[j].shape)
+            states[j].step(Ws[j], gWs[j].reshape(n, -1), t)
+            states[layer_count + j].step(Bs[j], gBs[j].reshape(n, -1), t)
 
     xt = np.broadcast_to(x_test, (n,) + x_test.shape)
     y_hat, _, _ = _batched_forward(Ws, Bs, xt)
@@ -482,7 +496,7 @@ def _run_regression_cell(spec, sizes, opt_cfg, base_seed, lo, hi, x_test):
 
 
 def _run_regression_experiment(cfg: ExperimentConfig):
-    ratios = [float(p) for p in cfg.problem.get("noise_ratios", [0.0])]
+    ratios = cfg.problem["noise_ratios"]
     base = {k: v for k, v in cfg.problem.items() if k != "noise_ratios"}
     x_test = np.linspace(0.0, 1.0, TEST_X_POINTS)[:, None]
     rows = []

@@ -1,16 +1,18 @@
 """Gradient optimizers over named parameter groups.
 
-Four algorithms share one driving loop: AdaTerm (the Student's-t estimator
-with adaptive interpolation factors, plus its variants and ablations), Adam,
+Four algorithms share one driver: AdaTerm (the Student's-t estimator with
+adaptive interpolation factors, plus its variants and ablations), Adam,
 AdaBelief and t-Adam.  Optimizers never evaluate losses; gradients are
 supplied by the caller, so analytic test functions and backprop share the
 same code path.
 
 The update rules are written as pure array functions with optional leading
-batch axes (shapes (..., d)).  ``GroupState`` steps them for one parameter
-group of n independent trials, trial axis leading, so the experiment
-harness advances a whole cell of trials in one vectorized call.  The
-optimizer classes are the n = 1 case, one state per group.
+batch axes (shapes (..., d)).  ``GroupState.step`` is the only place they
+are driven: it advances one parameter group of n independent trials, trial
+axis leading, and applies weight decay and the learning-rate schedule to
+the parameters.  The experiment harness advances a whole cell of trials in
+one vectorized call; the regret loop and the optimizer classes are the
+n = 1 case.
 """
 
 from __future__ import annotations
@@ -225,15 +227,10 @@ def adam_eta(m, v, t, beta1, beta2, eps, bias_correction=True):
     return m / (np.sqrt(v) + eps)
 
 
-def adabelief_moments(m, v, g, beta1, beta2, centered=True):
-    """AdaBelief: the second moment tracks (g - m_t)^2 with the fresh m.
-
-    ``centered=False`` is a diagnostic mode that degrades the estimate to
-    g^2, making the optimizer coincide with Adam exactly.
-    """
+def adabelief_moments(m, v, g, beta1, beta2):
+    """AdaBelief: the second moment tracks (g - m_t)^2 with the fresh m."""
     m_new = beta1 * m + (1.0 - beta1) * g
-    spread = (g - m_new) ** 2 if centered else g * g
-    v_new = beta2 * v + (1.0 - beta2) * spread
+    v_new = beta2 * v + (1.0 - beta2) * (g - m_new) ** 2
     return m_new, v_new
 
 
@@ -261,8 +258,10 @@ class GroupState:
 
     Arrays are shaped (n, d) with the trial axis leading; per-trial scalars
     (nu_tilde, the bias accumulator c, t-Adam's weight sum W) are shaped
-    (n,).  The harness steps whole cells of trials through it, and the
-    optimizer classes below hold one n = 1 state per parameter group.
+    (n,).  ``tau`` is the last AdaTerm step's tau_mv, (n,).  Every run
+    steps its parameters through ``step``: the harness a whole cell of
+    trials at once, the regret loop and the optimizer classes below one
+    n = 1 state per parameter group.
     """
 
     def __init__(self, cfg: OptimizerConfig, n, d):
@@ -281,32 +280,41 @@ class GroupState:
                 # for an inlier.
                 self.W = np.full(n, cfg.beta1 / (1.0 - cfg.beta1))
 
-    def direction(self, g, t):
+    def step(self, values, g, t):
         """Advance the state by the (n, d) gradient ``g`` at 1-based step
-        ``t`` and return the (n, d) update direction."""
+        ``t``, then update ``values`` in place: decoupled weight decay and
+        the step along the update direction, both at the scheduled learning
+        rate.  ``values`` holds the group's n * d numbers in any shape with
+        the trial axis leading.  A rejected gradient changes nothing.
+        """
         cfg = self.cfg
+        if g.shape != self.m.shape:
+            raise ValueError(f"Gradient shape {g.shape} is not the state's {self.m.shape}")
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradientError(f"Non-finite gradient at step {t}")
         if cfg.algorithm == "AdaTerm":
-            self.m, self.v, self.nu, tau = adaterm_moments(
+            self.m, self.v, self.nu, self.tau = adaterm_moments(
                 self.m, self.v, self.nu, g, cfg
             )
-            self.c = update_bias_accumulator(self.c, tau)
-            return adaterm_eta(self.m, self.v, self.c, t, cfg)
-        if cfg.algorithm == "Adam":
-            self.m, self.v = adam_moments(self.m, self.v, g, cfg.beta1, cfg.beta2)
-        elif cfg.algorithm == "AdaBelief":
-            self.m, self.v = adabelief_moments(
-                self.m, self.v, g, cfg.beta1, cfg.beta2
-            )
+            self.c = update_bias_accumulator(self.c, self.tau)
+            eta = adaterm_eta(self.m, self.v, self.c, t, cfg)
         else:
-            self.m, self.v, self.W = tadam_moments(
-                self.m, self.v, self.W, g,
-                cfg.beta1, cfg.beta2, cfg.nu_tilde_min * g.shape[-1], cfg.eps,
+            if cfg.algorithm == "Adam":
+                self.m, self.v = adam_moments(self.m, self.v, g, cfg.beta1, cfg.beta2)
+            elif cfg.algorithm == "AdaBelief":
+                self.m, self.v = adabelief_moments(self.m, self.v, g, cfg.beta1, cfg.beta2)
+            else:
+                self.m, self.v, self.W = tadam_moments(
+                    self.m, self.v, self.W, g,
+                    cfg.beta1, cfg.beta2, cfg.nu_tilde_min * g.shape[-1], cfg.eps,
+                )
+            eta = adam_eta(
+                self.m, self.v, t, cfg.beta1, cfg.beta2, cfg.eps, cfg.bias_correction
             )
-        return adam_eta(
-            self.m, self.v, t, cfg.beta1, cfg.beta2, cfg.eps, cfg.bias_correction
-        )
+        alpha_t = cfg.learning_rate(t)
+        if cfg.weight_decay:
+            values -= alpha_t * cfg.weight_decay * values
+        values -= alpha_t * eta.reshape(values.shape)
 
 
 class GradientOptimizer:
@@ -340,8 +348,7 @@ class GradientOptimizer:
         """Advance every group one step.
 
         ``grads`` may be a sequence aligned with the groups, a name-keyed
-        mapping, or None to use each group's ``grad`` slot.  The direction
-        is computed before weight decay touches the values, so a rejected
+        mapping, or None to use each group's ``grad`` slot.  A rejected
         gradient leaves its group's parameters unchanged.
         """
         if grads is None:
@@ -349,8 +356,6 @@ class GradientOptimizer:
         elif isinstance(grads, dict):
             grads = [grads[g.name] for g in self.groups]
         self.t += 1
-        alpha_t = self.cfg.learning_rate(self.t)
-        wd = self.cfg.weight_decay
         for group, grad in zip(self.groups, grads):
             if grad is None:
                 raise ValueError(f"Missing gradient for group {group.name!r}")
@@ -360,10 +365,7 @@ class GradientOptimizer:
                     f"Gradient shape {grad.shape} does not match group "
                     f"{group.name!r} shape {group.values.shape}"
                 )
-            eta = group.state.direction(grad.reshape(1, -1), self.t)
-            if wd:
-                group.values -= alpha_t * wd * group.values
-            group.values -= alpha_t * eta.reshape(group.values.shape)
+            group.state.step(group.values, grad.reshape(1, -1), self.t)
 
 
 class AdaTerm(GradientOptimizer):

@@ -272,7 +272,3 @@ class QuadraticSequence:
         total = np.sum(A, axis=0)
         flat = total == 0.0
         return np.where(flat, 0.0, np.sum(A * C, axis=0) / np.where(flat, 1.0, total))
-
-    def summed_loss(self, theta):
-        diff = theta[None, :] - self.C
-        return 0.5 * float(np.sum(self.A * diff * diff))

@@ -1,9 +1,11 @@
 """Online convex regret runs and empirical evaluation of the convergence
 bound.
 
-The driver replays the noise-robust optimizer (no bias correction, step
-size alpha/sqrt(t), weighted projection onto the box) against a sequence
-of random strongly-convex quadratics, accumulates the regret against the
+The driver steps the noise-robust optimizer through an n = 1
+``optimizers.GroupState``, the same state every other run steps (no bias
+correction, no weight decay, step size alpha/sqrt(t)), followed by the
+weighted projection onto the box.  It plays a sequence of random
+strongly-convex quadratics, accumulates the regret against the
 offline optimum, and evaluates every term of the bound's right-hand side
 from logged quantities only: v_t, g_t, tau_t, the domain diameter and the
 step-size schedule.  The bound must dominate the regret at every prefix.
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optimizers import OptimizerConfig, adaterm_eta, adaterm_moments
+from .optimizers import GroupState, OptimizerConfig
 from .problems import OnlineConvexSpec, QuadraticSequence
 
 __all__ = [
@@ -134,6 +136,8 @@ def _validate_regret_config(cfg: OptimizerConfig):
         raise ValueError("Regret runs require the InverseSqrt step-size schedule")
     if cfg.bias_correction:
         raise ValueError("Regret runs require bias_correction=False")
+    if cfg.weight_decay:
+        raise ValueError("Regret runs require weight_decay=0: the bound assumes none")
 
 
 def run_regret_experiment(
@@ -180,9 +184,7 @@ def run_regret_experiment(
     theta = weighted_projection(theta, (lo, hi))
 
     alpha, beta, eps = cfg.alpha, cfg.beta, cfg.eps
-    m = np.zeros(d)
-    v = np.full(d, eps * eps)
-    nu_tilde = float(cfg.nu_tilde_init)
+    state = GroupState(cfg, 1, d)
 
     losses = np.empty(T)
     regret_prefix = np.empty(T)
@@ -206,12 +208,10 @@ def run_regret_experiment(
         G = max(G, float(np.max(np.abs(g))))
         regret += loss_t - loss_star
 
-        m, v, nu_tilde, tau_t = adaterm_moments(m, v, nu_tilde, g, cfg)
-        nu_tilde = float(nu_tilde)
-        tau_t = float(tau_t)
-        alpha_t = cfg.learning_rate(t)
-        eta = adaterm_eta(m, v, 0.0, t, cfg)
-        theta = weighted_projection(theta - alpha_t * eta, (lo, hi))
+        state.step(theta, g.reshape(1, -1), t)
+        theta = weighted_projection(theta, (lo, hi))
+        tau_t = float(state.tau[0])
+        v = state.v[0]
 
         losses[t - 1] = loss_t
         regret_prefix[t - 1] = regret

@@ -3,8 +3,9 @@
 This is the statistical core of the package.  A ``TDistState`` tracks the
 location ``m``, squared-scale ``v`` and dimension-normalized degrees of
 freedom ``nu_tilde`` of the gradient distribution for one parameter group.
-``update_state`` advances all three by gradient ascent on the log-likelihood
-with adaptive step sizes that collapse to EMA-style interpolations:
+``diagnostics_arrays`` and ``advance_arrays`` advance all three by
+gradient ascent on the log-likelihood, with adaptive step sizes that
+collapse to EMA-style interpolations:
 
     m_t  = (1 - tau_mv) m_{t-1}  + tau_mv g_t
     v_t  = (1 - tau_mv) v_{t-1}  + tau_mv (s + delta_s)
@@ -14,20 +15,24 @@ where tau_mv = (1 - beta) w_mv / w_mv_bar shrinks automatically for
 statistical outliers (small robustness weight w_mv).  Since w_mv <= w_mv_bar,
 tau_mv <= 1 - beta, and likewise tau_nu <= 1 - beta.  Both factors are
 clamped at 1 - beta, so the bounds hold exactly in floating point rather
-than to within a rounding.  The one-shot density and gradient functions
-exist so the update rules can be verified against finite differences and
-analytic bounds, independently of any optimizer.
+than to within a rounding.  ``ascent_forms`` writes the same step in its
+gradient-ascent form, as the reference the interpolations are tested
+against.  The one-shot density and gradient functions exist so the update
+rules can be verified against finite differences and analytic bounds,
+independently of any optimizer.
 
 All array functions accept leading batch axes: shapes (..., d) for vectors
-and (...) for per-group scalars, reducing over the trailing axis only.  The
-harness exploits this to run many seeded trials as one batch.
+and (...) for per-group scalars, reducing over the trailing axis only.
+They hold no state: ``optimizers.GroupState`` is the one driver that steps
+them, for every run (test functions, regression and regret alike).
+``TDistState`` is a plain value with a checkpoint format.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,8 +50,6 @@ __all__ = [
     "grad_nu_surrogate_pre",
     "grad_nu_tilde_surrogate",
     "interpolation_factor",
-    "compute_diagnostics",
-    "update_state",
     "save_state",
     "load_state",
 ]
@@ -254,9 +257,6 @@ class StepDiagnostics:
     tau_nu: np.ndarray
     delta_s: np.ndarray
     lam: np.ndarray
-    kappa_m: np.ndarray
-    kappa_v: np.ndarray
-    kappa_dnu: np.ndarray
 
 
 def interpolation_factor(beta, w, w_bar):
@@ -272,7 +272,6 @@ def interpolation_factor(beta, w, w_bar):
 def diagnostics_arrays(m, v, nu_tilde, g, beta, eps, nu_tilde_min):
     """Batched diagnostics: m, v, g shaped (..., d); nu_tilde shaped (...)."""
     nu_tilde = np.asarray(nu_tilde, dtype=np.float64)
-    d = g.shape[-1]
     s = (g - m) ** 2
     D = np.mean(s / v, axis=-1)
     w_mv = (nu_tilde + 1.0) / (nu_tilde + D)
@@ -296,9 +295,6 @@ def diagnostics_arrays(m, v, nu_tilde, g, beta, eps, nu_tilde_min):
         + nu_tilde_min
         + eps
     )
-    kappa_m = 2.0 * v * (1.0 - beta) / w_mv_bar[..., None]
-    kappa_v = 2.0 * v * v * (1.0 - beta)
-    kappa_dnu = 2.0 * dnu * (1.0 - beta) / (d * w_nu_bar)
     return StepDiagnostics(
         s=s,
         D=D,
@@ -310,9 +306,6 @@ def diagnostics_arrays(m, v, nu_tilde, g, beta, eps, nu_tilde_min):
         tau_nu=tau_nu,
         delta_s=delta_s,
         lam=lam,
-        kappa_m=kappa_m,
-        kappa_v=kappa_v,
-        kappa_dnu=kappa_dnu,
     )
 
 
@@ -325,80 +318,33 @@ def advance_arrays(m, v, nu_tilde, g, diag):
     return m_new, v_new, nu_new
 
 
-def ascent_forms(state: TDistState, g, diag: StepDiagnostics):
-    """The gradient-ascent forms of the three updates, for equivalence tests.
+def ascent_forms(m, v, nu_tilde, g, beta, eps, nu_tilde_min):
+    """The gradient-ascent forms of the three updates: the reference the
+    interpolation updates are tested against.
 
-    Returns (m, v, nu_tilde) computed as state + kappa * gradient instead of
-    by interpolation.  Conventions: kappa_m pairs with the half-gradient
+    Takes the arguments of ``diagnostics_arrays`` and returns
+    ((m, v, nu_tilde), (kappa_m, kappa_v, kappa_dnu)): the next state
+    computed as state + kappa * gradient instead of by interpolation, and
+    the step sizes.  Conventions: kappa_m pairs with the half-gradient
     grad_m/2 (see grad_m); the v gradient is evaluated with the clipped
     delta_s in place of the raw correction; the nu_tilde ascent carries the
     tau_nu * eps floor term that keeps nu_tilde - nu_tilde_min positive.
     """
-    g = np.asarray(g, dtype=np.float64).reshape(-1)
-    m = state.m.reshape(-1)
-    v = state.v.reshape(-1)
-    nt = state.nu_tilde
-    g_m_half = diag.w_mv * (g - m) / (2.0 * v)
-    m_asc = m + diag.kappa_m * g_m_half
+    nu_tilde = np.asarray(nu_tilde, dtype=np.float64)
+    diag = diagnostics_arrays(m, v, nu_tilde, g, beta, eps, nu_tilde_min)
+    d = g.shape[-1]
+    w_mv, nt = diag.w_mv[..., None], nu_tilde[..., None]
+    kappa_m = 2.0 * v * (1.0 - beta) / diag.w_mv_bar[..., None]
+    kappa_v = 2.0 * v * v * (1.0 - beta)
+    kappa_dnu = 2.0 * (nu_tilde - nu_tilde_min) * (1.0 - beta) / (d * diag.w_nu_bar)
+    m_asc = m + kappa_m * (w_mv * (g - m) / (2.0 * v))
     g_v_clipped = (
-        diag.w_mv * nt / (2.0 * v * v * (nt + 1.0))
-        * ((diag.s + diag.delta_s) - v)
+        w_mv * nt / (2.0 * v * v * (nt + 1.0)) * ((diag.s + diag.delta_s) - v)
     )
-    v_asc = v + diag.kappa_v * g_v_clipped
-    w_floored = max(float(diag.w_mv), EPS_FLOAT32)
-    g_nu = grad_nu_tilde_surrogate(nt, state.d, w_floored)
-    nu_asc = nt + diag.kappa_dnu * g_nu + diag.tau_nu * state.eps
-    return m_asc, v_asc, float(nu_asc)
-
-
-def _flat_finite(state, g):
-    g = np.asarray(g, dtype=np.float64)
-    if g.shape != state.m.shape:
-        raise ValueError(
-            f"Gradient shape {g.shape} does not match state shape {state.m.shape}"
-        )
-    if not np.all(np.isfinite(g)):
-        raise NonFiniteGradientError("Gradient contains non-finite values")
-    return g
-
-
-def compute_diagnostics(state: TDistState, g) -> StepDiagnostics:
-    """Diagnostics for one step, without advancing the state."""
-    g = _flat_finite(state, g)
-    return diagnostics_arrays(
-        state.m.reshape(-1),
-        state.v.reshape(-1),
-        state.nu_tilde,
-        g.reshape(-1),
-        state.beta,
-        state.eps,
-        state.nu_tilde_min,
-    )
-
-
-def update_state(state: TDistState, g):
-    """One estimation step; returns (new state, diagnostics used)."""
-    g = _flat_finite(state, g)
-    diag = diagnostics_arrays(
-        state.m.reshape(-1),
-        state.v.reshape(-1),
-        state.nu_tilde,
-        g.reshape(-1),
-        state.beta,
-        state.eps,
-        state.nu_tilde_min,
-    )
-    m_new, v_new, nu_new = advance_arrays(
-        state.m.reshape(-1), state.v.reshape(-1), state.nu_tilde, g.reshape(-1), diag
-    )
-    new = replace(
-        state,
-        m=m_new.reshape(state.m.shape),
-        v=v_new.reshape(state.v.shape),
-        nu_tilde=float(nu_new),
-        t=state.t + 1,
-    )
-    return new, diag
+    v_asc = v + kappa_v * g_v_clipped
+    g_nu = grad_nu_tilde_surrogate(nu_tilde, d, np.maximum(diag.w_mv, EPS_FLOAT32))
+    nu_asc = nu_tilde + kappa_dnu * g_nu + diag.tau_nu * eps
+    return (m_asc, v_asc, nu_asc), (kappa_m, kappa_v, kappa_dnu)
 
 
 # ---------------------------------------------------------------------------

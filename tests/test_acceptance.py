@@ -14,6 +14,7 @@ import pytest
 
 from adaterm.harness import load_config, run_experiment, run_gradient_verification
 from adaterm.optimizers import (
+    GroupState,
     OptimizerConfig,
     adam_moments,
     adaterm_eta,
@@ -26,13 +27,10 @@ from adaterm.regret import corollary_rhs, run_regret_experiment, theorem_rhs
 from adaterm.rng import make_rng
 from adaterm.surfaces import GridSpec, emit_grid
 from adaterm.tdist import (
-    TDistState,
     ascent_forms,
-    compute_diagnostics,
     grad_nu_from_deviation,
     grad_nu_surrogate_pre,
     grad_nu_tilde_surrogate,
-    update_state,
 )
 
 from _golden import PLATEAU_WINDOW_HIGH, PLATEAU_WINDOW_LOW
@@ -205,21 +203,23 @@ def test_criterion_03_high_d_plateau_measured_window(dof_curve_grid):
 
 def test_criterion_04_update_forms_agree():
     rng = make_rng(0)
-    state = TDistState.fresh(3)
+    cfg = OptimizerConfig(algorithm="AdaTerm")
+    state = GroupState(cfg, 1, 3)
+    theta = np.zeros((1, 3))
     worst_m = worst_v = worst_nu = 0.0
-    for _ in range(10_000):
-        g = rng.standard_normal(3) * 10.0 ** rng.uniform(-3.0, 3.0)
-        diag = compute_diagnostics(state, g)
-        asc_m, asc_v, asc_nu = ascent_forms(state, g, diag)
-        state, _ = update_state(state, g)
-        m = state.m.reshape(-1)
-        v = state.v.reshape(-1)
+    for t in range(1, 10_001):
+        g = rng.standard_normal((1, 3)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        (asc_m, asc_v, asc_nu), _ = ascent_forms(
+            state.m, state.v, state.nu, g, cfg.beta, cfg.eps, cfg.nu_tilde_min
+        )
+        state.step(theta, g, t)
+        m, v, nu = state.m, state.v, float(state.nu[0])
         # m passes through zero, so its relative scale is the pair
         # (|m|, sqrt(v)); v and nu_tilde are bounded away from zero.
         denom_m = np.maximum(np.abs(m), np.sqrt(v))
         worst_m = max(worst_m, float(np.max(np.abs(m - asc_m) / denom_m)))
         worst_v = max(worst_v, float(np.max(np.abs(v - asc_v) / v)))
-        worst_nu = max(worst_nu, abs(state.nu_tilde - asc_nu) / state.nu_tilde)
+        worst_nu = max(worst_nu, abs(nu - float(asc_nu[0])) / nu)
     assert worst_m <= 1e-12
     assert worst_v <= 1e-12
     assert worst_nu <= 1e-12

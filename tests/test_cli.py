@@ -65,6 +65,14 @@ optimizers:
   - {{algorithm: Adam}}
 """
 
+SMALL_VERIFY = """\
+schema_version: 1
+experiment: verify_gradients
+output_dir: {out}
+points: 2
+dims: [1]
+"""
+
 SMALL_SURFACES = """\
 schema_version: 1
 experiment: surfaces
@@ -118,6 +126,38 @@ def test_run_rejects_unused_top_level_key(tmp_path, capsys, template, old, new, 
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert f"['{key}']" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "template, old, new, fragment",
+    [
+        (SMALL_VERIFY, "points: 2", "points: 2\ntolerance: abc",
+         "tolerance must be a number, got 'abc'"),
+        (SMALL_RUN, "[0.0]", "[abc]", "noise_ratios entry must be a number"),
+        (SMALL_REGRESSION, "[0.0]", "[abc]", "noise_ratios entry must be a number"),
+        (SMALL_REGRET, "dims: [2]", "dims: [two]", "dims entry must be an integer"),
+        (SMALL_REGRESSION, "[1, 4, 1]", "[1, a, 1]",
+         "model.layer_sizes entry must be an integer"),
+        (SMALL_RUN, "noise_ratios: [0.0]", "noise_ratio: [0.1]", "['noise_ratio']"),
+        (SMALL_REGRET, "  bias_correction: false\n", "", "bias_correction=False"),
+        (SMALL_REGRET, "algorithm: AdaTerm", "algorithm: Adam", "algorithm='Adam'"),
+        (SMALL_REGRET, "alpha: 0.1", "alpha: 0.1\n  variant: Uncentered",
+         "variant='Uncentered'"),
+        (SMALL_REGRET, "InverseSqrt", "Constant", "InverseSqrt"),
+        (SMALL_REGRET, "alpha: 0.1", "alpha: 0.1\n  weight_decay: 0.5",
+         "weight_decay=0"),
+    ],
+    ids=["tolerance", "testfn-ratio", "regression-ratio", "dims", "layer-sizes",
+         "misspelt-noise-ratios", "regret-bias-correction", "regret-algorithm",
+         "regret-variant", "regret-schedule", "regret-weight-decay"],
+)
+def test_run_rejects_bad_value(tmp_path, capsys, template, old, new, fragment):
+    cfg = write_config(tmp_path, template.replace(old, new))
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert fragment in err
     assert not (tmp_path / "out").exists()
 
 

@@ -227,19 +227,6 @@ def test_adam_constant_gradient_approaches_sign():
     assert eta[0] == pytest.approx(-1.0, abs=1e-3)
 
 
-def test_adabelief_without_centering_is_adam():
-    theta_b = theta_a = np.array([0.3, -0.2])
-    mb = vb = ma = va = np.zeros(2)
-    rng = make_rng(2)
-    for t in range(1, 51):
-        g = rng.normal(size=2)
-        mb, vb = adabelief_moments(mb, vb, g, 0.9, 0.999, centered=False)
-        ma, va = adam_moments(ma, va, g, 0.9, 0.999)
-        theta_b = theta_b - 1e-3 * adam_eta(mb, vb, t, 0.9, 0.999, 1e-8)
-        theta_a = theta_a - 1e-3 * adam_eta(ma, va, t, 0.9, 0.999, 1e-8)
-        assert np.array_equal(theta_b, theta_a)
-
-
 def test_adabelief_constant_gradient_spread_collapses():
     """(g - m_t)^2 = beta1^{2t} g^2 while cancellation allows; the variance
     estimate then decays and the corrected direction keeps growing."""

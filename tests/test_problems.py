@@ -262,8 +262,6 @@ def test_quadratic_hand_values():
     assert star[0] == pytest.approx(0.5, rel=1e-15)
     assert star[1] == 0.0
     assert seq.offline_optimum(upto=1)[0] == 0.0
-    total = sum(seq.loss(t, theta) for t in range(3))
-    assert seq.summed_loss(theta) == pytest.approx(total, rel=1e-12)
 
 
 def test_offline_optimum_zero_curvature_guard():

@@ -16,8 +16,9 @@ from adaterm.tdist import (
     NonFiniteGradientError,
     StepDiagnostics,
     TDistState,
+    advance_arrays,
     ascent_forms,
-    compute_diagnostics,
+    diagnostics_arrays,
     grad_m,
     grad_nu_exact,
     grad_nu_from_deviation,
@@ -29,7 +30,6 @@ from adaterm.tdist import (
     save_state,
     state_from_bytes,
     state_to_bytes,
-    update_state,
 )
 
 from _golden import (
@@ -40,7 +40,28 @@ from _golden import (
     PRE_SURROGATE_D1E4_W09,
 )
 
+from adaterm.optimizers import GroupState, OptimizerConfig
 from adaterm.rng import make_rng
+
+
+def diagnose(state, g):
+    """Diagnostics of one step from ``state``, without advancing it."""
+    return diagnostics_arrays(state.m, state.v, state.nu_tilde, g,
+                              state.beta, state.eps, state.nu_tilde_min)
+
+
+def advance(state, g):
+    """One estimator step of ``state`` through the array functions."""
+    diag = diagnose(state, g)
+    m, v, nu = advance_arrays(state.m, state.v, state.nu_tilde, g, diag)
+    return replace(state, m=m, v=v, nu_tilde=float(nu), t=state.t + 1), diag
+
+
+def ascent_step(state, g):
+    """``ascent_forms`` at ``state``: the next (m, v, nu_tilde) and the
+    step sizes (kappa_m, kappa_v, kappa_dnu)."""
+    return ascent_forms(state.m, state.v, state.nu_tilde, g,
+                        state.beta, state.eps, state.nu_tilde_min)
 
 
 # ---------------------------------------------------------------------------
@@ -248,14 +269,18 @@ def test_first_step_matches_golden_trace():
     """Every diagnostic plus the advanced state, against 50-digit replay."""
     st_ = TDistState.fresh(1)
     g = np.array([0.01])  # the frozen trace's input
-    diag = compute_diagnostics(st_, g)
+    diag = diagnose(st_, g)
     for name in (
         "s", "D", "w_mv", "w_mv_bar", "w_nu", "w_nu_bar", "tau_mv",
-        "tau_nu", "delta_s", "lam", "kappa_m", "kappa_v", "kappa_dnu",
+        "tau_nu", "delta_s", "lam",
     ):
         got = np.asarray(getattr(diag, name)).reshape(-1)[0]
         assert got == pytest.approx(ADATERM_STEP1_D1[name], rel=1e-12), name
-    new, _ = update_state(st_, g)
+    _, kappas = ascent_step(st_, g)
+    for name, kappa in zip(("kappa_m", "kappa_v", "kappa_dnu"), kappas):
+        got = np.asarray(kappa).reshape(-1)[0]
+        assert got == pytest.approx(ADATERM_STEP1_D1[name], rel=1e-12), name
+    new, _ = advance(st_, g)
     assert new.m[0] == pytest.approx(ADATERM_STEP1_D1["m1"], rel=1e-12)
     assert new.v[0] == pytest.approx(ADATERM_STEP1_D1["v1"], rel=1e-12)
     assert new.nu_tilde == pytest.approx(ADATERM_STEP1_D1["nu1"], rel=1e-12)
@@ -266,7 +291,7 @@ def test_tau_equals_one_minus_beta_when_gradient_hits_location():
     # g == m gives D = 0, w_mv == w_mv_bar, so tau_mv is exactly 1 - beta.
     st_ = TDistState(m=np.array([0.4]), v=np.array([0.2]), nu_tilde=2.0,
                      t=3, beta=0.9, eps=1e-5, nu_tilde_min=1.0)
-    diag = compute_diagnostics(st_, np.array([0.4]))
+    diag = diagnose(st_, np.array([0.4]))
     assert float(diag.tau_mv) == 1.0 - 0.9
 
 
@@ -274,7 +299,7 @@ def test_w_nu_bar_hits_ceiling_at_small_nu():
     # nu_tilde=1: w_bar=2, 2-ln 2 ~ 1.31, far below the 87.34 ceiling.
     st_ = TDistState(m=np.zeros(1), v=np.ones(1), nu_tilde=1.0,
                      t=0, beta=0.9, eps=1e-5, nu_tilde_min=0.5)
-    diag = compute_diagnostics(st_, np.ones(1))
+    diag = diagnose(st_, np.ones(1))
     assert float(diag.w_nu_bar) == W_NU_BAR_CEIL
 
 
@@ -282,16 +307,16 @@ def test_delta_s_floors_at_eps_squared_for_d1():
     # d=1 makes s - D v cancel to rounding noise, always below eps^2.
     st_ = TDistState.fresh(1)
     for g in (0.01, -0.5, 3.0, 40.0):
-        diag = compute_diagnostics(st_, np.array([g]))
+        diag = diagnose(st_, np.array([g]))
         assert diag.delta_s[0] == st_.eps**2
-        st_, _ = update_state(st_, np.array([g]))
+        st_, _ = advance(st_, np.array([g]))
 
 
 def test_gaussian_limit_tau_window():
     # Huge nu_tilde with a moderate deviation: tau within 1e-6 of 1 - beta.
     st_ = TDistState(m=np.zeros(3), v=np.ones(3), nu_tilde=1e8,
                      t=5, beta=0.9, eps=1e-5, nu_tilde_min=1e8)
-    diag = compute_diagnostics(st_, np.array([1.0, -1.0, 0.5]))
+    diag = diagnose(st_, np.array([1.0, -1.0, 0.5]))
     tau = float(diag.tau_mv)
     assert (1.0 - 0.9) * (1.0 - 1e-6) < tau <= 1.0 - 0.9
 
@@ -307,9 +332,8 @@ def test_interpolation_equals_ascent_forms():
     st_ = TDistState.fresh(4)
     for _ in range(300):
         g = rng.normal(size=4) * (10.0 ** rng.uniform(-2, 2))
-        diag = compute_diagnostics(st_, g)
-        m_asc, v_asc, nu_asc = ascent_forms(st_, g, diag)
-        st_, _ = update_state(st_, g)
+        (m_asc, v_asc, nu_asc), _ = ascent_step(st_, g)
+        st_, _ = advance(st_, g)
         denom_m = np.maximum(np.abs(st_.m), np.sqrt(st_.v))
         assert np.all(np.abs(m_asc - st_.m) <= 1e-12 * denom_m)
         assert np.all(np.abs(v_asc - st_.v) <= 1e-12 * st_.v)
@@ -322,7 +346,7 @@ def test_scale_never_below_floor_on_long_run():
     floor = st_.eps**2 * (1.0 - 1e-12)
     for _ in range(10_000):
         g = rng.normal(size=2) * (10.0 ** rng.uniform(-3, 3))
-        st_, _ = update_state(st_, g)
+        st_, _ = advance(st_, g)
         assert np.all(st_.v >= floor)
 
 
@@ -332,20 +356,23 @@ def test_nu_tilde_decays_under_persistent_outliers():
     last = st_.nu_tilde
     for _ in range(50):
         g = st_.m + 10.0 * np.sqrt(st_.v)  # s = 100 v, so D = 100
-        st_, _ = update_state(st_, g)
+        st_, _ = advance(st_, g)
         assert st_.nu_tilde < last
         assert st_.nu_tilde > st_.nu_tilde_min
         last = st_.nu_tilde
 
 
 def test_update_rejects_bad_gradients():
-    st_ = TDistState.fresh(2)
+    state = GroupState(OptimizerConfig(algorithm="AdaTerm"), 1, 2)
+    theta = np.ones((1, 2))
     with pytest.raises(ValueError):
-        update_state(st_, np.zeros(3))
+        state.step(theta, np.zeros((1, 3)), 1)
     with pytest.raises(NonFiniteGradientError):
-        update_state(st_, np.array([1.0, np.nan]))
+        state.step(theta, np.array([[1.0, np.nan]]), 1)
     with pytest.raises(NonFiniteGradientError):
-        compute_diagnostics(st_, np.array([np.inf, 0.0]))
+        state.step(theta, np.array([[np.inf, 0.0]]), 1)
+    assert np.array_equal(theta, np.ones((1, 2)))
+    assert np.array_equal(state.m, np.zeros((1, 2)))
     assert issubclass(NonFiniteGradientError, FloatingPointError)
 
 
@@ -384,7 +411,7 @@ def _state_and_gradient(draw):
 def test_step_invariants(case):
     """Bounds that hold for every reachable state and any finite gradient."""
     state, g = case
-    diag = compute_diagnostics(state, g)
+    diag = diagnose(state, g)
     tau = float(diag.tau_mv)
     assert 0.0 < tau <= 1.0 - state.beta
     assert 0.0 < float(diag.tau_nu) <= 1.0 - state.beta
@@ -392,7 +419,7 @@ def test_step_invariants(case):
     assert float(diag.w_nu_bar) >= W_NU_BAR_CEIL
     assert np.all(diag.delta_s >= state.eps**2)
     assert float(diag.lam) > state.nu_tilde_min
-    new, _ = update_state(state, g)
+    new, _ = advance(state, g)
     assert np.all(new.v >= state.eps**2 * (1.0 - 1e-12))
     assert new.nu_tilde > state.nu_tilde_min
 
@@ -406,7 +433,7 @@ def test_checkpoint_round_trip(tmp_path):
     st_ = TDistState.fresh(3)
     rng = make_rng(4)
     for _ in range(5):
-        st_, _ = update_state(st_, rng.normal(size=3))
+        st_, _ = advance(st_, rng.normal(size=3))
     back = state_from_bytes(state_to_bytes(st_))
     assert np.array_equal(back.m, st_.m)
     assert np.array_equal(back.v, st_.v)
