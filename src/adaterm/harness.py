@@ -6,9 +6,17 @@ trial i always uses seed ``base_seed + i`` and its own generator.
 The harness advances all trials of a cell as one batched array
 computation (trial axis leading) through ``optimizers.GroupState``, the
 same state the regret loop and the optimizer classes hold at n = 1.  A
-single trial i is the same cell run with ``lo=i, hi=i + 1``, and any split
-of a cell's trials into contiguous batches gives byte-identical rows.  The canonical
-per-trial draw order is documented on the draw helpers.
+test-function experiment makes one pass per optimizer: its k noise ratios
+are stacked on the trial axis (k * n rows, ratio outer), and each trial's
+noise is drawn once per cell and shared by every ratio.  A regression cell
+runs one ratio.  A single trial i is the same cell run with
+``lo=i, hi=i + 1``, and rows do not depend on how ratios or trials are
+grouped: any split of the trials into contiguous batches, and any grouping
+of the ratios, gives byte-identical rows.  The canonical per-trial draw
+order is documented on the draw helpers.
+
+Output tables are written to a temp file and moved into place, so a run
+that stops part-way leaves the old file or none.
 
 Result files: ``results.csv`` with one row per (experiment id, optimizer,
 seed, metric, step, value), plus ``summary.csv`` with count/mean/std
@@ -25,6 +33,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from .files import atomic_write
 from .mlp import DEFAULT_LAYER_SIZES, MlpModel, mse_loss, stack_parameters
 # Imported under these names because the benchmark's span tracer wraps them here.
 from .mlp import backward as _batched_backward, forward as _batched_forward
@@ -92,7 +101,7 @@ class ResultRow:
 
 
 def write_results_csv(rows, path):
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["experiment", "optimizer", "seed", "metric", "step", "value"])
         for r in rows:
@@ -154,7 +163,7 @@ def summarize_rows(rows):
 
 def write_summary_csv(summary, path):
     cols = ["experiment", "optimizer", "metric", "step", "count", "mean", "std", "median"]
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(cols)
         for rec in summary:
@@ -222,27 +231,30 @@ _KIND_KEYS = {
 }
 
 
-def _number(value, kind, what):
+def _number(value, kind, what, low=None):
     """``value`` as ``kind`` (int or float), or a ConfigError naming ``what``.
 
     Booleans are refused, and an int must be written as one, so ``2.5`` is
     not truncated.  A float may come as a string: YAML reads ``1e-5``
-    (no decimal point) as one.
+    (no decimal point) as one.  A value below ``low`` is refused too.
     """
     try:
         if isinstance(value, bool) or (kind is int and not isinstance(value, int)):
             raise TypeError
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError):
         noun = "an integer" if kind is int else "a number"
         raise ConfigError(f"{what} must be {noun}, got {value!r}") from None
+    if low is not None and number < low:
+        raise ConfigError(f"{what} must be >= {low}, got {number}")
+    return number
 
 
-def _number_list(value, kind, what):
+def _number_list(value, kind, what, low=None):
     """A non-empty list of numbers, each through ``_number``."""
     if not isinstance(value, list) or not value:
         raise ConfigError(f"need non-empty {what}: a non-empty list, got {value!r}")
-    return [_number(x, kind, f"{what} entry") for x in value]
+    return [_number(x, kind, f"{what} entry", low) for x in value]
 
 
 def _parse_optimizer(section, index):
@@ -285,11 +297,10 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"{kind} configs do not use key(s) {sorted(unknown)}")
 
     cfg = ExperimentConfig(kind=kind, output_dir=Path(raw.get("output_dir", "results")))
-    for key in ("seed", "trials", "steps", "record_every", "horizon", "points"):
+    for key, low in (("seed", 0), ("trials", 1), ("steps", 0), ("record_every", 0),
+                     ("horizon", 1), ("points", 0)):
         if key in raw:
-            setattr(cfg, key, _number(raw[key], int, key))
-    if cfg.trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {cfg.trials}")
+            setattr(cfg, key, _number(raw[key], int, key, low))
     if "tolerance" in raw:
         cfg.tolerance = _number(raw["tolerance"], float, "tolerance")
 
@@ -316,7 +327,7 @@ def load_config(path) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"optimizer: {exc}") from None
         dims = raw.get("dims", problem.get("dims", [2]))
-        cfg.dims = tuple(_number_list(dims, int, "dims"))
+        cfg.dims = tuple(_number_list(dims, int, "dims", 1))
     if kind in ("test_function", "regression"):
         ratios = problem.get("noise_ratios", [0.0])
         problem["noise_ratios"] = _number_list(ratios, float, "noise_ratios")
@@ -337,7 +348,7 @@ def load_config(path) -> ExperimentConfig:
         if not isinstance(model, dict) or set(model) - {"layer_sizes"}:
             raise ConfigError(f"model must map layer_sizes only, got {model!r}")
         sizes = model.get("layer_sizes", list(DEFAULT_LAYER_SIZES))
-        sizes = _number_list(sizes, int, "model.layer_sizes")
+        sizes = _number_list(sizes, int, "model.layer_sizes", 1)
         if len(sizes) < 2:
             raise ConfigError(f"model.layer_sizes must list >= 2 sizes, got {sizes!r}")
         cfg.model_sizes = tuple(sizes)
@@ -349,8 +360,15 @@ def load_config(path) -> ExperimentConfig:
             if g not in GRID_KINDS:
                 raise ConfigError(f"Unknown grid kind: {g!r}")
         cfg.grids = tuple(grids)
+        unknown = set(problem) - set(grids)
+        if unknown:
+            raise ConfigError(f"problem: key(s) {sorted(unknown)} name no listed grid")
     if kind == "verify_gradients":
-        cfg.dims = tuple(_number_list(raw.get("dims", [1, 2, 5, 8]), int, "dims"))
+        cfg.dims = tuple(_number_list(raw.get("dims", [1, 2, 5, 8]), int, "dims", 1))
+    # Build the problem specs once here, so that a bad problem key exits
+    # before the run makes its output directory.
+    if kind in _SPECS:
+        _SPECS[kind](cfg)
     return cfg
 
 
@@ -396,61 +414,69 @@ def _error_norm(diff):
     return np.sqrt(np.add.reduce(diff * diff, axis=-1))
 
 
-def _run_test_function_cell(function, p, opt_cfg, steps, base_seed, lo, hi,
+def _run_test_function_cell(function, ratios, opt_cfg, steps, base_seed, lo, hi,
                             record_every=0):
-    """Trials [lo, hi) of one (function, ratio, optimizer) cell as a single
-    batched run; a single trial i is ``lo=i, hi=i + 1``.
+    """Trials [lo, hi) of one (function, optimizer) cell at every noise
+    ratio in ``ratios``, as a single batched run of k * n rows, ratio
+    outer; a single ratio is k = 1 and a single trial i is
+    ``lo=i, hi=i + 1``.  Each trial's noise is drawn once and shared by
+    every ratio, since the draws do not depend on the ratio.
 
-    Returns (final error norms (n,), final nu_tilde (n,) or None,
-    [(step, error norms (n,))]).
+    Returns (final error norms (k, n), final nu_tilde (k, n) or None,
+    [(step, error norms (k, n))]).
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"Invalid noise probability: {p}")
+    for p in ratios:
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"Invalid noise probability: {p}")
     tf = TEST_FUNCTIONS[function]
-    n = hi - lo
+    k, n = len(ratios), hi - lo
     us = np.empty((n, steps))
     deltas = np.empty((n, steps, 2))
     for i in range(n):
         us[i], deltas[i] = draw_test_function_noise(make_rng(base_seed + lo + i), steps)
-    theta = np.tile(np.asarray(tf.start, dtype=np.float64), (n, 1))
-    state = GroupState(opt_cfg, n, 2)
+    probs = np.asarray(ratios, dtype=np.float64)[:, None]  # (k, 1): one per row block
+    theta = np.tile(np.asarray(tf.start, dtype=np.float64), (k * n, 1))
+    grid = theta.reshape(k, n, 2)  # a view: the step updates theta in place
+    state = GroupState(opt_cfg, k * n, 2)
     opt_pt = np.asarray(tf.optimum)
     trails = []
     for t in range(1, steps + 1):
-        noisy = apply_coordinate_noise(theta, us[:, t - 1], deltas[:, t - 1], p)
-        state.step(theta, tf.grad(noisy), t)
+        noisy = apply_coordinate_noise(grid, us[:, t - 1], deltas[:, t - 1], probs)
+        state.step(theta, tf.grad(noisy).reshape(k * n, 2), t)
         if record_every and t % record_every == 0:
-            trails.append((t, _error_norm(theta - opt_pt)))
-    final_norm = _error_norm(theta - opt_pt)
-    final_nu = state.nu if opt_cfg.algorithm == "AdaTerm" else None
+            trails.append((t, _error_norm(grid - opt_pt)))
+    final_norm = _error_norm(grid - opt_pt)
+    final_nu = state.nu.reshape(k, n) if opt_cfg.algorithm == "AdaTerm" else None
     return final_norm, final_nu, trails
 
 
 def _run_test_function_experiment(cfg: ExperimentConfig):
     function = cfg.problem["function"]
     ratios = cfg.problem["noise_ratios"]
+    cells = [
+        (name, *_run_test_function_cell(function, ratios, opt_cfg, cfg.steps,
+                                        cfg.seed, 0, cfg.trials, cfg.record_every))
+        for name, opt_cfg in cfg.optimizers
+    ]
     rows = []
-    for p in ratios:
+    for j, p in enumerate(ratios):
         exp_id = f"{function}:p={p:g}"
-        for name, opt_cfg in cfg.optimizers:
-            norms, nus, trails = _run_test_function_cell(
-                function, p, opt_cfg, cfg.steps, cfg.seed, 0, cfg.trials,
-                cfg.record_every,
-            )
+        for name, norms, nus, trails in cells:
             for i in range(cfg.trials):
                 seed = cfg.seed + i
                 rows.append(
                     ResultRow(exp_id, name, seed, "final_error_norm",
-                              cfg.steps, float(norms[i]))
+                              cfg.steps, float(norms[j, i]))
                 )
                 if nus is not None:
                     rows.append(
                         ResultRow(exp_id, name, seed, "final_nu_tilde",
-                                  cfg.steps, float(nus[i]))
+                                  cfg.steps, float(nus[j, i]))
                     )
                 for step, vec in trails:
                     rows.append(
-                        ResultRow(exp_id, name, seed, "error_norm", step, float(vec[i]))
+                        ResultRow(exp_id, name, seed, "error_norm", step,
+                                  float(vec[j, i]))
                     )
     return rows
 
@@ -495,17 +521,29 @@ def _run_regression_cell(spec, sizes, opt_cfg, base_seed, lo, hi, x_test):
     return mse_loss(y_hat, np.broadcast_to(f, y_hat.shape))[0]
 
 
-def _run_regression_experiment(cfg: ExperimentConfig):
-    ratios = cfg.problem["noise_ratios"]
+def _spec(cls, what, fields, **fixed):
+    """``cls(**fields, **fixed)``, or a ConfigError naming ``what`` if
+    ``fields`` is not a mapping or the class refuses it."""
+    try:
+        return cls(**fields, **fixed)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
+def _regression_specs(cfg: ExperimentConfig):
+    """One stream spec per noise ratio."""
     base = {k: v for k, v in cfg.problem.items() if k != "noise_ratios"}
+    return [
+        _spec(RegressionStreamSpec, "problem section", base, noise_ratio=p)
+        for p in cfg.problem["noise_ratios"]
+    ]
+
+
+def _run_regression_experiment(cfg: ExperimentConfig):
     x_test = np.linspace(0.0, 1.0, TEST_X_POINTS)[:, None]
     rows = []
-    for p in ratios:
-        try:
-            spec = RegressionStreamSpec(noise_ratio=p, **base)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"problem section: {exc}") from exc
-        exp_id = f"regression:p={p:g}"
+    for spec in _regression_specs(cfg):
+        exp_id = f"regression:p={spec.noise_ratio:g}"
         n_steps = math.ceil(spec.n_pairs / spec.batch_size)
         for name, opt_cfg in cfg.optimizers:
             mses = _run_regression_cell(
@@ -524,17 +562,16 @@ def _run_regression_experiment(cfg: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 
+def _regret_specs(cfg: ExperimentConfig):
+    """One problem spec per dimension."""
+    base = {k: v for k, v in cfg.problem.items() if k != "dims"}
+    return [_spec(OnlineConvexSpec, "problem section", base, dim=d) for d in cfg.dims]
+
+
 def _run_regret_experiment_kind(cfg: ExperimentConfig):
     name, opt_cfg = cfg.optimizers[0]
-    base = {k: v for k, v in cfg.problem.items() if k != "dims"}
-    specs = []
-    for d in cfg.dims:
-        try:
-            specs.append(OnlineConvexSpec(dim=d, **base))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"problem section: {exc}") from exc
     rows = []
-    for spec in specs:
+    for spec in _regret_specs(cfg):
         exp_id = f"regret:d={spec.dim}"
         for seed in range(cfg.seed, cfg.seed + cfg.trials):
             rep = run_regret_experiment(spec, opt_cfg, cfg.horizon, make_rng(seed))
@@ -562,12 +599,16 @@ def grid_paths(cfg: ExperimentConfig):
     return [cfg.output_dir / f"{kind}.csv" for kind in cfg.grids]
 
 
+def _grid_specs(cfg: ExperimentConfig):
+    """One grid spec per grid kind, in ``grid_paths`` order."""
+    return [
+        _spec(GridSpec, f"grid {kind}", cfg.problem.get(kind, {}), kind=kind)
+        for kind in cfg.grids
+    ]
+
+
 def _run_surfaces_experiment(cfg: ExperimentConfig):
-    for kind, path in zip(cfg.grids, grid_paths(cfg)):
-        try:
-            spec = GridSpec(kind=kind, **cfg.problem.get(kind, {}))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"grid {kind}: {exc}") from exc
+    for spec, path in zip(_grid_specs(cfg), grid_paths(cfg)):
         write_grid_csv(spec, path)
     return []
 
@@ -652,6 +693,13 @@ def _run_verify_gradients_experiment(cfg: ExperimentConfig):
 # Dispatch
 # ---------------------------------------------------------------------------
 
+
+# The problem-spec builders that ``load_config`` runs to check a config.
+_SPECS = {
+    "regression": _regression_specs,
+    "regret": _regret_specs,
+    "surfaces": _grid_specs,
+}
 
 _RUNNERS = {
     "test_function": _run_test_function_experiment,

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .files import atomic_write
 from .optimizers import GroupState, OptimizerConfig
 from .problems import OnlineConvexSpec, QuadraticSequence
 
@@ -340,7 +341,7 @@ def sublinearity_ratio(report: RegretReport, t_low=1000, t_high=5000):
 
 
 def write_regret_csv(report: RegretReport, path):
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "loss", "regret_prefix", "bound_rhs_prefix", "tau_t"])
         for i in range(report.T):

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .files import atomic_write
 from .special import EPS_FLOAT32, W_NU_BAR_CEIL
 from .tdist import (
     grad_nu_surrogate_pre,
@@ -141,7 +142,7 @@ def emit_grid(spec: GridSpec):
 
 def write_grid_csv(spec: GridSpec, path):
     columns, table = emit_grid(spec)
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in table:

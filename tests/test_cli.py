@@ -147,10 +147,23 @@ def test_run_rejects_unused_top_level_key(tmp_path, capsys, template, old, new, 
         (SMALL_REGRET, "InverseSqrt", "Constant", "InverseSqrt"),
         (SMALL_REGRET, "alpha: 0.1", "alpha: 0.1\n  weight_decay: 0.5",
          "weight_decay=0"),
+        (SMALL_RUN, "steps: 30", "steps: -5", "steps must be >= 0, got -5"),
+        (SMALL_RUN, "steps: 30", "steps: 30\nrecord_every: -1",
+         "record_every must be >= 0, got -1"),
+        (SMALL_RUN, "trials: 2", "trials: 2\nseed: -1", "seed must be >= 0, got -1"),
+        (SMALL_VERIFY, "points: 2", "points: -1", "points must be >= 0, got -1"),
+        (SMALL_VERIFY, "dims: [1]", "dims: [1, 0]", "dims entry must be >= 1, got 0"),
+        (SMALL_REGRET, "horizon: 60", "horizon: 0", "horizon must be >= 1, got 0"),
+        (SMALL_REGRET, "dims: [2]", "dims: [0]", "dims entry must be >= 1, got 0"),
+        (SMALL_REGRESSION, "[1, 4, 1]", "[1, 0, 1]",
+         "model.layer_sizes entry must be >= 1, got 0"),
     ],
     ids=["tolerance", "testfn-ratio", "regression-ratio", "dims", "layer-sizes",
          "misspelt-noise-ratios", "regret-bias-correction", "regret-algorithm",
-         "regret-variant", "regret-schedule", "regret-weight-decay"],
+         "regret-variant", "regret-schedule", "regret-weight-decay",
+         "negative-steps", "negative-record-every", "negative-seed", "negative-points",
+         "verify-dims-below-1", "horizon-below-1", "regret-dims-below-1",
+         "layer-size-below-1"],
 )
 def test_run_rejects_bad_value(tmp_path, capsys, template, old, new, fragment):
     cfg = write_config(tmp_path, template.replace(old, new))
@@ -158,6 +171,25 @@ def test_run_rejects_bad_value(tmp_path, capsys, template, old, new, fragment):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert fragment in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "template, old, new",
+    [
+        (SMALL_REGRESSION, "n_pairs: 20", "n_pairs: 20\n  bogus: 1"),
+        (SMALL_REGRET, "grad_bound: 4.0", "grad_bound: 4.0\n  bogus: 1"),
+        (SMALL_SURFACES, "n_D: 4", "n_D: 4, bogus: 1"),
+        (SMALL_SURFACES, "  TauSurface:", "  bogus: {{n_nu: 3}}\n  TauSurface:"),
+    ],
+    ids=["regression", "regret", "surfaces", "surfaces-unlisted-grid"],
+)
+def test_run_rejects_bad_problem_key(tmp_path, capsys, template, old, new):
+    cfg = write_config(tmp_path, template.replace(old, new))
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "'bogus'" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -4,6 +4,7 @@ split into batches, a single trial (n = 1) included."""
 
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,7 +36,9 @@ from adaterm.problems import (
     RegressionStreamSpec,
     generate_regression_stream,
 )
+from adaterm.regret import write_regret_csv
 from adaterm.rng import make_rng
+from adaterm.surfaces import GridSpec, write_grid_csv
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -257,6 +260,68 @@ def test_summarize_empty_raises():
         summarize_rows([])
 
 
+class _Interrupted(Exception):
+    pass
+
+
+def _rows_then_interrupt(row, count=5000):
+    """``count`` copies of ``row``, then an interruption: enough rows that
+    the writer has flushed part of the table before it stops."""
+    for _ in range(count):
+        yield row
+    raise _Interrupted
+
+
+def _write_interrupted_results(path, monkeypatch):
+    write_results_csv(_rows_then_interrupt(ResultRow("e", "o", 0, "m", 1, 0.5)), path)
+
+
+def _write_interrupted_summary(path, monkeypatch):
+    (rec,) = summarize_rows([ResultRow("e", "o", 0, "m", 1, 0.5)])
+    write_summary_csv(_rows_then_interrupt(rec), path)
+
+
+def _write_interrupted_regret(path, monkeypatch):
+    # The arrays are shorter than T, so the writer stops part-way.
+    short = np.zeros(4000)
+    report = SimpleNamespace(T=5000, losses=short, regret_prefix=short,
+                             bound_rhs_prefix=short, tau=short)
+    write_regret_csv(report, path)
+
+
+def _write_interrupted_grid(path, monkeypatch):
+    monkeypatch.setattr(
+        "adaterm.surfaces.emit_grid",
+        lambda spec: (["a", "b"], _rows_then_interrupt([0.5, 1.5])),
+    )
+    write_grid_csv(GridSpec(kind="Fig1"), path)
+
+
+@pytest.mark.parametrize("old", [None, "old table\n"], ids=["no-old-file", "old-file"])
+@pytest.mark.parametrize(
+    "write, error",
+    [
+        (_write_interrupted_results, _Interrupted),
+        (_write_interrupted_summary, _Interrupted),
+        (_write_interrupted_regret, IndexError),
+        (_write_interrupted_grid, _Interrupted),
+    ],
+    ids=["results", "summary", "regret-trace", "grid"],
+)
+def test_interrupted_write_leaves_old_file_or_none(tmp_path, monkeypatch, write, error,
+                                                   old):
+    path = tmp_path / "table.csv"
+    if old is not None:
+        path.write_text(old)
+    with pytest.raises(error):
+        write(path, monkeypatch)
+    if old is None:
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_text() == old
+
+
 def test_summary_csv_layout(tmp_path):
     rows = [ResultRow("e", "o", 0, "m", 10, 0.5)]
     path = tmp_path / "summary.csv"
@@ -314,21 +379,44 @@ def test_batched_cell_matches_sequential_trials(label, kwargs):
     cfg = OptimizerConfig(**kwargs)
     steps, n = 200, 3
     norms, nus, trails = _run_test_function_cell(
-        "Rosenbrock", 0.05, cfg, steps, 0, 0, n, record_every=50
+        "Rosenbrock", [0.05], cfg, steps, 0, 0, n, record_every=50
     )
     assert [s for s, _ in trails] == [50, 100, 150, 200]
     for i in range(n):
         norm1, nu1, trail1 = _run_test_function_cell(
-            "Rosenbrock", 0.05, cfg, steps, 0, i, i + 1, record_every=50
+            "Rosenbrock", [0.05], cfg, steps, 0, i, i + 1, record_every=50
         )
-        assert norm1[0] == norms[i]
+        assert norm1[0, 0] == norms[0, i]
         if cfg.algorithm == "AdaTerm":
-            assert nu1[0] == nus[i]
+            assert nu1[0, 0] == nus[0, i]
         else:
             assert nu1 is None and nus is None
         for (s_one, e_one), (s_bat, vec) in zip(trail1, trails):
             assert s_one == s_bat
-            assert e_one[0] == vec[i]
+            assert e_one[0, 0] == vec[0, i]
+
+
+@pytest.mark.parametrize("label, kwargs", EQUIV_CONFIGS, ids=[c[0] for c in EQUIV_CONFIGS])
+def test_stacked_ratios_match_one_cell_per_ratio(label, kwargs):
+    cfg = OptimizerConfig(**kwargs)
+    ratios = [0.0, 0.05, 1.0]
+    norms, nus, trails = _run_test_function_cell(
+        "Rosenbrock", ratios, cfg, 120, 4, 0, 3, record_every=40
+    )
+    assert norms.shape == (3, 3)
+    assert [s for s, _ in trails] == [40, 80, 120]
+    for j, p in enumerate(ratios):
+        norm1, nu1, trail1 = _run_test_function_cell(
+            "Rosenbrock", [p], cfg, 120, 4, 0, 3, record_every=40
+        )
+        assert norm1[0].tobytes() == norms[j].tobytes()
+        if cfg.algorithm == "AdaTerm":
+            assert nu1[0].tobytes() == nus[j].tobytes()
+        else:
+            assert nu1 is None and nus is None
+        for (s_one, e_one), (s_bat, vec) in zip(trail1, trails):
+            assert s_one == s_bat
+            assert e_one[0].tobytes() == vec[j].tobytes()
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)
@@ -346,13 +434,13 @@ def test_batched_regression_matches_sequential(algo):
 @settings(max_examples=40, deadline=None)
 @given(
     algorithm=st.sampled_from(ALGORITHMS),
-    p=st.sampled_from([0.0, 0.05, 0.15]),
+    ratios=st.lists(st.sampled_from([0.0, 0.05, 0.15]), min_size=1, max_size=3),
     base_seed=st.integers(0, 1000),
     n=st.integers(1, 6),
     steps=st.integers(1, 60),
     data=st.data(),
 )
-def test_any_contiguous_split_gives_identical_rows(algorithm, p, base_seed, n,
+def test_any_contiguous_split_gives_identical_rows(algorithm, ratios, base_seed, n,
                                                    steps, data):
     cuts = data.draw(st.sets(st.integers(1, n - 1)) if n > 1 else st.just(set()))
     record_every = data.draw(st.integers(0, steps))
@@ -361,19 +449,21 @@ def test_any_contiguous_split_gives_identical_rows(algorithm, p, base_seed, n,
 
     def cell(lo, hi):
         return _run_test_function_cell(
-            "Rosenbrock", p, cfg, steps, base_seed, lo, hi, record_every
+            "Rosenbrock", ratios, cfg, steps, base_seed, lo, hi, record_every
         )
 
+    # Trials are the inner axis of each (k, n) result.
     norms, nus, trails = cell(0, n)
     parts = [cell(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    assert np.concatenate([q[0] for q in parts]).tobytes() == norms.tobytes()
+    assert np.concatenate([q[0] for q in parts], axis=1).tobytes() == norms.tobytes()
     if nus is None:
         assert all(q[1] is None for q in parts)
     else:
-        assert np.concatenate([q[1] for q in parts]).tobytes() == nus.tobytes()
+        assert np.concatenate([q[1] for q in parts], axis=1).tobytes() == nus.tobytes()
     for k, (step, vec) in enumerate(trails):
         assert all(q[2][k][0] == step for q in parts)
-        assert np.concatenate([q[2][k][1] for q in parts]).tobytes() == vec.tobytes()
+        assert (np.concatenate([q[2][k][1] for q in parts], axis=1).tobytes()
+                == vec.tobytes())
 
 
 def test_rerun_is_byte_identical(tmp_path):

@@ -85,7 +85,7 @@ def test_eval_test_function_batches_and_errors():
     assert tf.fn(np.zeros((4, 3, 2))).shape == (4, 3)
     assert tf.grad(np.zeros((4, 3, 2))).shape == (4, 3, 2)
     with pytest.raises(KeyError, match="Sphere"):
-        _run_test_function_cell("Sphere", 0.0, OptimizerConfig(), 1, 0, 0, 1)
+        _run_test_function_cell("Sphere", [0.0], OptimizerConfig(), 1, 0, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +131,9 @@ def test_inject_noise_replays_canonical_draw_order():
 
 
 def test_inject_noise_rejects_bad_probability():
-    for p in (1.5, -0.1):
+    for p in (1.5, -0.1, float("nan")):
         with pytest.raises(ValueError, match="noise probability"):
-            _run_test_function_cell("Rosenbrock", p, OptimizerConfig(), 1, 0, 0, 1)
+            _run_test_function_cell("Rosenbrock", [0.0, p], OptimizerConfig(), 1, 0, 0, 1)
 
 
 def test_trigger_rate_matches_probability():
