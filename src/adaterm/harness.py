@@ -3,17 +3,20 @@
 One YAML config describes one experiment run.  Trials are independent:
 trial i always uses seed ``base_seed + i`` and its own generator.
 
-The harness advances all trials of a cell as one batched array
-computation (trial axis leading) through ``optimizers.GroupState``, the
-same state the regret loop and the optimizer classes hold at n = 1.  A
-test-function experiment makes one pass per optimizer: its k noise ratios
-are stacked on the trial axis (k * n rows, ratio outer), and each trial's
-noise is drawn once per cell and shared by every ratio.  A regression cell
-runs one ratio.  A single trial i is the same cell run with
-``lo=i, hi=i + 1``, and rows do not depend on how ratios or trials are
-grouped: any split of the trials into contiguous batches, and any grouping
-of the ratios, gives byte-identical rows.  The canonical per-trial draw
-order is documented on the draw helpers.
+An experiment draws each trial's randomness once, from
+``make_rng(base_seed + i)`` through the draw helpers below (which document
+the canonical per-trial draw order), and hands the arrays to every
+optimizer's cell; a cell only computes from what it is handed.  The cell
+advances all of its trials as one batched array computation (trial axis
+leading) through ``optimizers.GroupState``, the same state the regret loop
+and the optimizer classes hold at n = 1.  A test-function experiment makes
+one pass per optimizer: its k noise ratios are stacked on the trial axis
+(k * n rows, ratio outer) over the same (n, steps) noise.  A regression
+cell runs one ratio on that ratio's drawn trials.  A single trial is a
+cell run on that trial's draws alone (a row slice), and rows do not
+depend on how ratios or trials are grouped: any split of the trials into
+contiguous batches, and any grouping of the ratios, gives byte-identical
+rows.
 
 Output tables are written to a temp file and moved into place, so a run
 that stops part-way leaves the old file or none.
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +46,7 @@ from .problems import (
     NOISE_HALF_RANGE,
     RegressionStreamSpec,
     OnlineConvexSpec,
+    QuadraticSequence,
     apply_coordinate_noise,
     generate_regression_stream,
     true_regression_fn,
@@ -100,10 +104,13 @@ class ResultRow:
     value: float
 
 
+_RESULT_COLUMNS = ["experiment", "optimizer", "seed", "metric", "step", "value"]
+
+
 def write_results_csv(rows, path):
     with atomic_write(path) as fh:
         writer = csv.writer(fh)
-        writer.writerow(["experiment", "optimizer", "seed", "metric", "step", "value"])
+        writer.writerow(_RESULT_COLUMNS)
         for r in rows:
             writer.writerow(
                 [r.experiment, r.optimizer, r.seed, r.metric, r.step, f"{r.value:.17g}"]
@@ -114,19 +121,27 @@ def read_results_csv(path):
     rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "metric" not in reader.fieldnames:
-            raise ConfigError(f"Not a results file: {path}")
+        missing = [c for c in _RESULT_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ConfigError(f"Not a results file: {path} has no column(s) {missing}")
         for rec in reader:
-            rows.append(
-                ResultRow(
-                    experiment=rec["experiment"],
-                    optimizer=rec["optimizer"],
-                    seed=int(rec["seed"]),
-                    metric=rec["metric"],
-                    step=int(rec["step"]),
-                    value=float(rec["value"]),
+            try:
+                rows.append(
+                    ResultRow(
+                        experiment=rec["experiment"],
+                        optimizer=rec["optimizer"],
+                        seed=int(rec["seed"]),
+                        metric=rec["metric"],
+                        step=int(rec["step"]),
+                        value=float(rec["value"]),
+                    )
                 )
-            )
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    f"{path}, line {reader.line_num}: seed and step must be integers "
+                    f"and value a number, got {rec['seed']!r}, {rec['step']!r}, "
+                    f"{rec['value']!r}"
+                ) from None
     return rows
 
 
@@ -201,22 +216,7 @@ class ExperimentConfig:
     tolerance: float = 1e-5
 
 
-_OPTIMIZER_KEYS = {
-    "name",
-    "algorithm",
-    "alpha",
-    "beta",
-    "beta1",
-    "beta2",
-    "eps",
-    "nu_tilde_min",
-    "nu_tilde_init",
-    "variant",
-    "ablation",
-    "lr_schedule",
-    "weight_decay",
-    "bias_correction",
-}
+_OPTIMIZER_KEYS = {f.name for f in fields(OptimizerConfig)} | {"name"}
 
 
 # Top-level keys each experiment kind reads, besides schema_version,
@@ -326,8 +326,7 @@ def load_config(path) -> ExperimentConfig:
             _validate_regret_config(cfg.optimizers[0][1])
         except ValueError as exc:
             raise ConfigError(f"optimizer: {exc}") from None
-        dims = raw.get("dims", problem.get("dims", [2]))
-        cfg.dims = tuple(_number_list(dims, int, "dims", 1))
+        cfg.dims = tuple(_number_list(raw.get("dims", [2]), int, "dims", 1))
     if kind in ("test_function", "regression"):
         ratios = problem.get("noise_ratios", [0.0])
         problem["noise_ratios"] = _number_list(ratios, float, "noise_ratios")
@@ -414,13 +413,12 @@ def _error_norm(diff):
     return np.sqrt(np.add.reduce(diff * diff, axis=-1))
 
 
-def _run_test_function_cell(function, ratios, opt_cfg, steps, base_seed, lo, hi,
-                            record_every=0):
-    """Trials [lo, hi) of one (function, optimizer) cell at every noise
-    ratio in ``ratios``, as a single batched run of k * n rows, ratio
-    outer; a single ratio is k = 1 and a single trial i is
-    ``lo=i, hi=i + 1``.  Each trial's noise is drawn once and shared by
-    every ratio, since the draws do not depend on the ratio.
+def _run_test_function_cell(function, ratios, opt_cfg, us, deltas, record_every=0):
+    """One (function, optimizer) cell at every noise ratio in ``ratios``,
+    as a single batched run of k * n rows, ratio outer, on the n trials'
+    noise draws ``us`` (n, steps) and ``deltas`` (n, steps, 2); a single
+    ratio is k = 1 and a single trial is a row slice of the draws.  Every
+    ratio shares the draws, since they do not depend on the ratio.
 
     Returns (final error norms (k, n), final nu_tilde (k, n) or None,
     [(step, error norms (k, n))]).
@@ -429,11 +427,7 @@ def _run_test_function_cell(function, ratios, opt_cfg, steps, base_seed, lo, hi,
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"Invalid noise probability: {p}")
     tf = TEST_FUNCTIONS[function]
-    k, n = len(ratios), hi - lo
-    us = np.empty((n, steps))
-    deltas = np.empty((n, steps, 2))
-    for i in range(n):
-        us[i], deltas[i] = draw_test_function_noise(make_rng(base_seed + lo + i), steps)
+    k, (n, steps) = len(ratios), us.shape
     probs = np.asarray(ratios, dtype=np.float64)[:, None]  # (k, 1): one per row block
     theta = np.tile(np.asarray(tf.start, dtype=np.float64), (k * n, 1))
     grid = theta.reshape(k, n, 2)  # a view: the step updates theta in place
@@ -453,9 +447,13 @@ def _run_test_function_cell(function, ratios, opt_cfg, steps, base_seed, lo, hi,
 def _run_test_function_experiment(cfg: ExperimentConfig):
     function = cfg.problem["function"]
     ratios = cfg.problem["noise_ratios"]
+    us = np.empty((cfg.trials, cfg.steps))
+    deltas = np.empty((cfg.trials, cfg.steps, 2))
+    for i in range(cfg.trials):
+        us[i], deltas[i] = draw_test_function_noise(make_rng(cfg.seed + i), cfg.steps)
     cells = [
-        (name, *_run_test_function_cell(function, ratios, opt_cfg, cfg.steps,
-                                        cfg.seed, 0, cfg.trials, cfg.record_every))
+        (name, *_run_test_function_cell(function, ratios, opt_cfg, us, deltas,
+                                        cfg.record_every))
         for name, opt_cfg in cfg.optimizers
     ]
     rows = []
@@ -486,17 +484,14 @@ def _run_test_function_experiment(cfg: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 
-def _run_regression_cell(spec, sizes, opt_cfg, base_seed, lo, hi, x_test):
-    """Trials [lo, hi) of one (ratio, optimizer) cell as a single batched
-    run; a single trial i is ``lo=i, hi=i + 1``.  Returns each trial's
+def _run_regression_cell(trials, opt_cfg, x_test):
+    """One (ratio, optimizer) cell as a single batched run over ``trials``,
+    the (model, xs, ys) draws of ``draw_regression_trial``; a single trial
+    is a one-entry list.  The models are copied, not trained in place, so
+    every optimizer can be handed the same draws.  Returns each trial's
     final test MSE against the clean target on ``x_test``."""
-    n = hi - lo
-    models, data_x, data_y = [], [], []
-    for i in range(n):
-        model, bx, by = draw_regression_trial(spec, sizes, make_rng(base_seed + lo + i))
-        models.append(model)
-        data_x.append(bx)
-        data_y.append(by)
+    n = len(trials)
+    models, data_x, data_y = zip(*trials)
     Ws, Bs = stack_parameters(models)
     layer_count = len(Ws)
     states = [GroupState(opt_cfg, n, Ws[j][0].size) for j in range(layer_count)]
@@ -521,11 +516,11 @@ def _run_regression_cell(spec, sizes, opt_cfg, base_seed, lo, hi, x_test):
     return mse_loss(y_hat, np.broadcast_to(f, y_hat.shape))[0]
 
 
-def _spec(cls, what, fields, **fixed):
-    """``cls(**fields, **fixed)``, or a ConfigError naming ``what`` if
-    ``fields`` is not a mapping or the class refuses it."""
+def _spec(cls, what, values, **fixed):
+    """``cls(**values, **fixed)``, or a ConfigError naming ``what`` if
+    ``values`` is not a mapping or the class refuses it."""
     try:
-        return cls(**fields, **fixed)
+        return cls(**values, **fixed)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{what}: {exc}") from exc
 
@@ -545,15 +540,16 @@ def _run_regression_experiment(cfg: ExperimentConfig):
     for spec in _regression_specs(cfg):
         exp_id = f"regression:p={spec.noise_ratio:g}"
         n_steps = math.ceil(spec.n_pairs / spec.batch_size)
+        trials = [draw_regression_trial(spec, cfg.model_sizes, make_rng(cfg.seed + i))
+                  for i in range(cfg.trials)]
         for name, opt_cfg in cfg.optimizers:
-            mses = _run_regression_cell(
-                spec, cfg.model_sizes, opt_cfg, cfg.seed, 0, cfg.trials, x_test
-            )
+            mses = _run_regression_cell(trials, opt_cfg, x_test)
             for i in range(cfg.trials):
                 rows.append(
                     ResultRow(exp_id, name, cfg.seed + i, "test_mse", n_steps,
                               float(mses[i]))
                 )
+        del trials  # free this ratio's draws before the next ratio's are made
     return rows
 
 
@@ -564,8 +560,8 @@ def _run_regression_experiment(cfg: ExperimentConfig):
 
 def _regret_specs(cfg: ExperimentConfig):
     """One problem spec per dimension."""
-    base = {k: v for k, v in cfg.problem.items() if k != "dims"}
-    return [_spec(OnlineConvexSpec, "problem section", base, dim=d) for d in cfg.dims]
+    return [_spec(OnlineConvexSpec, "problem section", cfg.problem, dim=d)
+            for d in cfg.dims]
 
 
 def _run_regret_experiment_kind(cfg: ExperimentConfig):
@@ -574,7 +570,10 @@ def _run_regret_experiment_kind(cfg: ExperimentConfig):
     for spec in _regret_specs(cfg):
         exp_id = f"regret:d={spec.dim}"
         for seed in range(cfg.seed, cfg.seed + cfg.trials):
-            rep = run_regret_experiment(spec, opt_cfg, cfg.horizon, make_rng(seed))
+            # Passed inline, so the sequence is freed when its run returns.
+            rep = run_regret_experiment(
+                QuadraticSequence(spec, make_rng(seed), cfg.horizon), opt_cfg
+            )
             ok = bool(np.all(rep.regret_prefix <= rep.bound_rhs_prefix))
             rows.extend(
                 [

@@ -263,12 +263,11 @@ class QuadraticSequence:
     def grad(self, t, theta):
         return self.A[t] * (theta - self.C[t])
 
-    def offline_optimum(self, upto=None):
+    def offline_optimum(self):
         """argmin of the summed losses: the A-weighted mean of the centers
         (coordinate-wise, hence inside the box).  A coordinate with zero
         total curvature is flat; any point minimizes it, so 0 is returned."""
-        A = self.A[:upto]
-        C = self.C[:upto]
-        total = np.sum(A, axis=0)
+        total = np.sum(self.A, axis=0)
         flat = total == 0.0
-        return np.where(flat, 0.0, np.sum(A * C, axis=0) / np.where(flat, 1.0, total))
+        mean = np.sum(self.A * self.C, axis=0) / np.where(flat, 1.0, total)
+        return np.where(flat, 0.0, mean)

@@ -1,7 +1,10 @@
 """Online convex regret runs and empirical evaluation of the convergence
 bound.
 
-The driver steps the noise-robust optimizer through an n = 1
+A run is handed its loss sequence: the experiment draws a
+``problems.QuadraticSequence`` from the trial's own generator, and the run
+plays all of its rounds, so the horizon is the sequence's length.  The
+driver steps the noise-robust optimizer through an n = 1
 ``optimizers.GroupState``, the same state every other run steps (no bias
 correction, no weight decay, step size alpha/sqrt(t)), followed by the
 weighted projection onto the box.  It plays a sequence of random
@@ -37,7 +40,7 @@ import numpy as np
 
 from .files import atomic_write
 from .optimizers import GroupState, OptimizerConfig
-from .problems import OnlineConvexSpec, QuadraticSequence
+from .problems import QuadraticSequence
 
 __all__ = [
     "RegretReport",
@@ -141,48 +144,26 @@ def _validate_regret_config(cfg: OptimizerConfig):
         raise ValueError("Regret runs require weight_decay=0: the bound assumes none")
 
 
-def run_regret_experiment(
-    spec: OnlineConvexSpec,
-    cfg: OptimizerConfig,
-    T: int,
-    rng=None,
-    *,
-    seq: QuadraticSequence | None = None,
-    theta_star=None,
-    theta_init=None,
-) -> RegretReport:
-    """Run T online rounds and evaluate the bound at every prefix.
+def run_regret_experiment(seq: QuadraticSequence, cfg: OptimizerConfig) -> RegretReport:
+    """Play every round of ``seq`` and evaluate the bound at every prefix.
 
-    The loss sequence is drawn from ``spec`` unless ``seq`` is given; the
-    comparator defaults to the closed-form offline optimum of the summed
-    losses (the strongest fixed comparator).
+    The horizon T is ``len(seq)``.  The comparator is the closed-form
+    offline optimum of the summed losses (the strongest fixed comparator).
     """
-    if not isinstance(spec, OnlineConvexSpec):
-        raise TypeError(f"Expected OnlineConvexSpec, got {type(spec).__name__}")
+    if not isinstance(seq, QuadraticSequence):
+        raise TypeError(f"Expected QuadraticSequence, got {type(seq).__name__}")
     _validate_regret_config(cfg)
-    if T < 1:
-        raise ValueError(f"Invalid horizon: {T}")
-    if seq is None:
-        if rng is None:
-            raise ValueError("Either seq or rng must be provided")
-        seq = QuadraticSequence(spec, rng, T)
-    if len(seq) < T:
-        raise ValueError(f"Loss sequence shorter than horizon: {len(seq)} < {T}")
+    spec = seq.spec
+    T = len(seq)
     d = spec.dim
     lo, hi = spec.box
     D_diam = spec.diameter
-    theta_star = (
-        seq.offline_optimum(T) if theta_star is None
-        else np.asarray(theta_star, dtype=np.float64)
-    )
-    # Default start: the upper box corner, far from any weighted mean of
-    # the centers.  A start near the comparator would make the early regret
-    # negligible and the normalized-regret criterion vacuous.
-    theta = (
-        hi.copy() if theta_init is None
-        else np.asarray(theta_init, dtype=np.float64).copy()
-    )
-    theta = weighted_projection(theta, (lo, hi))
+    theta_star = seq.offline_optimum()
+    # Start at the upper box corner, far from any weighted mean of the
+    # centers.  A start near the comparator would make the early regret
+    # negligible and the normalized-regret criterion vacuous.  The start is
+    # a float copy: an integer box_halfwidth gives an integer box.
+    theta = hi.astype(np.float64)
 
     alpha, beta, eps = cfg.alpha, cfg.beta, cfg.eps
     state = GroupState(cfg, 1, d)

@@ -22,7 +22,7 @@ from adaterm.optimizers import (
     tadam_moments,
     update_bias_accumulator,
 )
-from adaterm.problems import OnlineConvexSpec
+from adaterm.problems import OnlineConvexSpec, QuadraticSequence
 from adaterm.regret import corollary_rhs, run_regret_experiment, theorem_rhs
 from adaterm.rng import make_rng
 from adaterm.surfaces import GridSpec, emit_grid
@@ -337,12 +337,8 @@ def test_criterion_10_regret_bound(regret_run):
     # Gaussian-limit substitution: the general bound with tau pinned at
     # 1 - beta must reproduce the closed form, term by term.
     t0 = time.perf_counter()
-    report = run_regret_experiment(
-        OnlineConvexSpec(dim=2, box_halfwidth=1.0, grad_bound=4.0),
-        opt_cfg,
-        5000,
-        make_rng(0),
-    )
+    spec = OnlineConvexSpec(dim=2, box_halfwidth=1.0, grad_bound=4.0)
+    report = run_regret_experiment(QuadraticSequence(spec, make_rng(0), 5000), opt_cfg)
     assert np.all(report.regret_prefix <= report.bound_rhs_prefix)
     one_minus_beta = 1.0 - opt_cfg.beta
     pinned = theorem_rhs(
@@ -355,6 +351,21 @@ def test_criterion_10_regret_bound(regret_run):
     )
     np.testing.assert_allclose(pinned, closed, rtol=1e-9)
     assert elapsed + (time.perf_counter() - t0) < 120.0
+
+
+def test_criterion_10_bound_is_vacuous(regret_run):
+    # Pinned, not desired: the bound's right-hand side exceeds the regret
+    # by more than 40 orders of magnitude on every run, so criterion 10
+    # holds trivially.  A change that makes the bound meaningful must
+    # update this test on purpose.
+    rows, _, _ = regret_run
+    value = {(r.experiment, r.seed, r.metric): r.value for r in rows}
+    runs = sorted({(r.experiment, r.seed) for r in rows})
+    assert len(runs) == 40  # 20 seeds x 2 dimensions
+    for exp, seed in runs:
+        r_t = value[exp, seed, "R_T"]
+        assert r_t > 0.0
+        assert math.log10(value[exp, seed, "bound_rhs"] / r_t) > 40.0, (exp, seed)
 
 
 # --- 11 ----------------------------------------------------------------

@@ -175,21 +175,25 @@ def test_run_rejects_bad_value(tmp_path, capsys, template, old, new, fragment):
 
 
 @pytest.mark.parametrize(
-    "template, old, new",
+    "template, old, new, key",
     [
-        (SMALL_REGRESSION, "n_pairs: 20", "n_pairs: 20\n  bogus: 1"),
-        (SMALL_REGRET, "grad_bound: 4.0", "grad_bound: 4.0\n  bogus: 1"),
-        (SMALL_SURFACES, "n_D: 4", "n_D: 4, bogus: 1"),
-        (SMALL_SURFACES, "  TauSurface:", "  bogus: {{n_nu: 3}}\n  TauSurface:"),
+        (SMALL_REGRESSION, "n_pairs: 20", "n_pairs: 20\n  bogus: 1", "bogus"),
+        (SMALL_REGRET, "grad_bound: 4.0", "grad_bound: 4.0\n  bogus: 1", "bogus"),
+        (SMALL_SURFACES, "n_D: 4", "n_D: 4, bogus: 1", "bogus"),
+        (SMALL_SURFACES, "  TauSurface:", "  bogus: {{n_nu: 3}}\n  TauSurface:",
+         "bogus"),
+        # Regret dimensions are the top-level dims only.
+        (SMALL_REGRET, "grad_bound: 4.0", "grad_bound: 4.0\n  dims: [3]", "dims"),
     ],
-    ids=["regression", "regret", "surfaces", "surfaces-unlisted-grid"],
+    ids=["regression", "regret", "surfaces", "surfaces-unlisted-grid",
+         "regret-problem-dims"],
 )
-def test_run_rejects_bad_problem_key(tmp_path, capsys, template, old, new):
+def test_run_rejects_bad_problem_key(tmp_path, capsys, template, old, new, key):
     cfg = write_config(tmp_path, template.replace(old, new))
     assert main(["run", str(cfg)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
-    assert "'bogus'" in err
+    assert f"'{key}'" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -238,6 +242,29 @@ def test_summarize_directory(tmp_path, capsys):
 def test_summarize_missing_results(tmp_path, capsys):
     assert main(["summarize", str(tmp_path)]) == EXIT_CONFIG
     assert "No results.csv" in capsys.readouterr().err
+
+
+GOOD_RESULTS = "experiment,optimizer,seed,metric,step,value\ne,o,0,m,10,0.5\n"
+
+
+@pytest.mark.parametrize(
+    "old, new, fragment",
+    [
+        (",value", "", "['value']"),
+        ("e,o,0,", "e,o,zero,", "line 2"),
+        (",10,", ",ten,", "line 2"),
+        (",0.5", ",half", "line 2"),
+        (",0.5", "", "line 2"),
+    ],
+    ids=["missing-column", "seed", "step", "value", "short-row"],
+)
+def test_summarize_rejects_malformed_results(tmp_path, capsys, old, new, fragment):
+    (tmp_path / "results.csv").write_text(GOOD_RESULTS.replace(old, new))
+    assert main(["summarize", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert fragment in err
+    assert not (tmp_path / "summary.csv").exists()
 
 
 def test_surface_explicit_out(tmp_path):

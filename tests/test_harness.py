@@ -33,10 +33,12 @@ from adaterm.mlp import MlpModel
 from adaterm.optimizers import ALGORITHMS, OptimizerConfig
 from adaterm.problems import (
     NOISE_HALF_RANGE,
+    OnlineConvexSpec,
+    QuadraticSequence,
     RegressionStreamSpec,
     generate_regression_stream,
 )
-from adaterm.regret import write_regret_csv
+from adaterm.regret import run_regret_experiment, write_regret_csv
 from adaterm.rng import make_rng
 from adaterm.surfaces import GridSpec, write_grid_csv
 
@@ -374,17 +376,25 @@ EQUIV_CONFIGS = [
 ]
 
 
+def noise(base_seed, n, steps):
+    """The noise of trials base_seed .. base_seed + n - 1, each drawn from
+    its own generator as a test-function experiment draws it."""
+    draws = [draw_test_function_noise(make_rng(base_seed + i), steps) for i in range(n)]
+    return np.stack([u for u, _ in draws]), np.stack([d for _, d in draws])
+
+
 @pytest.mark.parametrize("label, kwargs", EQUIV_CONFIGS, ids=[c[0] for c in EQUIV_CONFIGS])
 def test_batched_cell_matches_sequential_trials(label, kwargs):
     cfg = OptimizerConfig(**kwargs)
     steps, n = 200, 3
     norms, nus, trails = _run_test_function_cell(
-        "Rosenbrock", [0.05], cfg, steps, 0, 0, n, record_every=50
+        "Rosenbrock", [0.05], cfg, *noise(0, n, steps), record_every=50
     )
     assert [s for s, _ in trails] == [50, 100, 150, 200]
     for i in range(n):
+        # Trial i alone, on the draws of its own generator make_rng(i).
         norm1, nu1, trail1 = _run_test_function_cell(
-            "Rosenbrock", [0.05], cfg, steps, 0, i, i + 1, record_every=50
+            "Rosenbrock", [0.05], cfg, *noise(i, 1, steps), record_every=50
         )
         assert norm1[0, 0] == norms[0, i]
         if cfg.algorithm == "AdaTerm":
@@ -400,14 +410,15 @@ def test_batched_cell_matches_sequential_trials(label, kwargs):
 def test_stacked_ratios_match_one_cell_per_ratio(label, kwargs):
     cfg = OptimizerConfig(**kwargs)
     ratios = [0.0, 0.05, 1.0]
+    us, deltas = noise(4, 3, 120)
     norms, nus, trails = _run_test_function_cell(
-        "Rosenbrock", ratios, cfg, 120, 4, 0, 3, record_every=40
+        "Rosenbrock", ratios, cfg, us, deltas, record_every=40
     )
     assert norms.shape == (3, 3)
     assert [s for s, _ in trails] == [40, 80, 120]
     for j, p in enumerate(ratios):
         norm1, nu1, trail1 = _run_test_function_cell(
-            "Rosenbrock", [p], cfg, 120, 4, 0, 3, record_every=40
+            "Rosenbrock", [p], cfg, us, deltas, record_every=40
         )
         assert norm1[0].tobytes() == norms[j].tobytes()
         if cfg.algorithm == "AdaTerm":
@@ -425,10 +436,15 @@ def test_batched_regression_matches_sequential(algo):
     spec = RegressionStreamSpec(n_pairs=40, batch_size=10, noise_ratio=0.2)
     sizes = (1, 8, 1)
     x_test = np.linspace(0.0, 1.0, 101)[:, None]
-    mses = _run_regression_cell(spec, sizes, cfg, 7, 0, 3, x_test)
+    trials = [draw_regression_trial(spec, sizes, make_rng(7 + i)) for i in range(3)]
+    mses = _run_regression_cell(trials, cfg, x_test)
     for i in range(3):
-        one = _run_regression_cell(spec, sizes, cfg, 7, i, i + 1, x_test)
+        # Trial i alone, on the draws of its own generator make_rng(7 + i).
+        own = draw_regression_trial(spec, sizes, make_rng(7 + i))
+        one = _run_regression_cell([own], cfg, x_test)
         assert one[0] == mses[i]
+    # The cell trains copies, so the next optimizer is handed the same draws.
+    assert _run_regression_cell(trials, cfg, x_test).tobytes() == mses.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -446,10 +462,11 @@ def test_any_contiguous_split_gives_identical_rows(algorithm, ratios, base_seed,
     record_every = data.draw(st.integers(0, steps))
     bounds = [0, *sorted(cuts), n]
     cfg = OptimizerConfig(algorithm=algorithm, alpha=0.01)
+    us, deltas = noise(base_seed, n, steps)
 
     def cell(lo, hi):
         return _run_test_function_cell(
-            "Rosenbrock", ratios, cfg, steps, base_seed, lo, hi, record_every
+            "Rosenbrock", ratios, cfg, us[lo:hi], deltas[lo:hi], record_every
         )
 
     # Trials are the inner axis of each (k, n) result.
@@ -496,6 +513,16 @@ def test_run_experiment_writes_tables_and_fans_out_seeds(tmp_path):
         and r.metric == "final_error_norm"
     ]
     assert [r.seed for r in adaterm_rows] == [3, 4, 5]  # base seed + trial index
+    # Each trial's row is a one-trial cell on the draws of make_rng(seed) alone.
+    for p in cfg.problem["noise_ratios"]:
+        for name, opt_cfg in cfg.optimizers:
+            got = [r.value for r in rows if r.optimizer == name
+                   and r.experiment == f"Rosenbrock:p={p:g}"
+                   and r.metric == "final_error_norm"]
+            want = [float(_run_test_function_cell("Rosenbrock", [p], opt_cfg,
+                                                  *noise(seed, 1, cfg.steps))[0][0, 0])
+                    for seed in (3, 4, 5)]
+            assert got == want
     kinds = {r.metric for r in rows}
     assert kinds == {"final_error_norm", "final_nu_tilde"}
 
@@ -535,6 +562,10 @@ def test_regret_experiment_kind(tmp_path):
     assert len(holds) == 2 and all(r.value == 1.0 for r in holds)
     assert (cfg.output_dir / "regret_d2_seed0.csv").exists()
     assert (cfg.output_dir / "regret_d2_seed1.csv").exists()
+    # Seed 1's run is a run on the sequence drawn from make_rng(1) alone.
+    seq = QuadraticSequence(OnlineConvexSpec(**cfg.problem), make_rng(1), 60)
+    own = run_regret_experiment(seq, cfg.optimizers[0][1])
+    assert [r.value for r in rows if r.metric == "R_T"][1] == own.R_T
 
 
 def test_surfaces_experiment_writes_grids(tmp_path):

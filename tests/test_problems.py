@@ -26,6 +26,9 @@ from _golden import (
     REGRESSION_F_QUARTER,
 )
 
+# The noise of one trial over one step: (us, deltas) for a one-step cell.
+NO_NOISE = (np.ones((1, 1)), np.zeros((1, 1, 2)))
+
 
 # ---------------------------------------------------------------------------
 # Test functions
@@ -85,7 +88,7 @@ def test_eval_test_function_batches_and_errors():
     assert tf.fn(np.zeros((4, 3, 2))).shape == (4, 3)
     assert tf.grad(np.zeros((4, 3, 2))).shape == (4, 3, 2)
     with pytest.raises(KeyError, match="Sphere"):
-        _run_test_function_cell("Sphere", [0.0], OptimizerConfig(), 1, 0, 0, 1)
+        _run_test_function_cell("Sphere", [0.0], OptimizerConfig(), *NO_NOISE)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +136,7 @@ def test_inject_noise_replays_canonical_draw_order():
 def test_inject_noise_rejects_bad_probability():
     for p in (1.5, -0.1, float("nan")):
         with pytest.raises(ValueError, match="noise probability"):
-            _run_test_function_cell("Rosenbrock", [0.0, p], OptimizerConfig(), 1, 0, 0, 1)
+            _run_test_function_cell("Rosenbrock", [0.0, p], OptimizerConfig(), *NO_NOISE)
 
 
 def test_trigger_rate_matches_probability():
@@ -261,7 +264,6 @@ def test_quadratic_hand_values():
     star = seq.offline_optimum()
     assert star[0] == pytest.approx(0.5, rel=1e-15)
     assert star[1] == 0.0
-    assert seq.offline_optimum(upto=1)[0] == 0.0
 
 
 def test_offline_optimum_zero_curvature_guard():

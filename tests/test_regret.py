@@ -112,39 +112,40 @@ def test_young_rejects_nonpositive_zeta():
 
 
 def test_run_rejects_bad_spec_type():
-    with pytest.raises(TypeError, match="OnlineConvexSpec"):
-        run_regret_experiment({"dim": 2}, regret_config(), 10, make_rng(0))
+    with pytest.raises(TypeError, match="QuadraticSequence"):
+        run_regret_experiment(OnlineConvexSpec(), regret_config())
 
 
 def test_run_rejects_non_default_optimizer():
-    spec = OnlineConvexSpec()
+    seq = QuadraticSequence(OnlineConvexSpec(), make_rng(0), 10)
     with pytest.raises(ValueError, match="default AdaTerm"):
         run_regret_experiment(
-            spec,
+            seq,
             OptimizerConfig(algorithm="Adam", lr_schedule="InverseSqrt",
                             bias_correction=False),
-            10,
-            make_rng(0),
         )
     with pytest.raises(ValueError, match="InverseSqrt"):
-        run_regret_experiment(
-            spec, OptimizerConfig(bias_correction=False), 10, make_rng(0)
-        )
+        run_regret_experiment(seq, OptimizerConfig(bias_correction=False))
     with pytest.raises(ValueError, match="bias_correction"):
-        run_regret_experiment(
-            spec, OptimizerConfig(lr_schedule="InverseSqrt"), 10, make_rng(0)
-        )
+        run_regret_experiment(seq, OptimizerConfig(lr_schedule="InverseSqrt"))
 
 
-def test_run_rejects_bad_horizon_and_missing_sources():
+def test_run_horizon_is_sequence_length():
+    # A run plays every round of the sequence it is handed; an empty
+    # horizon is refused where the sequence is drawn.
     spec = OnlineConvexSpec()
+    report = run_regret_experiment(QuadraticSequence(spec, make_rng(0), 7), regret_config())
+    assert report.T == 7 and report.losses.shape == (7,)
     with pytest.raises(ValueError, match="horizon"):
-        run_regret_experiment(spec, regret_config(), 0, make_rng(0))
-    with pytest.raises(ValueError, match="seq or rng"):
-        run_regret_experiment(spec, regret_config(), 10)
-    short = QuadraticSequence(spec, make_rng(0), 5)
-    with pytest.raises(ValueError, match="shorter than horizon"):
-        run_regret_experiment(spec, regret_config(), 10, seq=short)
+        QuadraticSequence(spec, make_rng(0), 0)
+
+
+def test_integer_box_starts_from_float_corner():
+    seq = QuadraticSequence(OnlineConvexSpec(box_halfwidth=1), make_rng(2), 20)
+    same = QuadraticSequence(OnlineConvexSpec(box_halfwidth=1.0), make_rng(2), 20)
+    a = run_regret_experiment(seq, regret_config())
+    b = run_regret_experiment(same, regret_config())
+    assert a.regret_prefix.tobytes() == b.regret_prefix.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +157,10 @@ def test_short_run_replays_exactly():
     spec = OnlineConvexSpec(dim=2)
     cfg = regret_config()
     seq = QuadraticSequence(spec, make_rng(0), 3)
-    report = run_regret_experiment(spec, cfg, 3, seq=seq)
+    report = run_regret_experiment(seq, cfg)
 
     lo, hi = spec.box
-    theta_star = seq.offline_optimum(3)
+    theta_star = seq.offline_optimum()
     np.testing.assert_array_equal(report.theta_star, theta_star)
 
     theta = hi.copy()
@@ -187,7 +188,8 @@ def test_short_run_replays_exactly():
 @pytest.fixture(scope="module")
 def medium_report():
     spec = OnlineConvexSpec(dim=2)
-    return run_regret_experiment(spec, regret_config(), 500, make_rng(0)), spec
+    return run_regret_experiment(QuadraticSequence(spec, make_rng(0), 500),
+                                 regret_config()), spec
 
 
 def test_report_properties(medium_report):
@@ -283,24 +285,3 @@ def test_regret_csv_layout(medium_report, tmp_path):
     assert float(last[2]) == report.R_T
     assert float(last[4]) == report.tau_T
 
-
-def test_explicit_comparator_and_start():
-    spec = OnlineConvexSpec(dim=2)
-    report = run_regret_experiment(
-        spec,
-        regret_config(),
-        50,
-        make_rng(1),
-        theta_star=np.zeros(2),
-        theta_init=np.array([9.0, -9.0]),
-    )
-    np.testing.assert_array_equal(report.theta_star, np.zeros(2))
-    # The start is projected into the box before the first loss.
-    assert report.losses[0] == pytest.approx(
-        0.5 * np.sum(
-            QuadraticSequence(spec, make_rng(1), 50).A[0]
-            * (np.array([1.0, -1.0])
-               - QuadraticSequence(spec, make_rng(1), 50).C[0]) ** 2
-        ),
-        rel=1e-15,
-    )
