@@ -11,13 +11,14 @@ from .optimizers import (
     AdaBelief,
     AdaTerm,
     Adam,
+    GroupState,
     OptimizerConfig,
     ParamGroup,
     TAdam,
     make_optimizer,
     make_param_groups,
 )
-from .tdist import NonFiniteGradientError, TDistState
+from .tdist import NonFiniteGradientError
 
 __version__ = "0.1.0"
 
@@ -34,7 +35,7 @@ __all__ = [
     "TAdam",
     "make_optimizer",
     "make_param_groups",
-    "TDistState",
+    "GroupState",
     "NonFiniteGradientError",
     "__version__",
 ]

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,7 @@ from .files import atomic_write
 from .mlp import DEFAULT_LAYER_SIZES, MlpModel, mse_loss, stack_parameters
 # Imported under these names because the benchmark's span tracer wraps them here.
 from .mlp import backward as _batched_backward, forward as _batched_forward
-from .optimizers import GroupState, OptimizerConfig
+from .optimizers import ALGORITHMS, GroupState, OptimizerConfig
 from .problems import (
     TEST_FUNCTIONS,
     NOISE_HALF_RANGE,
@@ -216,7 +216,18 @@ class ExperimentConfig:
     tolerance: float = 1e-5
 
 
-_OPTIMIZER_KEYS = {f.name for f in fields(OptimizerConfig)} | {"name"}
+# The optimizer keys every algorithm reads, and those each one reads on
+# top.  A key the chosen algorithm never reads is rejected, not ignored.
+_SHARED_OPTIMIZER_KEYS = {"name", "algorithm", "alpha", "eps", "lr_schedule",
+                          "weight_decay", "bias_correction"}
+_ALGORITHM_KEYS = {
+    "AdaTerm": {"beta", "nu_tilde_min", "nu_tilde_init", "variant", "ablation"},
+    "Adam": {"beta1", "beta2"},
+    "AdaBelief": {"beta1", "beta2"},
+    "TAdam": {"beta1", "beta2", "nu_tilde_min"},
+}
+# The OptimizerConfig fields that take text or a bool; the others are numbers.
+_NON_NUMBER_KEYS = {"algorithm", "variant", "ablation", "lr_schedule", "bias_correction"}
 
 
 # Top-level keys each experiment kind reads, besides schema_version,
@@ -236,7 +247,8 @@ def _number(value, kind, what, low=None):
 
     Booleans are refused, and an int must be written as one, so ``2.5`` is
     not truncated.  A float may come as a string: YAML reads ``1e-5``
-    (no decimal point) as one.  A value below ``low`` is refused too.
+    (no decimal point) as one.  A non-finite value, or one below ``low``,
+    is refused too.
     """
     try:
         if isinstance(value, bool) or (kind is int and not isinstance(value, int)):
@@ -245,6 +257,8 @@ def _number(value, kind, what, low=None):
     except (TypeError, ValueError):
         noun = "an integer" if kind is int else "a number"
         raise ConfigError(f"{what} must be {noun}, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
     if low is not None and number < low:
         raise ConfigError(f"{what} must be >= {low}, got {number}")
     return number
@@ -260,12 +274,21 @@ def _number_list(value, kind, what, low=None):
 def _parse_optimizer(section, index):
     if not isinstance(section, dict):
         raise ConfigError(f"optimizers[{index}] must be a mapping")
-    unknown = set(section) - _OPTIMIZER_KEYS
+    algorithm = section.get("algorithm", "AdaTerm")
+    if algorithm not in ALGORITHMS:
+        raise ConfigError(f"optimizers[{index}]: Unknown algorithm: {algorithm!r}")
+    unknown = set(section) - _SHARED_OPTIMIZER_KEYS - _ALGORITHM_KEYS[algorithm]
     if unknown:
         raise ConfigError(
-            f"optimizers[{index}]: unknown key(s) {sorted(unknown)}"
+            f"optimizers[{index}]: unknown key(s) {sorted(unknown)} for {algorithm}"
         )
-    kwargs = {k: v for k, v in section.items() if k != "name"}
+    if not isinstance(flag := section.get("bias_correction", True), bool):
+        raise ConfigError(
+            f"optimizers[{index}]: bias_correction must be true or false, got {flag!r}")
+    kwargs = {
+        k: v if k in _NON_NUMBER_KEYS else _number(v, float, f"optimizers[{index}]: {k}")
+        for k, v in section.items() if k != "name"
+    }
     try:
         cfg = OptimizerConfig(**kwargs)
     except (ValueError, TypeError) as exc:
@@ -298,7 +321,7 @@ def load_config(path) -> ExperimentConfig:
 
     cfg = ExperimentConfig(kind=kind, output_dir=Path(raw.get("output_dir", "results")))
     for key, low in (("seed", 0), ("trials", 1), ("steps", 0), ("record_every", 0),
-                     ("horizon", 1), ("points", 0)):
+                     ("horizon", 1), ("points", 1)):
         if key in raw:
             setattr(cfg, key, _number(raw[key], int, key, low))
     if "tolerance" in raw:
@@ -364,6 +387,7 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError(f"problem: key(s) {sorted(unknown)} name no listed grid")
     if kind == "verify_gradients":
         cfg.dims = tuple(_number_list(raw.get("dims", [1, 2, 5, 8]), int, "dims", 1))
+        _check_verification_range(cfg.points, cfg.tolerance)
     # Build the problem specs once here, so that a bad problem key exits
     # before the run makes its output directory.
     if kind in _SPECS:
@@ -626,6 +650,15 @@ def _fd_log_density(g, m, v, nu, which, index, h):
     return (f(x0 + h) - f(x0 - h)) / (2.0 * h)
 
 
+def _check_verification_range(points, tolerance):
+    """A check with no points, or a tolerance nothing can exceed, checks nothing."""
+    if not (points >= 1 and 0.0 < tolerance < math.inf):
+        raise ConfigError(
+            f"Gradient check needs points >= 1 and 0 < tolerance < inf, "
+            f"got points={points}, tolerance={tolerance}"
+        )
+
+
 def run_gradient_verification(points=100, dims=(1, 2, 5, 8), tolerance=1e-5,
                               seed=0):
     """Check the three density gradients against central finite differences.
@@ -634,6 +667,7 @@ def run_gradient_verification(points=100, dims=(1, 2, 5, 8), tolerance=1e-5,
     max_rel_err).  Relative error uses max(1, |analytic|) in the
     denominator so roots of the gradient do not blow up the ratio.
     """
+    _check_verification_range(points, tolerance)
     rng = make_rng(seed)
     report = []
     ok = True

@@ -1,6 +1,6 @@
 """Online maximum-likelihood estimation of a diagonal Student's-t model.
 
-This is the statistical core of the package.  A ``TDistState`` tracks the
+This is the statistical core of the package.  The estimator tracks the
 location ``m``, squared-scale ``v`` and dimension-normalized degrees of
 freedom ``nu_tilde`` of the gradient distribution for one parameter group.
 ``diagnostics_arrays`` and ``advance_arrays`` advance all three by
@@ -23,15 +23,14 @@ independently of any optimizer.
 
 All array functions accept leading batch axes: shapes (..., d) for vectors
 and (...) for per-group scalars, reducing over the trailing axis only.
-They hold no state: ``optimizers.GroupState`` is the one driver that steps
-them, for every run (test functions, regression and regret alike).
-``TDistState`` is a plain value with a checkpoint format.
+They hold no state: the arrays live in ``optimizers.GroupState``, the one
+state class of the package, which steps them for every run (test
+functions, regression and regret alike) and writes their checkpoint.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +39,6 @@ from .special import EPS_FLOAT32, W_NU_BAR_CEIL, digamma
 
 __all__ = [
     "NonFiniteGradientError",
-    "TDistState",
     "StepDiagnostics",
     "log_density",
     "grad_m",
@@ -50,8 +48,6 @@ __all__ = [
     "grad_nu_surrogate_pre",
     "grad_nu_tilde_surrogate",
     "interpolation_factor",
-    "save_state",
-    "load_state",
 ]
 
 
@@ -188,57 +184,8 @@ def grad_nu_tilde_surrogate(nu_tilde, d, w_mv):
 
 
 # ---------------------------------------------------------------------------
-# Stateful estimator
+# Batched estimator step
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TDistState:
-    """Per-parameter-group estimator state.
-
-    ``m`` and ``v`` keep the natural shape of the parameter array; the group
-    dimension ``d`` is the element count.  ``nu_tilde`` is the
-    dimension-normalized degrees of freedom (nu = nu_tilde * d).
-    """
-
-    m: np.ndarray
-    v: np.ndarray
-    nu_tilde: float
-    t: int
-    beta: float
-    eps: float
-    nu_tilde_min: float
-
-    @property
-    def d(self) -> int:
-        return self.m.size
-
-    @classmethod
-    def fresh(cls, shape, beta=0.9, eps=1e-5, nu_tilde_min=1.0, nu_tilde_init=None):
-        """Initial state: m = 0, v = eps^2, nu_tilde = nu_tilde_min + eps."""
-        if not 0.0 < beta < 1.0:
-            raise ValueError(f"Invalid beta (must be in (0, 1)): {beta}")
-        if not eps > 0.0:
-            raise ValueError(f"Invalid eps (must be > 0): {eps}")
-        if not nu_tilde_min > 0.0:
-            raise ValueError(
-                f"Invalid nu_tilde_min (must be > 0): {nu_tilde_min}"
-            )
-        if nu_tilde_init is None:
-            nu_tilde_init = nu_tilde_min + eps
-        if not nu_tilde_init > nu_tilde_min:
-            raise ValueError(
-                f"Invalid nu_tilde_init (must exceed nu_tilde_min): {nu_tilde_init}"
-            )
-        return cls(
-            m=np.zeros(shape, dtype=np.float64),
-            v=np.full(shape, eps * eps, dtype=np.float64),
-            nu_tilde=float(nu_tilde_init),
-            t=0,
-            beta=float(beta),
-            eps=float(eps),
-            nu_tilde_min=float(nu_tilde_min),
-        )
 
 
 @dataclass(frozen=True)
@@ -345,65 +292,3 @@ def ascent_forms(m, v, nu_tilde, g, beta, eps, nu_tilde_min):
     g_nu = grad_nu_tilde_surrogate(nu_tilde, d, np.maximum(diag.w_mv, EPS_FLOAT32))
     nu_asc = nu_tilde + kappa_dnu * g_nu + diag.tau_nu * eps
     return (m_asc, v_asc, nu_asc), (kappa_m, kappa_v, kappa_dnu)
-
-
-# ---------------------------------------------------------------------------
-# Checkpointing
-# ---------------------------------------------------------------------------
-
-CHECKPOINT_MAGIC = b"ADTM"
-CHECKPOINT_VERSION = 1
-
-
-def state_to_bytes(state: TDistState) -> bytes:
-    """Serialize: magic, version byte, little-endian u64 float count, then
-    float64 payload (d, t, beta, eps, nu_tilde_min, nu_tilde, m[:], v[:])."""
-    payload = [
-        float(state.d),
-        float(state.t),
-        state.beta,
-        state.eps,
-        state.nu_tilde_min,
-        state.nu_tilde,
-    ]
-    payload.extend(state.m.reshape(-1).tolist())
-    payload.extend(state.v.reshape(-1).tolist())
-    out = bytearray()
-    out += CHECKPOINT_MAGIC
-    out += bytes([CHECKPOINT_VERSION])
-    out += struct.pack("<Q", len(payload))
-    out += struct.pack(f"<{len(payload)}d", *payload)
-    return bytes(out)
-
-
-def state_from_bytes(blob: bytes) -> TDistState:
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise ValueError("Bad checkpoint magic")
-    if blob[4] != CHECKPOINT_VERSION:
-        raise ValueError(f"Unsupported checkpoint version: {blob[4]}")
-    (count,) = struct.unpack_from("<Q", blob, 5)
-    values = struct.unpack_from(f"<{count}d", blob, 13)
-    d = int(values[0])
-    if count != 6 + 2 * d:
-        raise ValueError(f"Checkpoint length {count} inconsistent with d={d}")
-    m = np.array(values[6 : 6 + d], dtype=np.float64)
-    v = np.array(values[6 + d : 6 + 2 * d], dtype=np.float64)
-    return TDistState(
-        m=m,
-        v=v,
-        nu_tilde=values[5],
-        t=int(values[1]),
-        beta=values[2],
-        eps=values[3],
-        nu_tilde_min=values[4],
-    )
-
-
-def save_state(state: TDistState, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(state_to_bytes(state))
-
-
-def load_state(path) -> TDistState:
-    with open(path, "rb") as fh:
-        return state_from_bytes(fh.read())

@@ -103,6 +103,20 @@ def test_verify_gradients_impossible_tolerance(capsys):
     assert "verification failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--points", "-3"], ["--points", "0"], ["--tolerance", "inf"],
+     ["--tolerance", "nan"], ["--tolerance", "0"]],
+    ids=["negative-points", "zero-points", "infinite-tolerance", "nan-tolerance",
+         "zero-tolerance"],
+)
+def test_verify_gradients_rejects_vacuous_check(capsys, argv):
+    assert main(["verify-gradients", *argv]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "all gradients verified" not in captured.out
+    assert captured.err.startswith("config error: ")
+
+
 def test_run_small_experiment(tmp_path, capsys):
     cfg = write_config(tmp_path, SMALL_RUN)
     assert main(["run", str(cfg)]) == EXIT_OK
@@ -151,19 +165,37 @@ def test_run_rejects_unused_top_level_key(tmp_path, capsys, template, old, new, 
         (SMALL_RUN, "steps: 30", "steps: 30\nrecord_every: -1",
          "record_every must be >= 0, got -1"),
         (SMALL_RUN, "trials: 2", "trials: 2\nseed: -1", "seed must be >= 0, got -1"),
-        (SMALL_VERIFY, "points: 2", "points: -1", "points must be >= 0, got -1"),
+        (SMALL_VERIFY, "points: 2", "points: -1", "points must be >= 1, got -1"),
         (SMALL_VERIFY, "dims: [1]", "dims: [1, 0]", "dims entry must be >= 1, got 0"),
         (SMALL_REGRET, "horizon: 60", "horizon: 0", "horizon must be >= 1, got 0"),
         (SMALL_REGRET, "dims: [2]", "dims: [0]", "dims entry must be >= 1, got 0"),
         (SMALL_REGRESSION, "[1, 4, 1]", "[1, 0, 1]",
          "model.layer_sizes entry must be >= 1, got 0"),
+        (SMALL_VERIFY, "points: 2", "points: 0", "points must be >= 1, got 0"),
+        (SMALL_VERIFY, "points: 2", "points: 2\ntolerance: .inf",
+         "tolerance must be finite"),
+        (SMALL_VERIFY, "points: 2", "points: 2\ntolerance: 0", "0 < tolerance < inf"),
+        (SMALL_RUN, "alpha: 0.01", "alpha: .inf", "alpha must be finite"),
+        (SMALL_RUN, "alpha: 0.01", "alpha: 0.01, eps: .inf", "eps must be finite"),
+        (SMALL_RUN, "alpha: 0.01", "alpha: 0.01, nu_tilde_init: .inf",
+         "nu_tilde_init must be finite"),
+        (SMALL_RUN, "alpha: 0.01", "alpha: 0.01, bias_correction: \"false\"",
+         "bias_correction must be true or false, got 'false'"),
+        (SMALL_RUN, "alpha: 0.01", "alpha: 0.01, beta1: 0.1",
+         "unknown key(s) ['beta1'] for AdaTerm"),
+        (SMALL_REGRESSION, "{{algorithm: Adam}}", "{{algorithm: Adam, beta: 0.5}}",
+         "unknown key(s) ['beta'] for Adam"),
+        (SMALL_REGRET, "alpha: 0.1", "alpha: 0.1\n  beta2: 0.9",
+         "unknown key(s) ['beta2'] for AdaTerm"),
     ],
     ids=["tolerance", "testfn-ratio", "regression-ratio", "dims", "layer-sizes",
          "misspelt-noise-ratios", "regret-bias-correction", "regret-algorithm",
          "regret-variant", "regret-schedule", "regret-weight-decay",
          "negative-steps", "negative-record-every", "negative-seed", "negative-points",
          "verify-dims-below-1", "horizon-below-1", "regret-dims-below-1",
-         "layer-size-below-1"],
+         "layer-size-below-1", "zero-points", "infinite-tolerance", "zero-tolerance",
+         "infinite-alpha", "infinite-eps", "infinite-nu-tilde-init",
+         "bias-correction-string", "adaterm-beta1", "adam-beta", "regret-beta2"],
 )
 def test_run_rejects_bad_value(tmp_path, capsys, template, old, new, fragment):
     cfg = write_config(tmp_path, template.replace(old, new))
@@ -206,6 +238,18 @@ def test_run_surfaces_reports_grid_files(tmp_path, capsys):
         path = tmp_path / "out" / f"{kind}.csv"
         assert path.exists()
         assert str(path) in out
+
+
+def test_run_reads_exponent_floats(tmp_path):
+    """YAML reads an exponent with no decimal point (``1e-3``) as a string;
+    optimizer values take it as the number it spells."""
+    out = {}
+    for spelling in ("0.001", "1e-3"):
+        text = SMALL_RUN.replace("alpha: 0.01", f"alpha: {spelling}, weight_decay: 1e-4")
+        cfg = write_config(tmp_path, text.replace("{out}", f"{{out}}-{spelling}"))
+        assert main(["run", str(cfg)]) == EXIT_OK
+        out[spelling] = (tmp_path / f"out-{spelling}" / "results.csv").read_bytes()
+    assert out["1e-3"] == out["0.001"]
 
 
 def test_run_missing_config(tmp_path, capsys):

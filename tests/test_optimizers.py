@@ -4,6 +4,8 @@ GroupState per parameter group: arrays (1, d), per-trial scalars (1,)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaterm.mlp import MlpModel
 from adaterm.optimizers import (
@@ -14,6 +16,7 @@ from adaterm.optimizers import (
     AdaBelief,
     Adam,
     AdaTerm,
+    GroupState,
     OptimizerConfig,
     ParamGroup,
     TAdam,
@@ -79,6 +82,8 @@ def test_enum_tuples_are_frozen():
         {"ablation": "NoNothing"},
         {"lr_schedule": "Cosine"},
         {"weight_decay": -0.1},
+        {"beta": 0.0},
+        {"eps": 0.0},
     ],
 )
 def test_config_validation(kwargs):
@@ -381,6 +386,41 @@ def test_uncentered_direction_is_bounded():
         eta = adaterm_eta(m, v, c, t, cfg)
         if t > 50:
             assert np.all(np.abs(eta) < 1.0)
+
+
+# Every algorithm, plus the AdaTerm variants and ablations that take their
+# own path through the update rules.
+_STEP_CONFIGS = [{"algorithm": a} for a in ALGORITHMS] + [
+    {"variant": "AdaBias"}, {"variant": "AdaTerm2"},
+    {"ablation": "NoRobustness"}, {"ablation": "NoAdaptiveness"},
+]
+
+
+@given(
+    kwargs=st.sampled_from(_STEP_CONFIGS),
+    n=st.integers(1, 3),
+    d=st.integers(1, 4),
+    warmup=st.integers(0, 3),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=100, deadline=None)
+def test_step_leaves_its_inputs_unchanged(kwargs, n, d, warmup, seed):
+    """A step writes neither into the gradient nor into any state array a
+    caller read before it: a buffer an update rule reuses is its own."""
+    state = GroupState(OptimizerConfig(**kwargs), n, d)
+    values = np.zeros((n, d))
+    rng = make_rng(seed)
+    for t in range(1, warmup + 1):
+        state.step(values, rng.normal(size=(n, d)), t)
+    g = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+    held = {name: getattr(state, name)
+            for name in ("m", "v", "nu", "c", "W") if hasattr(state, name)}
+    before = {name: array.copy() for name, array in held.items()}
+    g_before = g.copy()
+    state.step(values, g, warmup + 1)
+    assert np.array_equal(g, g_before)
+    for name, array in held.items():
+        assert np.array_equal(array, before[name]), name
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,15 @@
-"""Student's-t density, its gradients, and the stateful online estimator."""
+"""Student's-t density, its gradients, and the online estimator's step."""
 
-import math
 import struct
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from adaterm.special import EPS_FLOAT32, W_NU_BAR_CEIL
+from adaterm.special import W_NU_BAR_CEIL
 from adaterm.tdist import (
-    CHECKPOINT_MAGIC,
-    CHECKPOINT_VERSION,
     NonFiniteGradientError,
-    StepDiagnostics,
-    TDistState,
     advance_arrays,
     ascent_forms,
     diagnostics_arrays,
@@ -25,11 +19,7 @@ from adaterm.tdist import (
     grad_nu_surrogate_pre,
     grad_nu_tilde_surrogate,
     grad_v,
-    load_state,
     log_density,
-    save_state,
-    state_from_bytes,
-    state_to_bytes,
 )
 
 from _golden import (
@@ -40,28 +30,38 @@ from _golden import (
     PRE_SURROGATE_D1E4_W09,
 )
 
-from adaterm.optimizers import GroupState, OptimizerConfig
+from adaterm.optimizers import (
+    ALGORITHMS,
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
+    GroupState,
+    OptimizerConfig,
+)
 from adaterm.rng import make_rng
 
 
-def diagnose(state, g):
-    """Diagnostics of one step from ``state``, without advancing it."""
-    return diagnostics_arrays(state.m, state.v, state.nu_tilde, g,
-                              state.beta, state.eps, state.nu_tilde_min)
+def fresh(d, **kwargs):
+    """The (m, v, nu_tilde) a run starts from: trial 0 of a new GroupState."""
+    state = GroupState(OptimizerConfig(**kwargs), 1, d)
+    return state.m[0], state.v[0], state.nu[0]
 
 
-def advance(state, g):
-    """One estimator step of ``state`` through the array functions."""
-    diag = diagnose(state, g)
-    m, v, nu = advance_arrays(state.m, state.v, state.nu_tilde, g, diag)
-    return replace(state, m=m, v=v, nu_tilde=float(nu), t=state.t + 1), diag
+def diagnose(m, v, nu_tilde, g, beta=0.9, eps=1e-5, nu_tilde_min=1.0):
+    """Diagnostics of one step from (m, v, nu_tilde), without advancing."""
+    return diagnostics_arrays(m, v, nu_tilde, g, beta, eps, nu_tilde_min)
 
 
-def ascent_step(state, g):
-    """``ascent_forms`` at ``state``: the next (m, v, nu_tilde) and the
-    step sizes (kappa_m, kappa_v, kappa_dnu)."""
-    return ascent_forms(state.m, state.v, state.nu_tilde, g,
-                        state.beta, state.eps, state.nu_tilde_min)
+def advance(m, v, nu_tilde, g, **consts):
+    """One estimator step through the array functions: the next
+    (m, v, nu_tilde) and the step's diagnostics."""
+    diag = diagnose(m, v, nu_tilde, g, **consts)
+    return advance_arrays(m, v, nu_tilde, g, diag), diag
+
+
+def ascent_step(m, v, nu_tilde, g, beta=0.9, eps=1e-5, nu_tilde_min=1.0):
+    """``ascent_forms`` at (m, v, nu_tilde): the next (m, v, nu_tilde) and
+    the step sizes (kappa_m, kappa_v, kappa_dnu)."""
+    return ascent_forms(m, v, nu_tilde, g, beta, eps, nu_tilde_min)
 
 
 # ---------------------------------------------------------------------------
@@ -231,92 +231,72 @@ def test_surrogate_dominates_exact_spot_check():
 
 
 # ---------------------------------------------------------------------------
-# State lifecycle
+# Estimator steps from the state runs start from
 # ---------------------------------------------------------------------------
 
 
 def test_fresh_state_values():
-    st_ = TDistState.fresh(3)
-    assert np.all(st_.m == 0.0)
-    assert np.all(st_.v == 1e-5 * 1e-5)
-    assert st_.nu_tilde == 1.0 + 1e-5
-    assert st_.t == 0
-    assert st_.d == 3
+    state = GroupState(OptimizerConfig(), 1, 3)
+    assert state.m.shape == state.v.shape == (1, 3)
+    assert np.all(state.m == 0.0)
+    assert np.all(state.v == 1e-5 * 1e-5)
+    assert np.all(state.nu == 1.0 + 1e-5)
+    assert np.all(state.c == 0.0)
 
 
 def test_fresh_accepts_nd_shapes():
-    st_ = TDistState.fresh((2, 3))
-    assert st_.m.shape == (2, 3)
-    assert st_.d == 6
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"beta": 0.0},
-        {"beta": 1.0},
-        {"eps": 0.0},
-        {"nu_tilde_min": 0.0},
-        {"nu_tilde_init": 0.5},  # below nu_tilde_min
-    ],
-)
-def test_fresh_validation(kwargs):
-    with pytest.raises(ValueError):
-        TDistState.fresh(2, **kwargs)
+    """n trials of a d-element group: (n, d) moments, (n,) per-trial scalars."""
+    state = GroupState(OptimizerConfig(), 2, 3)
+    assert state.m.shape == state.v.shape == (2, 3)
+    assert state.nu.shape == state.c.shape == (2,)
 
 
 def test_first_step_matches_golden_trace():
     """Every diagnostic plus the advanced state, against 50-digit replay."""
-    st_ = TDistState.fresh(1)
+    m, v, nu = fresh(1)
     g = np.array([0.01])  # the frozen trace's input
-    diag = diagnose(st_, g)
+    diag = diagnose(m, v, nu, g)
     for name in (
         "s", "D", "w_mv", "w_mv_bar", "w_nu", "w_nu_bar", "tau_mv",
         "tau_nu", "delta_s", "lam",
     ):
         got = np.asarray(getattr(diag, name)).reshape(-1)[0]
         assert got == pytest.approx(ADATERM_STEP1_D1[name], rel=1e-12), name
-    _, kappas = ascent_step(st_, g)
+    _, kappas = ascent_step(m, v, nu, g)
     for name, kappa in zip(("kappa_m", "kappa_v", "kappa_dnu"), kappas):
         got = np.asarray(kappa).reshape(-1)[0]
         assert got == pytest.approx(ADATERM_STEP1_D1[name], rel=1e-12), name
-    new, _ = advance(st_, g)
-    assert new.m[0] == pytest.approx(ADATERM_STEP1_D1["m1"], rel=1e-12)
-    assert new.v[0] == pytest.approx(ADATERM_STEP1_D1["v1"], rel=1e-12)
-    assert new.nu_tilde == pytest.approx(ADATERM_STEP1_D1["nu1"], rel=1e-12)
-    assert new.t == 1
+    (m1, v1, nu1), _ = advance(m, v, nu, g)
+    assert m1[0] == pytest.approx(ADATERM_STEP1_D1["m1"], rel=1e-12)
+    assert v1[0] == pytest.approx(ADATERM_STEP1_D1["v1"], rel=1e-12)
+    assert nu1 == pytest.approx(ADATERM_STEP1_D1["nu1"], rel=1e-12)
 
 
 def test_tau_equals_one_minus_beta_when_gradient_hits_location():
     # g == m gives D = 0, w_mv == w_mv_bar, so tau_mv is exactly 1 - beta.
-    st_ = TDistState(m=np.array([0.4]), v=np.array([0.2]), nu_tilde=2.0,
-                     t=3, beta=0.9, eps=1e-5, nu_tilde_min=1.0)
-    diag = diagnose(st_, np.array([0.4]))
+    diag = diagnose(np.array([0.4]), np.array([0.2]), 2.0, np.array([0.4]))
     assert float(diag.tau_mv) == 1.0 - 0.9
 
 
 def test_w_nu_bar_hits_ceiling_at_small_nu():
     # nu_tilde=1: w_bar=2, 2-ln 2 ~ 1.31, far below the 87.34 ceiling.
-    st_ = TDistState(m=np.zeros(1), v=np.ones(1), nu_tilde=1.0,
-                     t=0, beta=0.9, eps=1e-5, nu_tilde_min=0.5)
-    diag = diagnose(st_, np.ones(1))
+    diag = diagnose(np.zeros(1), np.ones(1), 1.0, np.ones(1), nu_tilde_min=0.5)
     assert float(diag.w_nu_bar) == W_NU_BAR_CEIL
 
 
 def test_delta_s_floors_at_eps_squared_for_d1():
     # d=1 makes s - D v cancel to rounding noise, always below eps^2.
-    st_ = TDistState.fresh(1)
+    m, v, nu = fresh(1)
     for g in (0.01, -0.5, 3.0, 40.0):
-        diag = diagnose(st_, np.array([g]))
-        assert diag.delta_s[0] == st_.eps**2
-        st_, _ = advance(st_, np.array([g]))
+        diag = diagnose(m, v, nu, np.array([g]))
+        assert diag.delta_s[0] == 1e-5**2
+        (m, v, nu), _ = advance(m, v, nu, np.array([g]))
 
 
 def test_gaussian_limit_tau_window():
     # Huge nu_tilde with a moderate deviation: tau within 1e-6 of 1 - beta.
-    st_ = TDistState(m=np.zeros(3), v=np.ones(3), nu_tilde=1e8,
-                     t=5, beta=0.9, eps=1e-5, nu_tilde_min=1e8)
-    diag = diagnose(st_, np.array([1.0, -1.0, 0.5]))
+    diag = diagnose(np.zeros(3), np.ones(3), 1e8, np.array([1.0, -1.0, 0.5]),
+                    nu_tilde_min=1e8)
     tau = float(diag.tau_mv)
     assert (1.0 - 0.9) * (1.0 - 1e-6) < tau <= 1.0 - 0.9
 
@@ -329,37 +309,37 @@ def test_interpolation_equals_ascent_forms():
     evaluation of the identity.
     """
     rng = make_rng(5)
-    st_ = TDistState.fresh(4)
+    m, v, nu = fresh(4)
     for _ in range(300):
         g = rng.normal(size=4) * (10.0 ** rng.uniform(-2, 2))
-        (m_asc, v_asc, nu_asc), _ = ascent_step(st_, g)
-        st_, _ = advance(st_, g)
-        denom_m = np.maximum(np.abs(st_.m), np.sqrt(st_.v))
-        assert np.all(np.abs(m_asc - st_.m) <= 1e-12 * denom_m)
-        assert np.all(np.abs(v_asc - st_.v) <= 1e-12 * st_.v)
-        assert abs(nu_asc - st_.nu_tilde) <= 1e-12 * st_.nu_tilde
+        (m_asc, v_asc, nu_asc), _ = ascent_step(m, v, nu, g)
+        (m, v, nu), _ = advance(m, v, nu, g)
+        denom_m = np.maximum(np.abs(m), np.sqrt(v))
+        assert np.all(np.abs(m_asc - m) <= 1e-12 * denom_m)
+        assert np.all(np.abs(v_asc - v) <= 1e-12 * v)
+        assert abs(nu_asc - nu) <= 1e-12 * nu
 
 
 def test_scale_never_below_floor_on_long_run():
     rng = make_rng(11)
-    st_ = TDistState.fresh(2)
-    floor = st_.eps**2 * (1.0 - 1e-12)
+    m, v, nu = fresh(2)
+    floor = 1e-5**2 * (1.0 - 1e-12)
     for _ in range(10_000):
         g = rng.normal(size=2) * (10.0 ** rng.uniform(-3, 3))
-        st_, _ = advance(st_, g)
-        assert np.all(st_.v >= floor)
+        (m, v, nu), _ = advance(m, v, nu, g)
+        assert np.all(v >= floor)
 
 
 def test_nu_tilde_decays_under_persistent_outliers():
     """Forcing D = 100 every step drives nu_tilde down monotonically."""
-    st_ = TDistState.fresh(1, nu_tilde_init=5.0)
-    last = st_.nu_tilde
+    m, v, nu = fresh(1, nu_tilde_init=5.0)
+    last = nu
     for _ in range(50):
-        g = st_.m + 10.0 * np.sqrt(st_.v)  # s = 100 v, so D = 100
-        st_, _ = advance(st_, g)
-        assert st_.nu_tilde < last
-        assert st_.nu_tilde > st_.nu_tilde_min
-        last = st_.nu_tilde
+        g = m + 10.0 * np.sqrt(v)  # s = 100 v, so D = 100
+        (m, v, nu), _ = advance(m, v, nu, g)
+        assert nu < last
+        assert nu > 1.0
+        last = nu
 
 
 def test_update_rejects_bad_gradients():
@@ -378,96 +358,116 @@ def test_update_rejects_bad_gradients():
 
 @st.composite
 def _state_and_gradient(draw):
+    """(m, v, nu_tilde, g, beta) at eps = 1e-5 and nu_tilde_min = 1."""
     d = draw(st.integers(min_value=1, max_value=4))
     scale = lambda: 10.0 ** draw(st.floats(min_value=-4, max_value=4))
     m = np.array([draw(st.floats(-1, 1)) * scale() for _ in range(d)])
     v = np.array([draw(st.floats(0.1, 1)) * scale() ** 2 for _ in range(d)])
     v = np.maximum(v, 1e-10)
-    nu_min = 1.0
-    nu = nu_min + draw(st.floats(min_value=1e-5, max_value=1e6))
+    nu = 1.0 + draw(st.floats(min_value=1e-5, max_value=1e6))
     g = np.array([draw(st.floats(-1, 1)) * scale() for _ in range(d)])
-    state = TDistState(m=m, v=v, nu_tilde=nu, t=1, beta=0.9, eps=1e-5,
-                       nu_tilde_min=nu_min)
-    return state, g
+    return m, v, nu, g, 0.9
 
 
 @given(_state_and_gradient())
 @example((
     # (1 - beta) * w_mv / w_mv_bar rounds to 1 ulp above 1 - beta here
     # unless tau_mv is clamped.
-    TDistState(m=np.array([0.0]), v=np.array([1.0]), nu_tilde=1.875, t=1,
-               beta=0.9, eps=1e-5, nu_tilde_min=1.0),
-    np.array([0.0]),
+    np.array([0.0]), np.array([1.0]), 1.875, np.array([0.0]), 0.9,
 ))
 @example((
     # w_mv below the float32 floor puts w_nu at the w_nu_bar ceiling, and
     # (1 - beta) * w_nu / w_nu_bar rounds 1 ulp above 1 - beta at this beta
     # unless tau_nu is clamped.
-    TDistState(m=np.array([0.0]), v=np.array([1.0]), nu_tilde=1.5, t=1,
-               beta=0.537, eps=1e-5, nu_tilde_min=1.0),
-    np.array([1e20]),
+    np.array([0.0]), np.array([1.0]), 1.5, np.array([1e20]), 0.537,
 ))
 @settings(max_examples=300, deadline=None)
 def test_step_invariants(case):
     """Bounds that hold for every reachable state and any finite gradient."""
-    state, g = case
-    diag = diagnose(state, g)
+    m, v, nu, g, beta = case
+    eps, nu_tilde_min = 1e-5, 1.0
+    diag = diagnose(m, v, nu, g, beta=beta)
     tau = float(diag.tau_mv)
-    assert 0.0 < tau <= 1.0 - state.beta
-    assert 0.0 < float(diag.tau_nu) <= 1.0 - state.beta
+    assert 0.0 < tau <= 1.0 - beta
+    assert 0.0 < float(diag.tau_nu) <= 1.0 - beta
     assert float(diag.w_nu) >= 1.0
     assert float(diag.w_nu_bar) >= W_NU_BAR_CEIL
-    assert np.all(diag.delta_s >= state.eps**2)
-    assert float(diag.lam) > state.nu_tilde_min
-    new, _ = advance(state, g)
-    assert np.all(new.v >= state.eps**2 * (1.0 - 1e-12))
-    assert new.nu_tilde > state.nu_tilde_min
+    assert np.all(diag.delta_s >= eps**2)
+    assert float(diag.lam) > nu_tilde_min
+    (_, v1, nu1), _ = advance(m, v, nu, g, beta=beta)
+    assert np.all(v1 >= eps**2 * (1.0 - 1e-12))
+    assert nu1 > nu_tilde_min
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints
+# Checkpoints of the estimator state (and of every algorithm's GroupState)
 # ---------------------------------------------------------------------------
+
+
+def _stepped(algorithm):
+    """An n = 2 GroupState and its parameters after 5 steps, and the
+    gradient stream they came from."""
+    state = GroupState(OptimizerConfig(algorithm=algorithm, alpha=0.01), 2, 3)
+    theta = np.ones((2, 3))
+    rng = make_rng(4)
+    for t in range(1, 6):
+        state.step(theta, rng.normal(size=theta.shape), t)
+    return state, theta, rng
 
 
 def test_checkpoint_round_trip(tmp_path):
-    st_ = TDistState.fresh(3)
-    rng = make_rng(4)
-    for _ in range(5):
-        st_, _ = advance(st_, rng.normal(size=3))
-    back = state_from_bytes(state_to_bytes(st_))
-    assert np.array_equal(back.m, st_.m)
-    assert np.array_equal(back.v, st_.v)
-    assert back.nu_tilde == st_.nu_tilde
-    assert back.t == st_.t
-    assert (back.beta, back.eps, back.nu_tilde_min) == (
-        st_.beta, st_.eps, st_.nu_tilde_min
-    )
-    path = tmp_path / "state.bin"
-    save_state(st_, path)
-    assert np.array_equal(load_state(path).m, st_.m)
+    """Saved after 5 steps, each algorithm's state takes its 6th step to the
+    same parameter bits as the state that was never saved."""
+    for algorithm in ALGORITHMS:
+        state, theta, rng = _stepped(algorithm)
+        path = tmp_path / f"{algorithm}.bin"
+        state.save(path)
+        copies = [GroupState.from_bytes(state.cfg, state.to_bytes()),
+                  GroupState.load(state.cfg, path)]
+        g = rng.normal(size=theta.shape)
+        thetas = [theta.copy() for _ in copies]
+        for copy, values in zip(copies, thetas):
+            assert copy.m.flags.writeable and copy.m.flags.owndata
+            copy.step(values, g, 6)
+        state.step(theta, g, 6)
+        for copy, values in zip(copies, thetas):
+            assert values.tobytes() == theta.tobytes(), algorithm
+            for name in vars(state).keys() - {"cfg"}:
+                assert np.array_equal(getattr(copy, name), getattr(state, name))
+        assert not list(tmp_path.glob(".*.tmp"))
 
 
 def test_checkpoint_exact_byte_layout():
-    st_ = TDistState(m=np.array([0.25, -1.5]), v=np.array([1.0, 2.0]),
-                     nu_tilde=1.5, t=7, beta=0.9, eps=1e-5, nu_tilde_min=1.0)
+    cfg = OptimizerConfig(algorithm="TAdam")
+    state = GroupState(cfg, 1, 2)
+    state.m[:] = [[0.25, -1.5]]
+    state.v[:] = [[1.0, 2.0]]
+    state.W[:] = [7.0]
     want = (
         b"ADTM"
-        + bytes([1])
-        + struct.pack("<Q", 10)
-        + struct.pack("<10d", 2.0, 7.0, 0.9, 1e-5, 1.0, 1.5, 0.25, -1.5, 1.0, 2.0)
+        + bytes([2, 3])
+        + struct.pack("<QQ", 1, 2)
+        + struct.pack("<5d", 0.25, -1.5, 1.0, 2.0, 7.0)
     )
-    assert state_to_bytes(st_) == want
+    assert state.to_bytes() == want
     assert CHECKPOINT_MAGIC == b"ADTM"
-    assert CHECKPOINT_VERSION == 1
+    assert CHECKPOINT_VERSION == 2
 
 
 def test_checkpoint_rejects_corruption():
-    blob = state_to_bytes(TDistState.fresh(2))
+    cfg = OptimizerConfig()
+    blob = GroupState(cfg, 2, 3).to_bytes()
     with pytest.raises(ValueError, match="magic"):
-        state_from_bytes(b"XXXX" + blob[4:])
-    with pytest.raises(ValueError, match="version"):
-        state_from_bytes(blob[:4] + bytes([9]) + blob[5:])
-    # Claimed count inconsistent with the embedded dimension.
-    bad = blob[:5] + struct.pack("<Q", 9) + blob[13:]
+        GroupState.from_bytes(cfg, b"XXXX" + blob[4:])
+    for version in (1, 9):  # the v1 single-group layout is refused too
+        with pytest.raises(ValueError, match="version"):
+            GroupState.from_bytes(cfg, blob[:4] + bytes([version]) + blob[5:])
+    with pytest.raises(ValueError, match="algorithm"):
+        GroupState.from_bytes(OptimizerConfig(algorithm="Adam"), blob)
+    # Claimed shape inconsistent with the payload, either way.
+    for n, d in ((2, 4), (1, 3)):
+        bad = blob[:6] + struct.pack("<QQ", n, d) + blob[22:]
+        with pytest.raises(ValueError, match="inconsistent"):
+            GroupState.from_bytes(cfg, bad)
     with pytest.raises(ValueError, match="inconsistent"):
-        state_from_bytes(bad)
+        GroupState.from_bytes(cfg, blob[:-8])
