@@ -90,15 +90,17 @@ def _cmd_summarize(args):
     print(header)
     for rec in summary:
         print(
-            f"{rec['experiment']:<24} {rec['optimizer']:<14} {rec['metric']:<20} "
-            f"{rec['step']:>6} {rec['count']:>5} {rec['mean']:>12.5g} "
-            f"{rec['std']:>12.5g} {rec['median']:>12.5g}"
+            f"{rec.experiment:<24} {rec.optimizer:<14} {rec.metric:<20} "
+            f"{rec.step:>6} {rec.count:>5} {rec.mean:>12.5g} "
+            f"{rec.std:>12.5g} {rec.median:>12.5g}"
         )
     return EXIT_OK
 
 
 def _cmd_surface(args):
     out = args.out if args.out is not None else Path(f"{args.kind}.csv")
+    if out.is_dir() or not out.parent.is_dir():
+        raise ConfigError(f"Cannot write {out}: not a file in an existing directory")
     write_grid_csv(GridSpec(kind=args.kind), out)
     print(f"wrote {out}")
     return EXIT_OK

@@ -1,8 +1,9 @@
-"""Output files that are never left half-written."""
+"""Output files that are never left half-written, and the one CSV format."""
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import os
 from pathlib import Path
 
@@ -25,3 +26,15 @@ def atomic_write(path, binary=False):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_csv(path, header, rows):
+    """Write ``header`` and ``rows`` to ``path`` through ``atomic_write``:
+    each float (numpy ``float64`` included) as ``f"{x:.17g}"``, which reads
+    back to the same bits, and any other cell as ``csv`` writes it."""
+    with atomic_write(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(
+            [f"{x:.17g}" if isinstance(x, float) else x for x in row] for row in rows
+        )

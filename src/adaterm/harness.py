@@ -32,11 +32,12 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import yaml
 
-from .files import atomic_write
+from .files import write_csv
 from .mlp import DEFAULT_LAYER_SIZES, MlpModel, mse_loss, stack_parameters
 # Imported under these names because the benchmark's span tracer wraps them here.
 from .mlp import backward as _batched_backward, forward as _batched_forward
@@ -63,6 +64,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "EXPERIMENT_KINDS",
     "ResultRow",
+    "SummaryRow",
     "ExperimentConfig",
     "load_config",
     "run_experiment",
@@ -94,8 +96,9 @@ class VerificationError(Exception):
     """A verification experiment observed an invariant violation."""
 
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(NamedTuple):
+    """One row of ``results.csv``; the fields are its columns."""
+
     experiment: str
     optimizer: str
     seed: int
@@ -104,52 +107,56 @@ class ResultRow:
     value: float
 
 
-_RESULT_COLUMNS = ["experiment", "optimizer", "seed", "metric", "step", "value"]
+class SummaryRow(NamedTuple):
+    """One row of ``summary.csv``; the fields are its columns."""
+
+    experiment: str
+    optimizer: str
+    metric: str
+    step: int
+    count: int
+    mean: float
+    std: float
+    median: float
 
 
 def write_results_csv(rows, path):
-    with atomic_write(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_RESULT_COLUMNS)
-        for r in rows:
-            writer.writerow(
-                [r.experiment, r.optimizer, r.seed, r.metric, r.step, f"{r.value:.17g}"]
-            )
+    write_csv(path, ResultRow._fields, rows)
 
 
 def read_results_csv(path):
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in _RESULT_COLUMNS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ConfigError(f"Not a results file: {path} has no column(s) {missing}")
-        for rec in reader:
-            try:
-                rows.append(
-                    ResultRow(
-                        experiment=rec["experiment"],
-                        optimizer=rec["optimizer"],
-                        seed=int(rec["seed"]),
-                        metric=rec["metric"],
-                        step=int(rec["step"]),
-                        value=float(rec["value"]),
-                    )
-                )
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    f"{path}, line {reader.line_num}: seed and step must be integers "
-                    f"and value a number, got {rec['seed']!r}, {rec['step']!r}, "
-                    f"{rec['value']!r}"
-                ) from None
-    return rows
+    """The rows of a ``results.csv``, whose columns may come in any order
+    beside other columns.  Blank lines are skipped."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            # The last column of a name wins, as with csv.DictReader.
+            index = {name: i for i, name in enumerate(next(reader, []))}
+            missing = [c for c in ResultRow._fields if c not in index]
+            if missing:
+                raise ConfigError(f"Not a results file: {path} has no column(s) {missing}")
+            e, o, s, m, t, v = (index[c] for c in ResultRow._fields)
+            rows = []
+            for rec in filter(None, reader):
+                try:
+                    rows.append(ResultRow(rec[e], rec[o], int(rec[s]), rec[m],
+                                          int(rec[t]), float(rec[v])))
+                except (IndexError, ValueError):
+                    got = ", ".join(repr(rec[i]) if i < len(rec) else "None" for i in (s, t, v))
+                    raise ConfigError(
+                        f"{path}, line {reader.line_num}: seed and step must be integers "
+                        f"and value a number, got {got}"
+                    ) from None
+            return rows
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"Cannot read results {path}: {exc}") from exc
 
 
 def summarize_rows(rows):
     """count/mean/std/median per (experiment, optimizer, metric, step).
 
-    Standard deviation is the population estimator.  Returns dicts sorted
-    by group key, ready for the summary CSV.
+    Standard deviation is the population estimator.  Returns
+    ``SummaryRow``s sorted by group key, ready for the summary CSV.
     """
     if not rows:
         raise ConfigError("No result rows to summarize")
@@ -161,34 +168,13 @@ def summarize_rows(rows):
     out = []
     for key in sorted(groups):
         vals = np.asarray(groups[key])
-        out.append(
-            {
-                "experiment": key[0],
-                "optimizer": key[1],
-                "metric": key[2],
-                "step": key[3],
-                "count": vals.size,
-                "mean": float(np.mean(vals)),
-                "std": float(np.std(vals)),
-                "median": float(np.median(vals)),
-            }
-        )
+        out.append(SummaryRow(*key, vals.size, float(np.mean(vals)),
+                              float(np.std(vals)), float(np.median(vals))))
     return out
 
 
 def write_summary_csv(summary, path):
-    cols = ["experiment", "optimizer", "metric", "step", "count", "mean", "std", "median"]
-    with atomic_write(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for rec in summary:
-            writer.writerow(
-                [
-                    rec[c] if c in ("experiment", "optimizer", "metric")
-                    else (rec[c] if c in ("step", "count") else f"{rec[c]:.17g}")
-                    for c in cols
-                ]
-            )
+    write_csv(path, SummaryRow._fields, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +287,7 @@ def load_config(path) -> ExperimentConfig:
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"Cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"Config parse error in {path}: {exc}") from exc
@@ -745,7 +731,10 @@ _RUNNERS = {
 
 def run_experiment(cfg: ExperimentConfig):
     """Execute one experiment; writes results.csv + summary.csv, returns rows."""
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"Cannot make output directory {cfg.output_dir}: {exc}") from exc
     rows = _RUNNERS[cfg.kind](cfg)
     if rows:
         write_results_csv(rows, cfg.output_dir / "results.csv")

@@ -32,13 +32,12 @@ four terms collapse to the non-robust closed form checked by
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .files import atomic_write
+from .files import write_csv
 from .optimizers import GroupState, OptimizerConfig
 from .problems import QuadraticSequence
 
@@ -322,16 +321,10 @@ def sublinearity_ratio(report: RegretReport, t_low=1000, t_high=5000):
 
 
 def write_regret_csv(report: RegretReport, path):
-    with atomic_write(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "loss", "regret_prefix", "bound_rhs_prefix", "tau_t"])
-        for i in range(report.T):
-            writer.writerow(
-                [
-                    i + 1,
-                    f"{report.losses[i]:.17g}",
-                    f"{report.regret_prefix[i]:.17g}",
-                    f"{report.bound_rhs_prefix[i]:.17g}",
-                    f"{report.tau[i]:.17g}",
-                ]
-            )
+    # Rows by index: arrays shorter than T raise IndexError, not a short file.
+    write_csv(
+        path,
+        ["t", "loss", "regret_prefix", "bound_rhs_prefix", "tau_t"],
+        ((i + 1, report.losses[i], report.regret_prefix[i],
+          report.bound_rhs_prefix[i], report.tau[i]) for i in range(report.T)),
+    )

@@ -16,12 +16,11 @@ Three grid kinds, all emitted as CSV tables rather than plots:
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .files import atomic_write
+from .files import write_csv
 from .special import EPS_FLOAT32, W_NU_BAR_CEIL
 from .tdist import (
     grad_nu_surrogate_pre,
@@ -141,9 +140,4 @@ def emit_grid(spec: GridSpec):
 
 
 def write_grid_csv(spec: GridSpec, path):
-    columns, table = emit_grid(spec)
-    with atomic_write(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in table:
-            writer.writerow([f"{x:.17g}" for x in row])
+    write_csv(path, *emit_grid(spec))

@@ -311,6 +311,50 @@ def test_summarize_rejects_malformed_results(tmp_path, capsys, old, new, fragmen
     assert not (tmp_path / "summary.csv").exists()
 
 
+def _one_config_error(capsys, path):
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
+def test_run_rejects_non_utf8_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_bytes(b"experiment: \xff\n")
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    _one_config_error(capsys, cfg)
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/out"], ids=["is-a-file", "under-a-file"])
+def test_run_rejects_unmakeable_output_dir(tmp_path, capsys, out):
+    (tmp_path / "taken").write_text("a file\n")
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(SMALL_RUN.format(out=tmp_path / out))
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    _one_config_error(capsys, tmp_path / out)
+    assert (tmp_path / "taken").read_text() == "a file\n"
+
+
+@pytest.mark.parametrize("kind", ["not-utf8", "directory"])
+def test_summarize_rejects_unreadable_results(tmp_path, capsys, kind):
+    results = tmp_path / "results.csv"
+    if kind == "directory":
+        results.mkdir()
+    else:
+        results.write_bytes(GOOD_RESULTS.encode() + b"e,o,1,m,10,\xff\n")
+    assert main(["summarize", str(tmp_path)]) == EXIT_CONFIG
+    _one_config_error(capsys, results)
+    assert not (tmp_path / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("out", ["missing/x.csv", "taken"], ids=["missing-dir", "directory"])
+def test_surface_rejects_unwritable_out(tmp_path, capsys, out):
+    (tmp_path / "taken").mkdir()
+    assert main(["surface", "TauSurface", "--out", str(tmp_path / out)]) == EXIT_CONFIG
+    _one_config_error(capsys, tmp_path / out)
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert list((tmp_path / "taken").iterdir()) == []
+
+
 def test_surface_explicit_out(tmp_path):
     out = tmp_path / "tau.csv"
     assert main(["surface", "TauSurface", "--out", str(out)]) == EXIT_OK

@@ -227,6 +227,26 @@ def test_results_csv_round_trip_is_exact(tmp_path):
     assert read_results_csv(path) == rows
 
 
+def test_read_skips_blank_lines(tmp_path):
+    path = tmp_path / "results.csv"
+    path.write_text(
+        "experiment,optimizer,seed,metric,step,value\n"
+        "e,o,0,m,10,0.5\n"
+        "\n"
+        "e,o,1,m,10,1.5\n"
+    )
+    assert read_results_csv(path) == [
+        ResultRow("e", "o", 0, "m", 10, 0.5),
+        ResultRow("e", "o", 1, "m", 10, 1.5),
+    ]
+
+
+def test_read_accepts_extra_columns_in_any_order(tmp_path):
+    path = tmp_path / "results.csv"
+    path.write_text("value,note,step,metric,seed,optimizer,experiment\n0.25,x,3,m,2,o,e\n")
+    assert read_results_csv(path) == [ResultRow("e", "o", 2, "m", 3, 0.25)]
+
+
 def test_read_rejects_foreign_csv(tmp_path):
     path = tmp_path / "other.csv"
     path.write_text("a,b,c\n1,2,3\n")
@@ -239,10 +259,10 @@ def test_summarize_population_std():
         ResultRow("e", "o", s, "m", 1, v) for s, v in enumerate([1.0, 2.0, 3.0])
     ]
     (rec,) = summarize_rows(rows)
-    assert rec["count"] == 3
-    assert rec["mean"] == 2.0
-    assert rec["median"] == 2.0
-    assert rec["std"] == pytest.approx(math.sqrt(2.0 / 3.0), rel=1e-15)
+    assert rec.count == 3
+    assert rec.mean == 2.0
+    assert rec.median == 2.0
+    assert rec.std == pytest.approx(math.sqrt(2.0 / 3.0), rel=1e-15)
 
 
 def test_summarize_groups_and_sorts():
@@ -252,9 +272,9 @@ def test_summarize_groups_and_sorts():
         ResultRow("a", "o", 1, "m", 1, 3.0),
     ]
     out = summarize_rows(rows)
-    assert [rec["experiment"] for rec in out] == ["a", "b"]
-    assert out[0]["count"] == 2 and out[0]["mean"] == 2.0
-    assert out[1]["std"] == 0.0
+    assert [rec.experiment for rec in out] == ["a", "b"]
+    assert out[0].count == 2 and out[0].mean == 2.0
+    assert out[1].std == 0.0
 
 
 def test_summarize_empty_raises():
