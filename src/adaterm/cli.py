@@ -10,8 +10,9 @@ Subcommands:
   density gradients against finite differences.
 * ``regret <config>`` — alias of ``run`` restricted to regret configs.
 
-Exit codes: 0 success, 2 config problems, 3 runtime numerical failure,
-4 verification/invariant failure.
+Exit codes: 0 success, 2 config problems (an output file that cannot be
+written included), 3 runtime numerical failure, 4 verification/invariant
+failure.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from .files import OutputError
 from .harness import (
     ConfigError,
     VerificationError,
@@ -99,8 +101,6 @@ def _cmd_summarize(args):
 
 def _cmd_surface(args):
     out = args.out if args.out is not None else Path(f"{args.kind}.csv")
-    if out.is_dir() or not out.parent.is_dir():
-        raise ConfigError(f"Cannot write {out}: not a file in an existing directory")
     write_grid_csv(GridSpec(kind=args.kind), out)
     print(f"wrote {out}")
     return EXIT_OK
@@ -134,7 +134,7 @@ def main(argv=None) -> int:
             return _cmd_verify(args)
         if args.command == "regret":
             return _cmd_run(args, expect_kind="regret")
-    except ConfigError as exc:
+    except (ConfigError, OutputError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NonFiniteGradientError, FloatingPointError, OverflowError,

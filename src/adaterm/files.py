@@ -8,6 +8,10 @@ import os
 from pathlib import Path
 
 
+class OutputError(OSError):
+    """An output file could not be written; the message names its path."""
+
+
 @contextlib.contextmanager
 def atomic_write(path, binary=False):
     """Open ``path`` for writing CSV text, or bytes if ``binary``, through a
@@ -15,7 +19,9 @@ def atomic_write(path, binary=False):
     when the block ends.
 
     If the block raises, the temp file is removed and ``path`` is left as
-    it was: the old file, or none.
+    it was: the old file, or none.  An ``OSError`` (``path`` is a
+    directory, its directory is missing, the disk is full) is raised as an
+    ``OutputError`` that names ``path``.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -23,8 +29,10 @@ def atomic_write(path, binary=False):
         with open(tmp, "wb") if binary else open(tmp, "w", newline="") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise OutputError(f"Cannot write {path}: {exc.strerror or exc}") from exc
         raise
 
 

@@ -8,10 +8,11 @@ An experiment draws each trial's randomness once, from
 the canonical per-trial draw order), and hands the arrays to every
 optimizer's cell; a cell only computes from what it is handed.  The cell
 advances all of its trials as one batched array computation (trial axis
-leading) through ``optimizers.GroupState``, the same state the regret loop
-and the optimizer classes hold at n = 1.  A test-function experiment makes
-one pass per optimizer: its k noise ratios are stacked on the trial axis
-(k * n rows, ratio outer) over the same (n, steps) noise.  A regression
+leading) through ``optimizers.GroupState``, the same state a regret run
+steps with one dimension's seeds on the trial axis and the optimizer
+classes hold at n = 1.  A test-function experiment makes one pass per
+optimizer: its k noise ratios are stacked on the trial axis (k * n rows,
+ratio outer) over the same (n, steps) noise.  A regression
 cell runs one ratio on that ratio's drawn trials.  A single trial is a
 cell run on that trial's draws alone (a row slice), and rows do not
 depend on how ratios or trials are grouped: any split of the trials into
@@ -574,32 +575,41 @@ def _regret_specs(cfg: ExperimentConfig):
             for d in cfg.dims]
 
 
-def _run_regret_experiment_kind(cfg: ExperimentConfig):
+def _run_regret_dimension(cfg: ExperimentConfig, spec: OnlineConvexSpec):
+    """One dimension's rows and trace files: every seed in one run."""
     name, opt_cfg = cfg.optimizers[0]
+    exp_id = f"regret:d={spec.dim}"
+    seeds = range(cfg.seed, cfg.seed + cfg.trials)
+    # Passed inline, so the draws are freed when the run returns.
+    reports = run_regret_experiment(
+        QuadraticSequence(spec, [make_rng(seed) for seed in seeds], cfg.horizon),
+        opt_cfg,
+    )
+    rows = []
+    for seed, rep in zip(seeds, reports):
+        ok = bool(np.all(rep.regret_prefix <= rep.bound_rhs_prefix))
+        rows.extend(
+            [
+                ResultRow(exp_id, name, seed, "R_T", rep.T, rep.R_T),
+                ResultRow(exp_id, name, seed, "bound_rhs", rep.T,
+                          float(rep.bound_rhs_prefix[-1])),
+                ResultRow(exp_id, name, seed, "bound_holds_all_prefixes", rep.T,
+                          float(ok)),
+                ResultRow(exp_id, name, seed, "tau_low", rep.T, rep.underline_tau),
+                ResultRow(exp_id, name, seed, "sublinearity_ratio", rep.T,
+                          sublinearity_ratio(rep, min(1000, rep.T), rep.T)),
+            ]
+        )
+        write_regret_csv(rep, cfg.output_dir / f"regret_d{spec.dim}_seed{seed}.csv")
+    return rows
+
+
+def _run_regret_experiment_kind(cfg: ExperimentConfig):
     rows = []
     for spec in _regret_specs(cfg):
-        exp_id = f"regret:d={spec.dim}"
-        for seed in range(cfg.seed, cfg.seed + cfg.trials):
-            # Passed inline, so the sequence is freed when its run returns.
-            rep = run_regret_experiment(
-                QuadraticSequence(spec, make_rng(seed), cfg.horizon), opt_cfg
-            )
-            ok = bool(np.all(rep.regret_prefix <= rep.bound_rhs_prefix))
-            rows.extend(
-                [
-                    ResultRow(exp_id, name, seed, "R_T", rep.T, rep.R_T),
-                    ResultRow(exp_id, name, seed, "bound_rhs", rep.T,
-                              float(rep.bound_rhs_prefix[-1])),
-                    ResultRow(exp_id, name, seed, "bound_holds_all_prefixes", rep.T,
-                              float(ok)),
-                    ResultRow(exp_id, name, seed, "tau_low", rep.T, rep.underline_tau),
-                    ResultRow(exp_id, name, seed, "sublinearity_ratio", rep.T,
-                              sublinearity_ratio(rep, min(1000, rep.T), rep.T)),
-                ]
-            )
-            write_regret_csv(
-                rep, cfg.output_dir / f"regret_d{spec.dim}_seed{seed}.csv"
-            )
+        # A helper call per dimension: its reports are freed when it
+        # returns, before the next dimension's draws are made.
+        rows.extend(_run_regret_dimension(cfg, spec))
     return rows
 
 

@@ -271,8 +271,8 @@ class GroupState:
     (nu_tilde, the bias accumulator c, t-Adam's weight sum W) are shaped
     (n,).  ``tau`` is the last AdaTerm step's tau_mv, (n,).  Every run
     steps its parameters through ``step``: the harness a whole cell of
-    trials at once, the regret loop and the optimizer classes below one
-    n = 1 state per parameter group.
+    trials at once, the regret loop all of one dimension's seeds at once,
+    and the optimizer classes below one n = 1 state per parameter group.
     """
 
     def __init__(self, cfg: OptimizerConfig, n, d):

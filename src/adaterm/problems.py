@@ -235,39 +235,56 @@ class OnlineConvexSpec:
 
 
 class QuadraticSequence:
-    """T random strongly-convex quadratics l_t(x) = 0.5 (x-c_t)' A_t (x-c_t).
+    """T random strongly-convex quadratics l_t(x) = 0.5 (x-c_t)' A_t (x-c_t)
+    for each of n trials, one generator per trial.
 
-    Round t's loss and gradient are ``loss(t, theta)`` and ``grad(t,
-    theta)``; the raw coefficient arrays stay accessible for the
-    closed-form offline optimum.
+    Trial i draws its curvatures and then its centers from ``rngs[i]``, so
+    a trial's sequence does not depend on the others; ``[make_rng(seed)]``
+    is a single trial.  The coefficients are stored as (n, T, d) arrays,
+    trial axis leading.  Round t's losses and gradients are ``loss(t,
+    theta)`` and ``grad(t, theta)`` for theta shaped (n, d); the raw
+    coefficient arrays stay accessible for the closed-form offline optimum.
     """
 
-    def __init__(self, spec: OnlineConvexSpec, rng, T: int):
+    def __init__(self, spec: OnlineConvexSpec, rngs, T: int):
         if T < 1:
             raise ValueError(f"Invalid horizon: {T}")
+        rngs = list(rngs)
         self.spec = spec
         cap = spec.grad_bound / spec.diameter
-        a = rng.uniform(spec.curvature_low, spec.curvature_high, size=(T, spec.dim))
-        self.A = np.minimum(a, cap)
         b = spec.box_halfwidth
-        self.C = rng.uniform(-b, b, size=(T, spec.dim))
+        shape = (len(rngs), T, spec.dim)
+        self.A = np.empty(shape)
+        self.C = np.empty(shape)
+        # Each draw is written into its trial's row as it is made, so only
+        # one trial's (T, d) temporary is alive at a time.
+        for i, rng in enumerate(rngs):
+            a = rng.uniform(spec.curvature_low, spec.curvature_high, size=(T, spec.dim))
+            np.minimum(a, cap, out=self.A[i])
+            self.C[i] = rng.uniform(-b, b, size=(T, spec.dim))
 
     def __len__(self):
-        return self.A.shape[0]
+        return self.A.shape[1]
 
     def loss(self, t, theta):
-        """Loss of round t (0-based index)."""
-        diff = theta - self.C[t]
-        return 0.5 * float(np.sum(self.A[t] * diff * diff))
+        """Every trial's loss of round t (0-based index), shaped (n,)."""
+        diff = theta - self.C[:, t]
+        return 0.5 * np.sum(self.A[:, t] * diff * diff, axis=1)
 
     def grad(self, t, theta):
-        return self.A[t] * (theta - self.C[t])
+        """Every trial's gradient of round t, shaped (n, d)."""
+        return self.A[:, t] * (theta - self.C[:, t])
 
     def offline_optimum(self):
-        """argmin of the summed losses: the A-weighted mean of the centers
-        (coordinate-wise, hence inside the box).  A coordinate with zero
-        total curvature is flat; any point minimizes it, so 0 is returned."""
-        total = np.sum(self.A, axis=0)
-        flat = total == 0.0
-        mean = np.sum(self.A * self.C, axis=0) / np.where(flat, 1.0, total)
-        return np.where(flat, 0.0, mean)
+        """Each trial's argmin of its summed losses, shaped (n, d): the
+        A-weighted mean of the centers (coordinate-wise, hence inside the
+        box).  A coordinate with zero total curvature is flat; any point
+        minimizes it, so 0 is returned.  Trials are solved one at a time,
+        so no (n, T, d) temporary is made."""
+        out = np.empty((self.A.shape[0], self.A.shape[2]))
+        for A, C, star in zip(self.A, self.C, out):
+            total = np.sum(A, axis=0)
+            flat = total == 0.0
+            mean = np.sum(A * C, axis=0) / np.where(flat, 1.0, total)
+            star[...] = np.where(flat, 0.0, mean)
+        return out

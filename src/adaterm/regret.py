@@ -2,16 +2,19 @@
 bound.
 
 A run is handed its loss sequence: the experiment draws a
-``problems.QuadraticSequence`` from the trial's own generator, and the run
-plays all of its rounds, so the horizon is the sequence's length.  The
-driver steps the noise-robust optimizer through an n = 1
-``optimizers.GroupState``, the same state every other run steps (no bias
-correction, no weight decay, step size alpha/sqrt(t)), followed by the
-weighted projection onto the box.  It plays a sequence of random
-strongly-convex quadratics, accumulates the regret against the
-offline optimum, and evaluates every term of the bound's right-hand side
-from logged quantities only: v_t, g_t, tau_t, the domain diameter and the
-step-size schedule.  The bound must dominate the regret at every prefix.
+``problems.QuadraticSequence`` with one generator per trial, and the run
+plays all of its rounds, so the horizon is the sequence's length.  It
+steps the noise-robust optimizer for every trial at once through one
+``optimizers.GroupState`` with the trial axis leading, the same state
+every other run steps (no bias correction, no weight decay, step size
+alpha/sqrt(t)), followed by the weighted projection onto the box.  It
+plays each trial's sequence of random strongly-convex quadratics,
+accumulates the regret against the offline optimum, and evaluates every
+term of the bound's right-hand side from observed quantities only: v_t,
+g_t, tau_t, the domain diameter and the step-size schedule.  The bound
+must dominate the regret at every prefix.  Every quantity is computed row
+by row, so a trial's report does not depend on which trials share its
+run.
 
 Bound structure (four terms, evaluated at horizon T):
 
@@ -87,7 +90,7 @@ def young_inequality_check(zeta, x, y):
 
 @dataclass(frozen=True)
 class RegretReport:
-    """Everything observed during one regret run.
+    """Everything observed during one trial's regret run.
 
     ``bound_terms`` holds the four summands at the final horizon;
     ``regret_prefix`` and ``bound_rhs_prefix`` are the running comparison
@@ -104,8 +107,6 @@ class RegretReport:
     bound_rhs_prefix: np.ndarray
     tau: np.ndarray
     bound_terms: np.ndarray
-    v_log: np.ndarray
-    g_log: np.ndarray
 
     @property
     def R_T(self) -> float:
@@ -143,17 +144,21 @@ def _validate_regret_config(cfg: OptimizerConfig):
         raise ValueError("Regret runs require weight_decay=0: the bound assumes none")
 
 
-def run_regret_experiment(seq: QuadraticSequence, cfg: OptimizerConfig) -> RegretReport:
-    """Play every round of ``seq`` and evaluate the bound at every prefix.
+def run_regret_experiment(seq: QuadraticSequence, cfg: OptimizerConfig):
+    """Play every round of ``seq`` for all of its trials at once and
+    evaluate each trial's bound at every prefix.
 
-    The horizon T is ``len(seq)``.  The comparator is the closed-form
-    offline optimum of the summed losses (the strongest fixed comparator).
+    Returns one ``RegretReport`` per trial, in the order of the sequence's
+    generators.  The horizon T is ``len(seq)``.  The comparator is the
+    closed-form offline optimum of the summed losses (the strongest fixed
+    comparator).
     """
     if not isinstance(seq, QuadraticSequence):
         raise TypeError(f"Expected QuadraticSequence, got {type(seq).__name__}")
     _validate_regret_config(cfg)
     spec = seq.spec
     T = len(seq)
+    n = seq.A.shape[0]
     d = spec.dim
     lo, hi = spec.box
     D_diam = spec.diameter
@@ -162,94 +167,95 @@ def run_regret_experiment(seq: QuadraticSequence, cfg: OptimizerConfig) -> Regre
     # centers.  A start near the comparator would make the early regret
     # negligible and the normalized-regret criterion vacuous.  The start is
     # a float copy: an integer box_halfwidth gives an integer box.
-    theta = hi.astype(np.float64)
+    theta = np.tile(hi.astype(np.float64), (n, 1))
 
     alpha, beta, eps = cfg.alpha, cfg.beta, cfg.eps
-    state = GroupState(cfg, 1, d)
+    state = GroupState(cfg, n, d)
 
-    losses = np.empty(T)
-    regret_prefix = np.empty(T)
-    bound_rhs_prefix = np.empty(T)
-    tau_log = np.empty(T)
-    v_log = np.empty((T, d))
-    g_log = np.empty((T, d))
-    g2_step = np.empty(T)  # sum_i g_{t,i}^2 per step, feeds the geometric term
+    losses = np.empty((n, T))
+    regret_prefix = np.empty((n, T))
+    bound_rhs_prefix = np.empty((n, T))
+    tau_log = np.empty((n, T))
+    g2_step = np.empty((n, T))  # sum_i g_{t,i}^2 per step, feeds the geometric term
 
-    G = 0.0
-    regret = 0.0
-    tau_low = math.inf
-    geo = 0.0  # sum_{k<T} (1 - tau_low)^{T-k} g2_step[k] at the current prefix
-    sv_past = 0.0  # sum_{t<T} sqrt(t) * sum_i v_{t,i}^{1/2}
-    g4_past = np.zeros(d)  # sum_{t<T} g_{t,i}^4
+    G = np.zeros(n)
+    regret = np.zeros(n)
+    tau_low = np.full(n, math.inf)
+    geo = np.zeros(n)  # sum_{k<T} (1 - tau_low)^{T-k} g2_step[k] at the current prefix
+    sv_past = np.zeros(n)  # sum_{t<T} sqrt(t) * sum_i v_{t,i}^{1/2}
+    g4_past = np.zeros((n, d))  # sum_{t<T} g_{t,i}^4
 
     for t in range(1, T + 1):
         loss_t = seq.loss(t - 1, theta)
         g = seq.grad(t - 1, theta)
         loss_star = seq.loss(t - 1, theta_star)
-        G = max(G, float(np.max(np.abs(g))))
+        G = np.maximum(G, np.max(np.abs(g), axis=1))
         regret += loss_t - loss_star
 
-        state.step(theta, g.reshape(1, -1), t)
+        state.step(theta, g, t)
         theta = weighted_projection(theta, (lo, hi))
-        tau_t = float(state.tau[0])
-        v = state.v[0]
+        tau_t = state.tau
+        v = state.v
 
-        losses[t - 1] = loss_t
-        regret_prefix[t - 1] = regret
-        tau_log[t - 1] = tau_t
-        v_log[t - 1] = v
-        g_log[t - 1] = g
+        losses[:, t - 1] = loss_t
+        regret_prefix[:, t - 1] = regret
+        tau_log[:, t - 1] = tau_t
 
         # Prefix bound at horizon t.  The geometric term depends on the
         # running minimum tau_low: while it is unchanged a one-step
-        # recurrence extends the sum; when a new minimum appears the sum is
-        # rebuilt from the stored per-step g^2 totals.
-        if tau_t < tau_low:
-            tau_low = tau_t
+        # recurrence extends the sum; in the rows where a new minimum
+        # appears the sum is rebuilt from the stored per-step g^2 totals.
+        if t > 1:
+            geo = (1.0 - tau_low) * (geo + g2_step[:, t - 2])
+        low = np.flatnonzero(tau_t < tau_low)
+        if low.size:
+            tau_low[low] = tau_t[low]
             if t > 1:
                 ks = np.arange(1, t)
-                geo = float(
-                    np.sum((1.0 - tau_low) ** (t - ks) * g2_step[: t - 1])
+                geo[low] = np.sum(
+                    (1.0 - tau_low[low, None]) ** (t - ks) * g2_step[low, : t - 1],
+                    axis=1,
                 )
-        elif t > 1:
-            geo = (1.0 - tau_low) * (geo + g2_step[t - 2])
-        g2_step[t - 1] = float(np.sum(g * g))
+        g2_step[:, t - 1] = np.sum(g * g, axis=1)
 
         sqrt_t = math.sqrt(t)
-        term1 = D_diam**2 * sqrt_t / (4.0 * tau_t * alpha) * float(np.sum(np.sqrt(v)))
+        sum_sqrt_v = np.sum(np.sqrt(v), axis=1)
+        term1 = D_diam**2 * sqrt_t / (4.0 * tau_t * alpha) * sum_sqrt_v
         term2 = _coeff_term2(tau_low, beta) * D_diam**2 / alpha * sv_past
         term3 = (1.0 - beta) ** 2 * alpha / (eps * tau_low**2 * sqrt_t) * geo
         if t >= 2:
             term4 = (
                 _coeff_term4(tau_low, beta, alpha, eps)
                 * math.sqrt(1.0 + math.log(t - 1))
-                * float(np.sum(np.sqrt(g4_past)))
+                * np.sum(np.sqrt(g4_past), axis=1)
             )
         else:
-            term4 = 0.0
-        bound_rhs_prefix[t - 1] = term1 + term2 + term3 + term4
+            term4 = np.zeros(n)
+        bound_rhs_prefix[:, t - 1] = term1 + term2 + term3 + term4
 
-        sv_past += sqrt_t * float(np.sum(np.sqrt(v)))
+        sv_past += sqrt_t * sum_sqrt_v
         g4_past += g**4
 
-    final_terms = np.array([term1, term2, term3, term4])
-    return RegretReport(
-        T=T,
-        D_diam=D_diam,
-        G=G,
-        theta_star=theta_star,
-        losses=losses,
-        regret_prefix=regret_prefix,
-        bound_rhs_prefix=bound_rhs_prefix,
-        tau=tau_log,
-        bound_terms=final_terms,
-        v_log=v_log,
-        g_log=g_log,
-    )
+    final_terms = np.stack([term1, term2, term3, term4], axis=1)
+    return [
+        RegretReport(
+            T=T,
+            D_diam=D_diam,
+            G=float(G[i]),
+            theta_star=theta_star[i],
+            losses=losses[i],
+            regret_prefix=regret_prefix[i],
+            bound_rhs_prefix=bound_rhs_prefix[i],
+            tau=tau_log[i],
+            bound_terms=final_terms[i],
+        )
+        for i in range(n)
+    ]
 
 
 def theorem_rhs(v_log, g_log, tau_low, tau_T, alpha, beta, eps, D_diam):
-    """The four bound terms at the final horizon, from full logs.
+    """The four bound terms at the final horizon, from one trial's full
+    (T, d) logs of v and g.
 
     Independent (vectorized, whole-horizon) evaluation of the same
     quantity the run loop accumulates incrementally; also the entry point

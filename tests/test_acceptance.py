@@ -34,6 +34,7 @@ from adaterm.tdist import (
 )
 
 from _golden import PLATEAU_WINDOW_HIGH, PLATEAU_WINDOW_LOW
+from _regret_replay import replay_logs
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -338,15 +339,19 @@ def test_criterion_10_regret_bound(regret_run):
     # 1 - beta must reproduce the closed form, term by term.
     t0 = time.perf_counter()
     spec = OnlineConvexSpec(dim=2, box_halfwidth=1.0, grad_bound=4.0)
-    report = run_regret_experiment(QuadraticSequence(spec, make_rng(0), 5000), opt_cfg)
+    seq = QuadraticSequence(spec, [make_rng(0)], 5000)
+    [report] = run_regret_experiment(seq, opt_cfg)
     assert np.all(report.regret_prefix <= report.bound_rhs_prefix)
+    # The logs come from an independent replay that first checks it is
+    # the same run, step by step.
+    v_log, g_log = replay_logs(seq, opt_cfg, report)
     one_minus_beta = 1.0 - opt_cfg.beta
     pinned = theorem_rhs(
-        report.v_log, report.g_log, one_minus_beta, one_minus_beta,
+        v_log, g_log, one_minus_beta, one_minus_beta,
         opt_cfg.alpha, opt_cfg.beta, opt_cfg.eps, report.D_diam,
     )
     closed = corollary_rhs(
-        report.v_log, report.g_log,
+        v_log, g_log,
         opt_cfg.alpha, opt_cfg.beta, opt_cfg.eps, report.D_diam,
     )
     np.testing.assert_allclose(pinned, closed, rtol=1e-9)

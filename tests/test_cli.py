@@ -346,6 +346,42 @@ def test_summarize_rejects_unreadable_results(tmp_path, capsys, kind):
     assert not (tmp_path / "summary.csv").exists()
 
 
+def _no_temp_files(directory):
+    return [p.name for p in directory.iterdir() if p.name.endswith(".tmp")] == []
+
+
+def test_summarize_rejects_unwritable_summary(tmp_path, capsys):
+    cfg = write_config(tmp_path, SMALL_RUN)
+    assert main(["run", str(cfg)]) == EXIT_OK
+    out_dir = tmp_path / "out"
+    results = (out_dir / "results.csv").read_bytes()
+    (out_dir / "summary.csv").unlink()
+    (out_dir / "summary.csv").mkdir()
+    capsys.readouterr()
+    assert main(["summarize", str(out_dir)]) == EXIT_CONFIG
+    _one_config_error(capsys, out_dir / "summary.csv")
+    assert (out_dir / "summary.csv").is_dir()
+    assert (out_dir / "results.csv").read_bytes() == results
+    assert _no_temp_files(out_dir)
+
+
+@pytest.mark.parametrize(
+    "template, blocked",
+    [(SMALL_RUN, "results.csv"), (SMALL_REGRET, "regret_d2_seed0.csv")],
+    ids=["results", "regret-trace"],
+)
+def test_run_rejects_unwritable_output_file(tmp_path, capsys, template, blocked):
+    out_dir = tmp_path / "out"
+    (out_dir / blocked).mkdir(parents=True)
+    (out_dir / "summary.csv").write_text("old summary\n")
+    cfg = write_config(tmp_path, template)
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    _one_config_error(capsys, out_dir / blocked)
+    assert (out_dir / blocked).is_dir()
+    assert (out_dir / "summary.csv").read_text() == "old summary\n"
+    assert _no_temp_files(out_dir)
+
+
 @pytest.mark.parametrize("out", ["missing/x.csv", "taken"], ids=["missing-dir", "directory"])
 def test_surface_rejects_unwritable_out(tmp_path, capsys, out):
     (tmp_path / "taken").mkdir()

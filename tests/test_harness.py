@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adaterm import harness
 from adaterm.harness import (
     ConfigError,
     ExperimentConfig,
@@ -583,9 +584,47 @@ def test_regret_experiment_kind(tmp_path):
     assert (cfg.output_dir / "regret_d2_seed0.csv").exists()
     assert (cfg.output_dir / "regret_d2_seed1.csv").exists()
     # Seed 1's run is a run on the sequence drawn from make_rng(1) alone.
-    seq = QuadraticSequence(OnlineConvexSpec(**cfg.problem), make_rng(1), 60)
-    own = run_regret_experiment(seq, cfg.optimizers[0][1])
+    seq = QuadraticSequence(OnlineConvexSpec(**cfg.problem), [make_rng(1)], 60)
+    [own] = run_regret_experiment(seq, cfg.optimizers[0][1])
     assert [r.value for r in rows if r.metric == "R_T"][1] == own.R_T
+
+
+def test_regret_experiment_runs_once_per_dimension(tmp_path, monkeypatch):
+    # Every seed of a dimension shares one batched run: a per-seed loop
+    # would call the run trials times per dimension.
+    calls = []
+
+    def counted(seq, opt_cfg):
+        calls.append(seq.A.shape)
+        return run_regret_experiment(seq, opt_cfg)
+
+    monkeypatch.setattr(harness, "run_regret_experiment", counted)
+    cfg = ExperimentConfig(
+        kind="regret",
+        output_dir=tmp_path / "regret",
+        seed=4,
+        trials=3,
+        horizon=20,
+        dims=(2, 5),
+        optimizers=[
+            (
+                "AdaTerm",
+                OptimizerConfig(
+                    algorithm="AdaTerm",
+                    alpha=0.1,
+                    lr_schedule="InverseSqrt",
+                    bias_correction=False,
+                ),
+            )
+        ],
+        problem={"box_halfwidth": 1.0, "grad_bound": 4.0},
+    )
+    rows = run_experiment(cfg)
+    assert calls == [(3, 20, 2), (3, 20, 5)]
+    assert [(r.experiment, r.seed) for r in rows if r.metric == "R_T"] == [
+        ("regret:d=2", 4), ("regret:d=2", 5), ("regret:d=2", 6),
+        ("regret:d=5", 4), ("regret:d=5", 5), ("regret:d=5", 6),
+    ]
 
 
 def test_surfaces_experiment_writes_grids(tmp_path):

@@ -242,45 +242,57 @@ def test_online_spec_validation(kwargs):
 
 def test_quadratic_sequence_coefficient_ranges():
     spec = OnlineConvexSpec(dim=4)
-    seq = QuadraticSequence(spec, make_rng(0), 500)
+    seq = QuadraticSequence(spec, [make_rng(0)], 500)
     assert len(seq) == 500
     cap = spec.grad_bound / spec.diameter
     assert np.all((spec.curvature_low <= seq.A) & (seq.A <= cap))
     assert np.all(np.abs(seq.C) <= spec.box_halfwidth)
     # Worst-case gradient over the box stays within the stated bound.
-    corner = np.full(4, spec.box_halfwidth)
+    corner = np.full((1, 4), spec.box_halfwidth)
     for t in range(0, 500, 50):
         assert np.abs(seq.grad(t, corner)).max() <= spec.grad_bound
 
 
+def test_quadratic_sequence_draws_each_trial_from_its_own_generator():
+    spec = OnlineConvexSpec(dim=3)
+    seq = QuadraticSequence(spec, [make_rng(3), make_rng(4)], 50)
+    assert seq.A.shape == seq.C.shape == (2, 50, 3) and len(seq) == 50
+    for i, seed in enumerate([3, 4]):
+        own = QuadraticSequence(spec, [make_rng(seed)], 50)
+        assert seq.A[i].tobytes() == own.A[0].tobytes()
+        assert seq.C[i].tobytes() == own.C[0].tobytes()
+        assert seq.offline_optimum()[i].tobytes() == own.offline_optimum()[0].tobytes()
+
+
 def test_quadratic_hand_values():
-    seq = QuadraticSequence(OnlineConvexSpec(dim=2), make_rng(1), 3)
-    seq.A[:] = [[1.0, 2.0], [2.0, 2.0], [3.0, 2.0]]
-    seq.C[:] = [[0.0, 0.0], [3.0, 0.0], [-1.0, 0.0]]
-    theta = np.array([1.0, 1.0])
-    assert seq.loss(0, theta) == 0.5 * (1.0 + 2.0)
-    np.testing.assert_array_equal(seq.grad(1, theta), [2.0 * (1.0 - 3.0), 2.0])
+    seq = QuadraticSequence(OnlineConvexSpec(dim=2), [make_rng(1)], 3)
+    seq.A[0] = [[1.0, 2.0], [2.0, 2.0], [3.0, 2.0]]
+    seq.C[0] = [[0.0, 0.0], [3.0, 0.0], [-1.0, 0.0]]
+    theta = np.array([[1.0, 1.0]])
+    assert seq.loss(0, theta)[0] == 0.5 * (1.0 + 2.0)
+    np.testing.assert_array_equal(seq.grad(1, theta), [[2.0 * (1.0 - 3.0), 2.0]])
     # A-weighted mean of centers: (1*0 + 2*3 + 3*(-1)) / 6 = 0.5.
     star = seq.offline_optimum()
-    assert star[0] == pytest.approx(0.5, rel=1e-15)
-    assert star[1] == 0.0
+    assert star.shape == (1, 2)
+    assert star[0, 0] == pytest.approx(0.5, rel=1e-15)
+    assert star[0, 1] == 0.0
 
 
 def test_offline_optimum_zero_curvature_guard():
-    seq = QuadraticSequence(OnlineConvexSpec(dim=2), make_rng(2), 2)
-    seq.A[:, 0] = 0.0
+    seq = QuadraticSequence(OnlineConvexSpec(dim=2), [make_rng(2)], 2)
+    seq.A[..., 0] = 0.0
     star = seq.offline_optimum()
-    assert star[0] == 0.0
+    assert star[0, 0] == 0.0
     assert np.isfinite(star).all()
 
 
 def test_sequence_indexing():
-    seq = QuadraticSequence(OnlineConvexSpec(dim=2), make_rng(3), 4)
-    theta = np.array([0.2, -0.1])
-    diff = theta - seq.C[2]
-    assert seq.loss(2, theta) == 0.5 * float(np.sum(seq.A[2] * diff * diff))
-    np.testing.assert_array_equal(seq.grad(2, theta), seq.A[2] * diff)
+    seq = QuadraticSequence(OnlineConvexSpec(dim=2), [make_rng(3)], 4)
+    theta = np.array([[0.2, -0.1]])
+    diff = theta[0] - seq.C[0, 2]
+    assert seq.loss(2, theta)[0] == 0.5 * float(np.sum(seq.A[0, 2] * diff * diff))
+    np.testing.assert_array_equal(seq.grad(2, theta)[0], seq.A[0, 2] * diff)
     with pytest.raises(IndexError):
         seq.loss(4, theta)
     with pytest.raises(ValueError):
-        QuadraticSequence(OnlineConvexSpec(dim=2), make_rng(0), 0)
+        QuadraticSequence(OnlineConvexSpec(dim=2), [make_rng(0)], 0)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from adaterm.optimizers import OptimizerConfig, adaterm_eta, adaterm_moments
+from adaterm.optimizers import OptimizerConfig
 from adaterm.problems import OnlineConvexSpec, QuadraticSequence
 from adaterm.regret import (
     corollary_rhs,
@@ -18,6 +18,8 @@ from adaterm.regret import (
     young_inequality_check,
 )
 from adaterm.rng import make_rng
+
+from _regret_replay import replay_logs
 
 
 def regret_config(alpha=0.1):
@@ -117,7 +119,7 @@ def test_run_rejects_bad_spec_type():
 
 
 def test_run_rejects_non_default_optimizer():
-    seq = QuadraticSequence(OnlineConvexSpec(), make_rng(0), 10)
+    seq = QuadraticSequence(OnlineConvexSpec(), [make_rng(0)], 10)
     with pytest.raises(ValueError, match="default AdaTerm"):
         run_regret_experiment(
             seq,
@@ -134,17 +136,19 @@ def test_run_horizon_is_sequence_length():
     # A run plays every round of the sequence it is handed; an empty
     # horizon is refused where the sequence is drawn.
     spec = OnlineConvexSpec()
-    report = run_regret_experiment(QuadraticSequence(spec, make_rng(0), 7), regret_config())
+    [report] = run_regret_experiment(
+        QuadraticSequence(spec, [make_rng(0)], 7), regret_config()
+    )
     assert report.T == 7 and report.losses.shape == (7,)
     with pytest.raises(ValueError, match="horizon"):
-        QuadraticSequence(spec, make_rng(0), 0)
+        QuadraticSequence(spec, [make_rng(0)], 0)
 
 
 def test_integer_box_starts_from_float_corner():
-    seq = QuadraticSequence(OnlineConvexSpec(box_halfwidth=1), make_rng(2), 20)
-    same = QuadraticSequence(OnlineConvexSpec(box_halfwidth=1.0), make_rng(2), 20)
-    a = run_regret_experiment(seq, regret_config())
-    b = run_regret_experiment(same, regret_config())
+    seq = QuadraticSequence(OnlineConvexSpec(box_halfwidth=1), [make_rng(2)], 20)
+    same = QuadraticSequence(OnlineConvexSpec(box_halfwidth=1.0), [make_rng(2)], 20)
+    [a] = run_regret_experiment(seq, regret_config())
+    [b] = run_regret_experiment(same, regret_config())
     assert a.regret_prefix.tobytes() == b.regret_prefix.tobytes()
 
 
@@ -156,40 +160,64 @@ def test_integer_box_starts_from_float_corner():
 def test_short_run_replays_exactly():
     spec = OnlineConvexSpec(dim=2)
     cfg = regret_config()
-    seq = QuadraticSequence(spec, make_rng(0), 3)
-    report = run_regret_experiment(seq, cfg)
+    seq = QuadraticSequence(spec, [make_rng(0)], 3)
+    [report] = run_regret_experiment(seq, cfg)
 
-    lo, hi = spec.box
-    theta_star = seq.offline_optimum()
-    np.testing.assert_array_equal(report.theta_star, theta_star)
+    np.testing.assert_array_equal(report.theta_star, seq.offline_optimum()[0])
+    # The replay asserts the loss, tau and regret prefix of every step.
+    v_log, g_log = replay_logs(seq, cfg, report)
+    assert report.R_T == report.regret_prefix[-1]
+    assert report.G == np.abs(g_log).max()
+    rhs = theorem_rhs(v_log, g_log, report.underline_tau, report.tau_T,
+                      cfg.alpha, cfg.beta, cfg.eps, report.D_diam)
+    np.testing.assert_allclose(report.bound_terms, rhs, rtol=1e-12)
 
-    theta = hi.copy()
-    m = np.zeros(2)
-    v = np.full(2, cfg.eps * cfg.eps)
-    nu = float(cfg.nu_tilde_init)
-    regret = 0.0
-    for t in range(1, 4):
-        loss_t = seq.loss(t - 1, theta)
-        g = seq.grad(t - 1, theta)
-        regret += loss_t - seq.loss(t - 1, theta_star)
-        m, v, nu, tau = adaterm_moments(m, v, nu, g, cfg)
-        nu = float(nu)
-        eta = adaterm_eta(m, v, 0.0, t, cfg)
-        theta = weighted_projection(theta - cfg.learning_rate(t) * eta, (lo, hi))
-        assert report.losses[t - 1] == loss_t
-        assert report.tau[t - 1] == float(tau)
-        assert report.regret_prefix[t - 1] == regret
-        np.testing.assert_array_equal(report.v_log[t - 1], v)
-        np.testing.assert_array_equal(report.g_log[t - 1], g)
-    assert report.R_T == regret
-    assert report.G == np.abs(report.g_log).max()
+
+def _report_bytes(report):
+    return (
+        report.T,
+        report.D_diam,
+        np.float64(report.G).tobytes(),
+        report.theta_star.tobytes(),
+        report.losses.tobytes(),
+        report.regret_prefix.tobytes(),
+        report.bound_rhs_prefix.tobytes(),
+        report.tau.tobytes(),
+        report.bound_terms.tobytes(),
+    )
+
+
+@pytest.mark.parametrize("dim", [2, 10])
+def test_reports_do_not_depend_on_the_batch(dim):
+    # Each seed's report from one batched run is bitwise the report of the
+    # run on that seed's generator alone, and reversing the generators
+    # only reverses the reports.
+    spec = OnlineConvexSpec(dim=dim)
+    cfg = regret_config()
+    seeds = [3, 4, 5]
+    seq = QuadraticSequence(spec, [make_rng(s) for s in seeds], 300)
+    drawn_a, drawn_c = seq.A.tobytes(), seq.C.tobytes()
+    batch = run_regret_experiment(seq, cfg)
+    assert seq.A.tobytes() == drawn_a and seq.C.tobytes() == drawn_c
+    reverse = run_regret_experiment(
+        QuadraticSequence(spec, [make_rng(s) for s in reversed(seeds)], 300), cfg
+    )
+    assert len(batch) == len(reverse) == 3
+    for seed, rep, rev in zip(seeds, batch, reversed(reverse)):
+        [own] = run_regret_experiment(
+            QuadraticSequence(spec, [make_rng(seed)], 300), cfg
+        )
+        assert _report_bytes(rep) == _report_bytes(own), seed
+        assert _report_bytes(rev) == _report_bytes(own), seed
 
 
 @pytest.fixture(scope="module")
 def medium_report():
     spec = OnlineConvexSpec(dim=2)
-    return run_regret_experiment(QuadraticSequence(spec, make_rng(0), 500),
-                                 regret_config()), spec
+    cfg = regret_config()
+    seq = QuadraticSequence(spec, [make_rng(0)], 500)
+    [report] = run_regret_experiment(seq, cfg)
+    return report, replay_logs(seq, cfg, report)
 
 
 def test_report_properties(medium_report):
@@ -209,11 +237,11 @@ def test_bound_holds_at_every_prefix(medium_report):
 
 @pytest.mark.parametrize("t", [2, 57, 400, 500])
 def test_prefix_bound_matches_whole_log_evaluation(medium_report, t):
-    report, _ = medium_report
+    report, (v_log, g_log) = medium_report
     cfg = regret_config()
     rhs = theorem_rhs(
-        report.v_log[:t],
-        report.g_log[:t],
+        v_log[:t],
+        g_log[:t],
         float(report.tau[:t].min()),
         float(report.tau[t - 1]),
         cfg.alpha,
@@ -225,11 +253,11 @@ def test_prefix_bound_matches_whole_log_evaluation(medium_report, t):
 
 
 def test_final_terms_match_whole_log_evaluation(medium_report):
-    report, _ = medium_report
+    report, (v_log, g_log) = medium_report
     cfg = regret_config()
     rhs = theorem_rhs(
-        report.v_log,
-        report.g_log,
+        v_log,
+        g_log,
         report.underline_tau,
         report.tau_T,
         cfg.alpha,
@@ -241,12 +269,12 @@ def test_final_terms_match_whole_log_evaluation(medium_report):
 
 
 def test_gaussian_limit_substitution_recovers_corollary(medium_report):
-    report, _ = medium_report
+    report, (v_log, g_log) = medium_report
     cfg = regret_config()
     one_minus_beta = 1.0 - cfg.beta
     pinned = theorem_rhs(
-        report.v_log,
-        report.g_log,
+        v_log,
+        g_log,
         one_minus_beta,
         one_minus_beta,
         cfg.alpha,
@@ -255,7 +283,7 @@ def test_gaussian_limit_substitution_recovers_corollary(medium_report):
         report.D_diam,
     )
     closed = corollary_rhs(
-        report.v_log, report.g_log, cfg.alpha, cfg.beta, cfg.eps, report.D_diam
+        v_log, g_log, cfg.alpha, cfg.beta, cfg.eps, report.D_diam
     )
     np.testing.assert_allclose(pinned, closed, rtol=1e-9)
 
