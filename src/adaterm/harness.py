@@ -12,8 +12,10 @@ leading) through ``optimizers.GroupState``, the same state a regret run
 steps with one dimension's seeds on the trial axis and the optimizer
 classes hold at n = 1.  A test-function experiment makes one pass per
 optimizer: its k noise ratios are stacked on the trial axis (k * n rows,
-ratio outer) over the same (n, steps) noise.  A regression
-cell runs one ratio on that ratio's drawn trials.  A single trial is a
+ratio outer) over the same (n, steps) noise.  A regression experiment
+draws each trial's model and stream once, into arrays with the trial
+axis leading, and makes every ratio's labels from the same draws; a
+regression cell runs one ratio.  A single trial is a
 cell run on that trial's draws alone (a row slice), and rows do not
 depend on how ratios or trials are grouped: any split of the trials into
 contiguous batches, and any grouping of the ratios, gives byte-identical
@@ -400,13 +402,11 @@ def draw_test_function_noise(rng, steps):
 
 
 def draw_regression_trial(spec: RegressionStreamSpec, sizes, rng):
-    """Canonical per-trial draws for regression: model init, then stream."""
+    """Canonical per-trial draws for regression: model init, then stream.
+    Returns the model and the stream's ratio-free (x, u, zeta, f), each
+    batch joined in order: u (n_pairs,), the others (n_pairs, 1)."""
     model = MlpModel(sizes, rng)
-    xs, ys = [], []
-    for x, y, _ in generate_regression_stream(spec, rng):
-        xs.append(x)
-        ys.append(y)
-    return model, xs, ys
+    return (model, *map(np.concatenate, zip(*generate_regression_stream(spec, rng))))
 
 
 # ---------------------------------------------------------------------------
@@ -495,31 +495,25 @@ def _run_test_function_experiment(cfg: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 
-def _run_regression_cell(trials, opt_cfg, x_test):
-    """One (ratio, optimizer) cell as a single batched run over ``trials``,
-    the (model, xs, ys) draws of ``draw_regression_trial``; a single trial
-    is a one-entry list.  The models are copied, not trained in place, so
-    every optimizer can be handed the same draws.  Returns each trial's
-    final test MSE against the clean target on ``x_test``."""
-    n = len(trials)
-    models, data_x, data_y = zip(*trials)
-    Ws, Bs = stack_parameters(models)
-    layer_count = len(Ws)
-    states = [GroupState(opt_cfg, n, Ws[j][0].size) for j in range(layer_count)]
-    states += [GroupState(opt_cfg, n, Bs[j][0].size) for j in range(layer_count)]
-
-    n_batches = len(data_x[0])
-    for t in range(1, n_batches + 1):
-        x = np.stack([data_x[i][t - 1] for i in range(n)])  # (n, b, 1)
-        y = np.stack([data_y[i][t - 1] for i in range(n)])
-        y_hat, inputs, masks = _batched_forward(Ws, Bs, x)
-        _, delta = mse_loss(y_hat, y)
+def _run_regression_cell(Ws, Bs, X, Y, batch_size, opt_cfg, x_test):
+    """One (ratio, optimizer) cell as a single batched run of n trials from
+    the stacked parameters ``Ws`` / ``Bs`` on inputs ``X`` and labels ``Y``
+    (n, n_pairs, 1), ``batch_size`` pairs per step (the last batch may be
+    short); a single trial is a row slice.  The parameters are copied, not
+    trained in place, so every optimizer can be handed the same draws.
+    Returns each trial's final test MSE against the clean target on
+    ``x_test``."""
+    Ws, Bs = [W.copy() for W in Ws], [B.copy() for B in Bs]
+    n, n_pairs = X.shape[:2]
+    states = [GroupState(opt_cfg, n, P[0].size) for P in Ws + Bs]
+    for t, lo in enumerate(range(0, n_pairs, batch_size), start=1):
+        y_hat, inputs, masks = _batched_forward(Ws, Bs, X[:, lo:lo + batch_size])
+        _, delta = mse_loss(y_hat, Y[:, lo:lo + batch_size])
         if not np.all(np.isfinite(delta)):
             raise NonFiniteGradientError(f"Non-finite loss gradient at batch {t}")
         gWs, gBs = _batched_backward(Ws, inputs, masks, delta)
-        for j in range(layer_count):
-            states[j].step(Ws[j], gWs[j].reshape(n, -1), t)
-            states[layer_count + j].step(Bs[j], gBs[j].reshape(n, -1), t)
+        for state, P, g in zip(states, Ws + Bs, gWs + gBs):
+            state.step(P, g.reshape(n, -1), t)
 
     xt = np.broadcast_to(x_test, (n,) + x_test.shape)
     y_hat, _, _ = _batched_forward(Ws, Bs, xt)
@@ -536,31 +530,32 @@ def _spec(cls, what, values, **fixed):
         raise ConfigError(f"{what}: {exc}") from exc
 
 
-def _regression_specs(cfg: ExperimentConfig):
-    """One stream spec per noise ratio."""
-    base = {k: v for k, v in cfg.problem.items() if k != "noise_ratios"}
-    return [
-        _spec(RegressionStreamSpec, "problem section", base, noise_ratio=p)
-        for p in cfg.problem["noise_ratios"]
-    ]
+def _regression_spec(cfg: ExperimentConfig):
+    """The stream spec: the problem section less its noise ratios."""
+    values = {k: v for k, v in cfg.problem.items() if k != "noise_ratios"}
+    return _spec(RegressionStreamSpec, "problem section", values)
 
 
 def _run_regression_experiment(cfg: ExperimentConfig):
+    spec = _regression_spec(cfg)
+    n, n_pairs = cfg.trials, spec.n_pairs
+    X, Z, F = (np.empty((n, n_pairs, 1)) for _ in range(3))
+    U = np.empty((n, n_pairs))
+    models = [None] * n
+    for i in range(n):  # written into row i, so no list of draws is kept
+        models[i], X[i], U[i], Z[i], F[i] = draw_regression_trial(
+            spec, cfg.model_sizes, make_rng(cfg.seed + i))
+    Ws, Bs = stack_parameters(models)
     x_test = np.linspace(0.0, 1.0, TEST_X_POINTS)[:, None]
+    n_steps = math.ceil(n_pairs / spec.batch_size)
     rows = []
-    for spec in _regression_specs(cfg):
-        exp_id = f"regression:p={spec.noise_ratio:g}"
-        n_steps = math.ceil(spec.n_pairs / spec.batch_size)
-        trials = [draw_regression_trial(spec, cfg.model_sizes, make_rng(cfg.seed + i))
-                  for i in range(cfg.trials)]
+    for p in cfg.problem["noise_ratios"]:
+        exp_id = f"regression:p={p:g}"
+        Y = apply_coordinate_noise(F, U, Z, p)  # noise fires where u < p
         for name, opt_cfg in cfg.optimizers:
-            mses = _run_regression_cell(trials, opt_cfg, x_test)
-            for i in range(cfg.trials):
-                rows.append(
-                    ResultRow(exp_id, name, cfg.seed + i, "test_mse", n_steps,
-                              float(mses[i]))
-                )
-        del trials  # free this ratio's draws before the next ratio's are made
+            mses = _run_regression_cell(Ws, Bs, X, Y, spec.batch_size, opt_cfg, x_test)
+            rows.extend(ResultRow(exp_id, name, cfg.seed + i, "test_mse", n_steps,
+                                  float(mses[i])) for i in range(n))
     return rows
 
 
@@ -725,7 +720,7 @@ def _run_verify_gradients_experiment(cfg: ExperimentConfig):
 
 # The problem-spec builders that ``load_config`` runs to check a config.
 _SPECS = {
-    "regression": _regression_specs,
+    "regression": _regression_spec,
     "regret": _regret_specs,
     "surfaces": _grid_specs,
 }

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import sample_bernoulli_mask, sample_student_t
+from .rng import sample_student_t
 
 __all__ = [
     "TEST_FUNCTIONS",
@@ -123,9 +123,9 @@ TEST_FUNCTIONS = {
 def apply_coordinate_noise(point, trigger_u, deltas, p):
     """Shared noise semantics: when the trigger fires (u < p) every
     coordinate receives its independent perturbation.  The caller's point is
-    never mutated; a noisy copy is returned.  The perturbation is
-    transient: it applies to the point at which a gradient is evaluated,
-    not to the stored iterate."""
+    never mutated; a noisy copy is returned.  A test function perturbs the
+    point at which a gradient is evaluated (not the stored iterate), a
+    regression experiment its clean labels."""
     pt = np.asarray(point, dtype=np.float64)
     fire = np.asarray(trigger_u) < p
     return pt + np.where(np.asarray(fire)[..., None], deltas, 0.0)
@@ -146,15 +146,15 @@ def true_regression_fn(x):
 class RegressionStreamSpec:
     """Sampling plan for the scalar regression task.
 
-    y = f(x) + zeta * Bern(noise_ratio) with zeta drawn from a Student's t
-    with one degree of freedom (Cauchy), location 0 and scale 0.05.  x is
-    uniform on [x_low, x_high]; the lower bound must exceed -1 so ln(x + 1)
-    stays defined.
+    At noise ratio p the labels are y = f(x) + zeta * [u < p], u uniform on
+    [0, 1) and zeta a Student's t with one degree of freedom (Cauchy),
+    location 0 and scale 0.05.  No draw depends on p, so the plan holds no
+    ratio and one stream serves every ratio.  x is uniform on [x_low,
+    x_high]; x_low must exceed -1 so ln(x + 1) stays defined.
     """
 
     n_pairs: int = 40000
     batch_size: int = 10
-    noise_ratio: float = 0.0
     x_low: float = 0.0
     x_high: float = 1.0
     noise_nu: float = 1.0
@@ -165,8 +165,6 @@ class RegressionStreamSpec:
             raise ValueError(
                 f"Invalid stream sizes: n_pairs={self.n_pairs}, batch_size={self.batch_size}"
             )
-        if not 0.0 <= self.noise_ratio <= 1.0:
-            raise ValueError(f"Invalid noise_ratio: {self.noise_ratio}")
         if self.x_low <= -1.0:
             raise ValueError(
                 f"x_low must exceed -1 to keep ln(x + 1) defined: {self.x_low}"
@@ -176,21 +174,22 @@ class RegressionStreamSpec:
 
 
 def generate_regression_stream(spec: RegressionStreamSpec, rng):
-    """Yield (x_batch, y_batch, clean_f_batch), each shaped (batch, 1).
+    """Yield each batch's ratio-free draws (x, u, zeta, f): the trigger
+    uniforms u shaped (batch,), x, zeta and the clean f(x) shaped (batch,
+    1); the last batch is short when batch_size does not divide n_pairs.
 
-    Draw order per batch is fixed (x, then the Bernoulli mask, then the
+    Draw order per batch is fixed (x, then the trigger uniforms, then the
     noise magnitudes) so a seed pins the whole stream.
     """
     produced = 0
     while produced < spec.n_pairs:
         b = min(spec.batch_size, spec.n_pairs - produced)
         x = rng.uniform(spec.x_low, spec.x_high, size=b)
-        mask = sample_bernoulli_mask(rng, b, spec.noise_ratio)
+        u = rng.random(b)
         zeta = sample_student_t(rng, spec.noise_nu, 0.0, spec.noise_scale, size=b)
         f = true_regression_fn(x)
-        y = f + np.where(mask, zeta, 0.0)
         produced += b
-        yield x.reshape(-1, 1), y.reshape(-1, 1), f.reshape(-1, 1)
+        yield x.reshape(-1, 1), u, zeta.reshape(-1, 1), f.reshape(-1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -216,9 +216,11 @@ def test_run_rejects_bad_value(tmp_path, capsys, template, old, new, fragment):
          "bogus"),
         # Regret dimensions are the top-level dims only.
         (SMALL_REGRET, "grad_bound: 4.0", "grad_bound: 4.0\n  dims: [3]", "dims"),
+        # Regression ratios are the problem's noise_ratios list only.
+        (SMALL_REGRESSION, "n_pairs: 20", "n_pairs: 20\n  noise_ratio: 0.5", "noise_ratio"),
     ],
     ids=["regression", "regret", "surfaces", "surfaces-unlisted-grid",
-         "regret-problem-dims"],
+         "regret-problem-dims", "regression-noise-ratio"],
 )
 def test_run_rejects_bad_problem_key(tmp_path, capsys, template, old, new, key):
     cfg = write_config(tmp_path, template.replace(old, new))

@@ -30,14 +30,16 @@ from adaterm.harness import (
     write_results_csv,
     write_summary_csv,
 )
-from adaterm.mlp import MlpModel
-from adaterm.optimizers import ALGORITHMS, OptimizerConfig
+from adaterm.mlp import MlpModel, backward, forward, mse_loss, stack_parameters
+from adaterm.optimizers import ALGORITHMS, GroupState, OptimizerConfig
 from adaterm.problems import (
     NOISE_HALF_RANGE,
     OnlineConvexSpec,
     QuadraticSequence,
     RegressionStreamSpec,
+    apply_coordinate_noise,
     generate_regression_stream,
+    true_regression_fn,
 )
 from adaterm.regret import run_regret_experiment, write_regret_csv
 from adaterm.rng import make_rng
@@ -369,17 +371,18 @@ def test_noise_draw_order():
 
 
 def test_regression_draw_order():
-    spec = RegressionStreamSpec(n_pairs=25, batch_size=10, noise_ratio=0.3)
-    model, xs, ys = draw_regression_trial(spec, (1, 4, 1), make_rng(6))
+    spec = RegressionStreamSpec(n_pairs=25, batch_size=10)
+    model, *draws = draw_regression_trial(spec, (1, 4, 1), make_rng(6))
     rng = make_rng(6)
     ref_model = MlpModel((1, 4, 1), rng)
     for a, b in zip(model.weights, ref_model.weights):
         np.testing.assert_array_equal(a, b)
+    # Then the stream's batches (x, u, zeta, f), the short last one included.
     ref_batches = list(generate_regression_stream(spec, rng))
-    assert len(xs) == len(ref_batches) == 3
-    for x, y, (rx, ry, _) in zip(xs, ys, ref_batches):
-        np.testing.assert_array_equal(x, rx)
-        np.testing.assert_array_equal(y, ry)
+    assert [len(b[0]) for b in ref_batches] == [10, 10, 5]
+    assert [d.shape for d in draws] == [(25, 1), (25,), (25, 1), (25, 1)]
+    for drawn, ref in zip(draws, zip(*ref_batches)):
+        np.testing.assert_array_equal(drawn, np.concatenate(ref))
 
 
 # ---------------------------------------------------------------------------
@@ -451,21 +454,65 @@ def test_stacked_ratios_match_one_cell_per_ratio(label, kwargs):
             assert e_one[0].tobytes() == vec[j].tobytes()
 
 
+def regression_draws(spec, sizes, seeds, p):
+    """The cell inputs (Ws, Bs, X, Y) of the given trials at noise ratio p,
+    each trial drawn from its own generator as a regression experiment
+    draws it."""
+    models, xs, us, zetas, fs = zip(
+        *(draw_regression_trial(spec, sizes, make_rng(s)) for s in seeds))
+    Y = apply_coordinate_noise(np.stack(fs), np.stack(us), np.stack(zetas), p)
+    return (*stack_parameters(models), np.stack(xs), Y)
+
+
 @pytest.mark.parametrize("algo", ALGORITHMS)
 def test_batched_regression_matches_sequential(algo):
     cfg = OptimizerConfig(algorithm=algo)
-    spec = RegressionStreamSpec(n_pairs=40, batch_size=10, noise_ratio=0.2)
+    spec = RegressionStreamSpec(n_pairs=40, batch_size=10)
     sizes = (1, 8, 1)
     x_test = np.linspace(0.0, 1.0, 101)[:, None]
-    trials = [draw_regression_trial(spec, sizes, make_rng(7 + i)) for i in range(3)]
-    mses = _run_regression_cell(trials, cfg, x_test)
+    Ws, Bs, X, Y = regression_draws(spec, sizes, [7, 8, 9], 0.2)
+    before = [a.tobytes() for a in (*Ws, *Bs, X, Y)]
+    mses = _run_regression_cell(Ws, Bs, X, Y, 10, cfg, x_test)
     for i in range(3):
         # Trial i alone, on the draws of its own generator make_rng(7 + i).
-        own = draw_regression_trial(spec, sizes, make_rng(7 + i))
-        one = _run_regression_cell([own], cfg, x_test)
+        one = _run_regression_cell(*regression_draws(spec, sizes, [7 + i], 0.2), 10,
+                                   cfg, x_test)
         assert one[0] == mses[i]
-    # The cell trains copies, so the next optimizer is handed the same draws.
-    assert _run_regression_cell(trials, cfg, x_test).tobytes() == mses.tobytes()
+        # ... which is also a row slice of the batched draws.
+        rows = [W[i:i + 1] for W in Ws], [B[i:i + 1] for B in Bs], X[i:i + 1], Y[i:i + 1]
+        assert _run_regression_cell(*rows, 10, cfg, x_test)[0] == mses[i]
+    # The cell trains copies and keeps the draws' bytes, so the next
+    # optimizer is handed the same draws.
+    assert [a.tobytes() for a in (*Ws, *Bs, X, Y)] == before
+    assert _run_regression_cell(Ws, Bs, X, Y, 10, cfg, x_test).tobytes() == mses.tobytes()
+
+
+def test_regression_cell_trains_the_short_final_batch():
+    """n_pairs = 25 at batch size 10 trains on 10, 10 and then 5 pairs: the
+    cell gives each trial the final test MSE of an independent n = 1 loop
+    over the stream's own batches."""
+    spec = RegressionStreamSpec(n_pairs=25, batch_size=10)
+    sizes, p, seeds = (1, 6, 1), 0.5, [3, 4]
+    cfg = OptimizerConfig(algorithm="AdaTerm")
+    x_test = np.linspace(0.0, 1.0, 51)[:, None]
+    mses = _run_regression_cell(*regression_draws(spec, sizes, seeds, p), 10, cfg, x_test)
+    f_test = true_regression_fn(x_test)[None]
+    for i, seed in enumerate(seeds):
+        rng = make_rng(seed)
+        Ws, Bs = stack_parameters([MlpModel(sizes, rng)])
+        states = [GroupState(cfg, 1, P.size) for P in Ws + Bs]
+        batch_sizes = []
+        for t, (x, u, zeta, f) in enumerate(generate_regression_stream(spec, rng), start=1):
+            y = f + np.where(u[:, None] < p, zeta, 0.0)
+            y_hat, inputs, masks = forward(Ws, Bs, x[None])
+            _, delta = mse_loss(y_hat, y[None])
+            gWs, gBs = backward(Ws, inputs, masks, delta)
+            for state, P, g in zip(states, Ws + Bs, gWs + gBs):
+                state.step(P, g.reshape(1, -1), t)
+            batch_sizes.append(len(x))
+        assert batch_sizes == [10, 10, 5]
+        y_hat, _, _ = forward(Ws, Bs, x_test[None])
+        assert mse_loss(y_hat, f_test)[0][0] == mses[i]
 
 
 @settings(max_examples=40, deadline=None)

@@ -166,8 +166,8 @@ def test_stream_spec_validation():
         RegressionStreamSpec(n_pairs=0)
     with pytest.raises(ValueError):
         RegressionStreamSpec(batch_size=0)
-    with pytest.raises(ValueError):
-        RegressionStreamSpec(noise_ratio=1.2)
+    with pytest.raises(TypeError):
+        RegressionStreamSpec(noise_ratio=0.5)  # the plan holds no ratio
     with pytest.raises(ValueError):
         RegressionStreamSpec(x_low=-1.0)
     with pytest.raises(ValueError):
@@ -178,39 +178,66 @@ def test_stream_shapes_and_partial_final_batch():
     spec = RegressionStreamSpec(n_pairs=25, batch_size=10)
     batches = list(generate_regression_stream(spec, make_rng(0)))
     assert [b[0].shape[0] for b in batches] == [10, 10, 5]
-    for x, y, f in batches:
-        assert x.shape == y.shape == f.shape == (x.shape[0], 1)
+    for x, u, zeta, f in batches:
+        b = x.shape[0]
+        assert x.shape == zeta.shape == f.shape == (b, 1)
+        assert u.shape == (b,)
         assert np.all((0.0 <= x) & (x <= 1.0))
+        assert np.all((0.0 <= u) & (u < 1.0))
 
 
 def test_clean_stream_equals_target():
-    spec = RegressionStreamSpec(n_pairs=30, batch_size=7, noise_ratio=0.0)
-    for x, y, f in generate_regression_stream(spec, make_rng(3)):
-        np.testing.assert_array_equal(y, f)
+    spec = RegressionStreamSpec(n_pairs=30, batch_size=7)
+    for x, u, zeta, f in generate_regression_stream(spec, make_rng(3)):
         np.testing.assert_array_equal(f, true_regression_fn(x[:, 0])[:, None])
+        # Ratio 0 leaves every label clean; ratio 1 puts noise on every one.
+        np.testing.assert_array_equal(apply_coordinate_noise(f, u, zeta, 0.0), f)
+        noisy = apply_coordinate_noise(f, u, zeta, 1.0)
+        np.testing.assert_array_equal(noisy, f + zeta)
+        assert np.all(noisy != f)
 
 
 def test_stream_replays_canonical_draw_order():
-    spec = RegressionStreamSpec(n_pairs=10, batch_size=10, noise_ratio=0.4)
-    (x, y, f), = generate_regression_stream(spec, make_rng(11))
+    spec = RegressionStreamSpec(n_pairs=10, batch_size=10)
+    (x, u, zeta, f), = generate_regression_stream(spec, make_rng(11))
     rng = make_rng(11)
     ex = rng.uniform(0.0, 1.0, size=10)
-    emask = rng.random(10) < 0.4
+    eu = rng.random(10)
     z = rng.standard_normal(10)
     chi2 = rng.chisquare(1.0, 10)
     ezeta = 0.05 * z / np.sqrt(chi2 / 1.0)
     ef = true_regression_fn(ex)
     np.testing.assert_array_equal(x[:, 0], ex)
+    np.testing.assert_array_equal(u, eu)
+    np.testing.assert_array_equal(zeta[:, 0], ezeta)
     np.testing.assert_array_equal(f[:, 0], ef)
-    np.testing.assert_array_equal(y[:, 0], ef + np.where(emask, ezeta, 0.0))
+    np.testing.assert_array_equal(
+        apply_coordinate_noise(f, u, zeta, 0.4)[:, 0], ef + np.where(eu < 0.4, ezeta, 0.0)
+    )
+
+
+def test_stream_noisy_labels_nest_across_ratios():
+    """A label noisy at ratio p is noisy at every p' > p, with the same
+    noise: one stream serves every ratio."""
+    spec = RegressionStreamSpec(n_pairs=500, batch_size=50)
+    ratios = [0.0, 0.05, 0.3, 0.31, 0.7, 1.0]
+    for x, u, zeta, f in generate_regression_stream(spec, make_rng(13)):
+        ys = [apply_coordinate_noise(f, u, zeta, p) for p in ratios]
+        noisy = [y != f for y in ys]
+        for k in range(len(ratios) - 1):
+            assert not np.any(noisy[k] & ~noisy[k + 1])
+            np.testing.assert_array_equal(ys[k][noisy[k]], ys[k + 1][noisy[k]])
+        assert not noisy[0].any() and noisy[-1].all()
 
 
 def test_stream_is_deterministic_per_seed():
-    spec = RegressionStreamSpec(n_pairs=40, batch_size=10, noise_ratio=0.6)
-    a = [y for _, y, _ in generate_regression_stream(spec, make_rng(9))]
-    b = [y for _, y, _ in generate_regression_stream(spec, make_rng(9))]
-    for ya, yb in zip(a, b):
-        np.testing.assert_array_equal(ya, yb)
+    spec = RegressionStreamSpec(n_pairs=40, batch_size=10)
+    a = list(generate_regression_stream(spec, make_rng(9)))
+    b = list(generate_regression_stream(spec, make_rng(9)))
+    assert len(a) == len(b) == 4
+    for batch_a, batch_b in zip(a, b):
+        for da, db in zip(batch_a, batch_b):
+            np.testing.assert_array_equal(da, db)
 
 
 # ---------------------------------------------------------------------------
