@@ -8,15 +8,8 @@ from .optimizers import (
     ALGORITHMS,
     LR_SCHEDULES,
     VARIANTS,
-    AdaBelief,
-    AdaTerm,
-    Adam,
     GroupState,
     OptimizerConfig,
-    ParamGroup,
-    TAdam,
-    make_optimizer,
-    make_param_groups,
 )
 from .tdist import NonFiniteGradientError
 
@@ -28,13 +21,6 @@ __all__ = [
     "ABLATIONS",
     "LR_SCHEDULES",
     "OptimizerConfig",
-    "ParamGroup",
-    "AdaTerm",
-    "Adam",
-    "AdaBelief",
-    "TAdam",
-    "make_optimizer",
-    "make_param_groups",
     "GroupState",
     "NonFiniteGradientError",
     "__version__",

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -308,7 +308,9 @@ def load_config(path) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"{kind} configs do not use key(s) {sorted(unknown)}")
 
-    cfg = ExperimentConfig(kind=kind, output_dir=Path(raw.get("output_dir", "results")))
+    if not isinstance(out := raw.get("output_dir", "results"), str):
+        raise ConfigError(f"output_dir must be a string, got {out!r}")
+    cfg = ExperimentConfig(kind=kind, output_dir=Path(out))
     for key, low in (("seed", 0), ("trials", 1), ("steps", 0), ("record_every", 0),
                      ("horizon", 1), ("points", 1)):
         if key in raw:
@@ -523,7 +525,14 @@ def _run_regression_cell(Ws, Bs, X, Y, batch_size, opt_cfg, x_test):
 
 def _spec(cls, what, values, **fixed):
     """``cls(**values, **fixed)``, or a ConfigError naming ``what`` if
-    ``values`` is not a mapping or the class refuses it."""
+    ``values`` is not a mapping or the class refuses it.  A value whose
+    field defaults to an int or a float goes through ``_number`` as that
+    type first."""
+    if not isinstance(values, dict):
+        raise ConfigError(f"{what} must be a mapping, got {values!r}")
+    kinds = {f.name: type(f.default) for f in fields(cls)}
+    values = {k: _number(v, kinds[k], f"{what}: {k}") if kinds.get(k) in (int, float)
+              else v for k, v in values.items()}
     try:
         return cls(**values, **fixed)
     except (TypeError, ValueError) as exc:

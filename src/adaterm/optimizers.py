@@ -1,19 +1,20 @@
-"""Gradient optimizers over named parameter groups.
+"""Gradient optimizers: AdaTerm, Adam, AdaBelief and t-Adam.
 
-Four algorithms share one driver: AdaTerm (the Student's-t estimator with
-adaptive interpolation factors, plus its variants and ablations), Adam,
-AdaBelief and t-Adam.  Optimizers never evaluate losses; gradients are
-supplied by the caller, so analytic test functions and backprop share the
-same code path.
+AdaTerm is the Student's-t estimator with adaptive interpolation factors,
+plus its variants and ablations.  Optimizers never evaluate losses;
+gradients are supplied by the caller, so analytic test functions and
+backprop share the same code path.
 
 The update rules are written as pure array functions with optional leading
-batch axes (shapes (..., d)).  ``GroupState.step`` is the only place they
-are driven: it advances one parameter group of n independent trials, trial
+batch axes (shapes (..., d)).  ``GroupState(cfg, n, d).step(values, g, t)``
+is the package's one optimizer interface and the only place the rules are
+driven: it advances one parameter group of n independent trials, trial
 axis leading, and applies weight decay and the learning-rate schedule to
 the parameters.  The experiment harness advances a whole cell of trials in
-one vectorized call; the regret loop and the optimizer classes are the
-n = 1 case.  ``GroupState`` is the package's one state layout, and its
-checkpoint (``to_bytes``, ``save``) is the package's one checkpoint format.
+one vectorized call, the regret loop all of one dimension's seeds; a
+single model is the case n = 1.  ``GroupState`` is the package's one state
+layout, and its checkpoint (``to_bytes``, ``save``) is the package's one
+checkpoint format.
 """
 
 from __future__ import annotations
@@ -34,14 +35,7 @@ __all__ = [
     "ABLATIONS",
     "LR_SCHEDULES",
     "OptimizerConfig",
-    "ParamGroup",
-    "make_param_groups",
-    "make_optimizer",
     "GroupState",
-    "AdaTerm",
-    "Adam",
-    "AdaBelief",
-    "TAdam",
 ]
 
 ALGORITHMS = ("AdaTerm", "Adam", "AdaBelief", "TAdam")
@@ -131,29 +125,6 @@ class OptimizerConfig:
         if self.lr_schedule == "InverseSqrt":
             return self.alpha / np.sqrt(t)
         return self.alpha
-
-
-@dataclass
-class ParamGroup:
-    """A named parameter subset with its gradient slot and optimizer state."""
-
-    name: str
-    values: np.ndarray
-    grad: Optional[np.ndarray] = None
-    state: object = None
-
-    @property
-    def d(self) -> int:
-        return self.values.size
-
-
-def make_param_groups(model) -> list[ParamGroup]:
-    """One group per weight matrix and one per bias vector, in layer order."""
-    groups = []
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        groups.append(ParamGroup(name=f"layer{i}.weight", values=w))
-        groups.append(ParamGroup(name=f"layer{i}.bias", values=b))
-    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +231,7 @@ def tadam_moments(m, v, W, g, beta1, beta2, nu, eps):
 
 
 # ---------------------------------------------------------------------------
-# One group's state for n trials, and the n = 1 optimizer classes
+# One group's state for n trials: the one optimizer interface
 # ---------------------------------------------------------------------------
 
 
@@ -271,8 +242,8 @@ class GroupState:
     (nu_tilde, the bias accumulator c, t-Adam's weight sum W) are shaped
     (n,).  ``tau`` is the last AdaTerm step's tau_mv, (n,).  Every run
     steps its parameters through ``step``: the harness a whole cell of
-    trials at once, the regret loop all of one dimension's seeds at once,
-    and the optimizer classes below one n = 1 state per parameter group.
+    trials at once, the regret loop all of one dimension's seeds at once.
+    A single model is the case n = 1: values and gradients shaped (1, d).
     """
 
     def __init__(self, cfg: OptimizerConfig, n, d):
@@ -371,87 +342,3 @@ class GroupState:
             values -= alpha_t * cfg.weight_decay * values
         values -= alpha_t * eta.reshape(values.shape)
 
-
-class GradientOptimizer:
-    """Steps named parameter groups, each through its own n = 1 GroupState.
-
-    Subclasses name the algorithm they run; the config must agree.  Groups
-    are independent: reordering or renaming them never changes any single
-    group's trajectory.
-    """
-
-    algorithm = None
-
-    def __init__(self, groups, cfg: OptimizerConfig):
-        if cfg.algorithm != self.algorithm:
-            raise ValueError(
-                f"{type(self).__name__} needs algorithm={self.algorithm!r}, "
-                f"got {cfg.algorithm!r}"
-            )
-        if isinstance(groups, np.ndarray):
-            groups = [ParamGroup(name="theta", values=groups)]
-        self.groups = list(groups)
-        names = [g.name for g in self.groups]
-        if len(set(names)) != len(names):
-            raise ValueError(f"Duplicate group names: {names}")
-        self.cfg = cfg
-        self.t = 0
-        for group in self.groups:
-            group.state = GroupState(cfg, 1, group.d)
-
-    def step(self, grads=None):
-        """Advance every group one step.
-
-        ``grads`` may be a sequence aligned with the groups, a name-keyed
-        mapping, or None to use each group's ``grad`` slot.  A rejected
-        gradient leaves its group's parameters unchanged.
-        """
-        if grads is None:
-            grads = [g.grad for g in self.groups]
-        elif isinstance(grads, dict):
-            grads = [grads[g.name] for g in self.groups]
-        self.t += 1
-        for group, grad in zip(self.groups, grads):
-            if grad is None:
-                raise ValueError(f"Missing gradient for group {group.name!r}")
-            grad = np.asarray(grad, dtype=np.float64)
-            if grad.shape != group.values.shape:
-                raise ValueError(
-                    f"Gradient shape {grad.shape} does not match group "
-                    f"{group.name!r} shape {group.values.shape}"
-                )
-            group.state.step(group.values, grad.reshape(1, -1), self.t)
-
-
-class AdaTerm(GradientOptimizer):
-    """Noise-robust optimizer: Student's-t moment estimation per group."""
-
-    algorithm = "AdaTerm"
-
-    @property
-    def nu_tilde(self):
-        """Per-group nu_tilde values, by group name."""
-        return {g.name: float(g.state.nu[0]) for g in self.groups}
-
-
-class Adam(GradientOptimizer):
-    algorithm = "Adam"
-
-
-class AdaBelief(GradientOptimizer):
-    """Adam skeleton tracking the spread (g - m)^2 instead of g^2."""
-
-    algorithm = "AdaBelief"
-
-
-class TAdam(GradientOptimizer):
-    """Adam with a Student's-t first moment (fixed nu = d by default)."""
-
-    algorithm = "TAdam"
-
-
-_CLASSES = {"AdaTerm": AdaTerm, "Adam": Adam, "AdaBelief": AdaBelief, "TAdam": TAdam}
-
-
-def make_optimizer(groups, cfg: OptimizerConfig) -> GradientOptimizer:
-    return _CLASSES[cfg.algorithm](groups, cfg)

@@ -332,10 +332,10 @@ def sublinearity_ratio(report: RegretReport, t_low=1000, t_high=5000):
 
 
 def write_regret_csv(report: RegretReport, path):
-    # Rows by index: arrays shorter than T raise IndexError, not a short file.
+    # Columns zipped strictly: an array shorter than T raises, not a short file.
+    columns = (report.losses, report.regret_prefix, report.bound_rhs_prefix, report.tau)
     write_csv(
         path,
         ["t", "loss", "regret_prefix", "bound_rhs_prefix", "tau_t"],
-        ((i + 1, report.losses[i], report.regret_prefix[i],
-          report.bound_rhs_prefix[i], report.tau[i]) for i in range(report.T)),
+        zip(range(1, report.T + 1), *(c.tolist() for c in columns), strict=True),
     )

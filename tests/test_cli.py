@@ -187,6 +187,18 @@ def test_run_rejects_unused_top_level_key(tmp_path, capsys, template, old, new, 
          "unknown key(s) ['beta'] for Adam"),
         (SMALL_REGRET, "alpha: 0.1", "alpha: 0.1\n  beta2: 0.9",
          "unknown key(s) ['beta2'] for AdaTerm"),
+        (SMALL_REGRESSION, "n_pairs: 20", "n_pairs: 25.5",
+         "n_pairs must be an integer, got 25.5"),
+        (SMALL_REGRESSION, "n_pairs: 20", "n_pairs: true",
+         "n_pairs must be an integer, got True"),
+        (SMALL_REGRESSION, "n_pairs: 20", "n_pairs: 20\n  batch_size: 2.5",
+         "batch_size must be an integer, got 2.5"),
+        (SMALL_SURFACES, "n_nu: 3", "n_nu: 2.5", "n_nu must be an integer, got 2.5"),
+        (SMALL_REGRET, "box_halfwidth: 1.0", "box_halfwidth: .inf",
+         "box_halfwidth must be finite"),
+        (SMALL_RUN, "output_dir: {out}", "output_dir: [a, b]",
+         "output_dir must be a string, got ['a', 'b']"),
+        (SMALL_SURFACES, "{{n_nu: 3, n_D: 4}}", "5", "grid TauSurface must be a mapping"),
     ],
     ids=["tolerance", "testfn-ratio", "regression-ratio", "dims", "layer-sizes",
          "misspelt-noise-ratios", "regret-bias-correction", "regret-algorithm",
@@ -195,7 +207,10 @@ def test_run_rejects_unused_top_level_key(tmp_path, capsys, template, old, new, 
          "verify-dims-below-1", "horizon-below-1", "regret-dims-below-1",
          "layer-size-below-1", "zero-points", "infinite-tolerance", "zero-tolerance",
          "infinite-alpha", "infinite-eps", "infinite-nu-tilde-init",
-         "bias-correction-string", "adaterm-beta1", "adam-beta", "regret-beta2"],
+         "bias-correction-string", "adaterm-beta1", "adam-beta", "regret-beta2",
+         "fractional-n-pairs", "bool-n-pairs", "fractional-batch-size",
+         "fractional-grid-resolution", "infinite-box", "output-dir-list",
+         "grid-not-mapping"],
 )
 def test_run_rejects_bad_value(tmp_path, capsys, template, old, new, fragment):
     cfg = write_config(tmp_path, template.replace(old, new))

@@ -307,7 +307,8 @@ def _write_interrupted_summary(path, monkeypatch):
 
 
 def _write_interrupted_regret(path, monkeypatch):
-    # The arrays are shorter than T, so the writer stops part-way.
+    # The arrays are shorter than T, so the strict column zip stops the
+    # writer part-way with a ValueError.
     short = np.zeros(4000)
     report = SimpleNamespace(T=5000, losses=short, regret_prefix=short,
                              bound_rhs_prefix=short, tau=short)
@@ -328,7 +329,7 @@ def _write_interrupted_grid(path, monkeypatch):
     [
         (_write_interrupted_results, _Interrupted),
         (_write_interrupted_summary, _Interrupted),
-        (_write_interrupted_regret, IndexError),
+        (_write_interrupted_regret, ValueError),
         (_write_interrupted_grid, _Interrupted),
     ],
     ids=["results", "summary", "regret-trace", "grid"],

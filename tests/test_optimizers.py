@@ -1,32 +1,25 @@
-"""Optimizer suite: configuration, frozen step traces, variants, ablations,
-and the group-driving loop.  Each optimizer class holds one n = 1
-GroupState per parameter group: arrays (1, d), per-trial scalars (1,)."""
+"""Optimizer suite: configuration, frozen step traces, variants and
+ablations.  Every test drives the one optimizer interface, ``GroupState``;
+a single model is an n = 1 state stepped directly, with parameters and
+gradients shaped (1, d) and per-trial scalars (1,)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaterm.mlp import MlpModel
 from adaterm.optimizers import (
     ABLATIONS,
     ALGORITHMS,
     LR_SCHEDULES,
     VARIANTS,
-    AdaBelief,
-    Adam,
-    AdaTerm,
     GroupState,
     OptimizerConfig,
-    ParamGroup,
-    TAdam,
     adam_eta,
     adam_moments,
     adabelief_moments,
     adaterm_eta,
     adaterm_moments,
-    make_optimizer,
-    make_param_groups,
     tadam_moments,
     update_bias_accumulator,
 )
@@ -41,6 +34,12 @@ from _golden import (
     ALT_SCALE_TRACE_D1,
     TMOMENTUM_TRACE_D2,
 )
+
+
+def _model(cfg, theta0):
+    """An n = 1 state and its (1, d) parameters, a copy of ``theta0``."""
+    theta = np.array(theta0, dtype=np.float64).reshape(1, -1)
+    return GroupState(cfg, 1, theta.shape[1]), theta
 
 
 # ---------------------------------------------------------------------------
@@ -107,15 +106,14 @@ def test_learning_rate_schedules():
 
 def test_adaterm_first_step_against_golden():
     cfg = OptimizerConfig(algorithm="AdaTerm", alpha=1e-3)
-    opt = AdaTerm(np.array([0.5]), cfg)
-    opt.step([np.array([0.01])])
+    st, theta = _model(cfg, [0.5])
+    st.step(theta, np.array([[0.01]]), 1)
     G = ADATERM_STEP1_D1
-    st = opt.groups[0].state
     assert st.m[0, 0] == pytest.approx(G["m1"], rel=1e-12)
     assert st.v[0, 0] == pytest.approx(G["v1"], rel=1e-12)
     assert st.nu[0] == pytest.approx(G["nu1"], rel=1e-12)
     assert st.c[0] == pytest.approx(G["c1"], rel=1e-12)
-    assert opt.groups[0].values[0] == pytest.approx(G["theta1"], rel=1e-12)
+    assert theta[0, 0] == pytest.approx(G["theta1"], rel=1e-12)
 
 
 def test_eta_variants_against_golden():
@@ -154,12 +152,10 @@ def test_alternative_scale_rule_against_golden():
 def test_adaterm_three_step_trace():
     G = ADATERM_TRACE_D2
     cfg = OptimizerConfig(algorithm="AdaTerm", alpha=1e-3)
-    opt = AdaTerm(np.array(G["theta0"]), cfg)
+    st, theta = _model(cfg, G["theta0"])
     for k, g in enumerate(G["grads"]):
-        opt.step([np.array(g)])
-        np.testing.assert_allclose(opt.groups[0].values, G["thetas"][k],
-                                   rtol=1e-12)
-    st = opt.groups[0].state
+        st.step(theta, np.array([g]), k + 1)
+        np.testing.assert_allclose(theta[0], G["thetas"][k], rtol=1e-12)
     np.testing.assert_allclose(st.m[0], G["m3"], rtol=1e-12)
     np.testing.assert_allclose(st.v[0], G["v3"], rtol=1e-12)
     assert st.nu[0] == pytest.approx(G["nu3"], rel=1e-12)
@@ -167,20 +163,18 @@ def test_adaterm_three_step_trace():
 
 
 @pytest.mark.parametrize(
-    "cls,algo,trace",
-    [(Adam, "Adam", ADAM_TRACE_D2), (AdaBelief, "AdaBelief", ADABELIEF_TRACE_D2)],
+    "algo,trace",
+    [("Adam", ADAM_TRACE_D2), ("AdaBelief", ADABELIEF_TRACE_D2)],
     ids=["adam", "adabelief"],
 )
-def test_adam_family_trace(cls, algo, trace):
+def test_adam_family_trace(algo, trace):
     cfg = OptimizerConfig(algorithm=algo, alpha=1e-3)
-    opt = cls(np.array(trace["theta0"]), cfg)
+    st, theta = _model(cfg, trace["theta0"])
     for k, g in enumerate(trace["grads"]):
-        opt.step([np.array(g)])
-        st = opt.groups[0].state
+        st.step(theta, np.array([g]), k + 1)
         np.testing.assert_allclose(st.m[0], trace["ms"][k], rtol=1e-12)
         np.testing.assert_allclose(st.v[0], trace["vs"][k], rtol=1e-12)
-        np.testing.assert_allclose(opt.groups[0].values, trace["thetas"][k],
-                                   rtol=1e-12)
+        np.testing.assert_allclose(theta[0], trace["thetas"][k], rtol=1e-12)
 
 
 def test_t_momentum_trace():
@@ -197,12 +191,11 @@ def test_t_momentum_trace():
 
 def test_tadam_class_matches_functional_rule():
     cfg = OptimizerConfig(algorithm="TAdam", alpha=1e-3)
-    opt = TAdam(np.zeros(2), cfg)
-    assert opt.groups[0].state.W[0] == 0.9 / (1.0 - 0.9)
+    st, theta = _model(cfg, np.zeros(2))
+    assert st.W[0] == 0.9 / (1.0 - 0.9)
     G = TMOMENTUM_TRACE_D2
-    for g in G["grads"]:
-        opt.step([np.array(g)])
-    st = opt.groups[0].state
+    for k, g in enumerate(G["grads"]):
+        st.step(theta, np.array([g]), k + 1)
     np.testing.assert_allclose(st.m[0], G["ms"][-1], rtol=1e-12)
     np.testing.assert_allclose(st.v[0], G["vs"][-1], rtol=1e-12)
     assert st.W[0] == pytest.approx(G["Ws"][-1], rel=1e-12)
@@ -216,10 +209,10 @@ def test_tadam_class_matches_functional_rule():
 def test_adam_first_step_direction():
     # Bias corrections cancel at t=1: eta = g / (|g| + eps).
     cfg = OptimizerConfig(algorithm="Adam", alpha=1.0)
-    opt = Adam(np.zeros(1), cfg)
-    opt.step([np.array([0.3])])
+    st, theta = _model(cfg, np.zeros(1))
+    st.step(theta, np.array([[0.3]]), 1)
     want = 0.3 / (0.3 + 1e-8)
-    assert opt.groups[0].values[0] == pytest.approx(-want, rel=1e-12)
+    assert theta[0, 0] == pytest.approx(-want, rel=1e-12)
 
 
 def test_adam_constant_gradient_approaches_sign():
@@ -262,32 +255,32 @@ def test_tadam_inlier_weight_reduces_to_adam():
 
 
 def test_tadam_tracks_adam_on_clean_stream():
-    g = np.array([1.0, -0.5, 2.0])
-    ot = TAdam(np.zeros(3), OptimizerConfig(algorithm="TAdam"))
-    oa = Adam(np.zeros(3), OptimizerConfig(algorithm="Adam"))
-    for _ in range(100):
-        ot.step([g])
-        oa.step([g])
-    mt, ma = ot.groups[0].state.m, oa.groups[0].state.m
+    g = np.array([[1.0, -0.5, 2.0]])
+    ot, tt = _model(OptimizerConfig(algorithm="TAdam"), np.zeros(3))
+    oa, ta = _model(OptimizerConfig(algorithm="Adam"), np.zeros(3))
+    for t in range(1, 101):
+        ot.step(tt, g, t)
+        oa.step(ta, g, t)
+    mt, ma = ot.m, oa.m
     assert np.linalg.norm(mt - ma) < 1e-3 * np.linalg.norm(ma)
 
 
 def test_tadam_attenuates_spike():
     rng = make_rng(4)
     base = rng.normal(size=3)
-    ot = TAdam(np.zeros(3), OptimizerConfig(algorithm="TAdam"))
-    oa = Adam(np.zeros(3), OptimizerConfig(algorithm="Adam"))
-    for _ in range(50):
-        g = base + 0.01 * rng.normal(size=3)
-        ot.step([g])
-        oa.step([g])
-    spike = 100.0 * np.abs(base).max() * np.ones(3)
-    mt0 = ot.groups[0].state.m.copy()
-    ma0 = oa.groups[0].state.m.copy()
-    ot.step([spike])
-    oa.step([spike])
-    moved_t = np.linalg.norm(ot.groups[0].state.m - mt0)
-    moved_a = np.linalg.norm(oa.groups[0].state.m - ma0)
+    ot, tt = _model(OptimizerConfig(algorithm="TAdam"), np.zeros(3))
+    oa, ta = _model(OptimizerConfig(algorithm="Adam"), np.zeros(3))
+    for t in range(1, 51):
+        g = (base + 0.01 * rng.normal(size=3))[None]
+        ot.step(tt, g, t)
+        oa.step(ta, g, t)
+    spike = 100.0 * np.abs(base).max() * np.ones((1, 3))
+    mt0 = ot.m.copy()
+    ma0 = oa.m.copy()
+    ot.step(tt, spike, 51)
+    oa.step(ta, spike, 51)
+    moved_t = np.linalg.norm(ot.m - mt0)
+    moved_a = np.linalg.norm(oa.m - ma0)
     assert moved_t < 0.1 * moved_a
 
 
@@ -318,20 +311,20 @@ def test_norobustness_direction_aligns_with_adabelief():
     d = 20
     rng = make_rng(1)
     base = rng.normal(size=d)
-    onr = AdaTerm(np.zeros(d), OptimizerConfig(algorithm="AdaTerm",
-                                               ablation="NoRobustness"))
-    oab = AdaBelief(np.zeros(d), OptimizerConfig(algorithm="AdaBelief",
-                                                 beta1=0.9, beta2=0.9))
+    onr, tnr = _model(OptimizerConfig(algorithm="AdaTerm", ablation="NoRobustness"),
+                      np.zeros(d))
+    oab, tab = _model(OptimizerConfig(algorithm="AdaBelief", beta1=0.9, beta2=0.9),
+                      np.zeros(d))
     for t in range(1, 301):
-        g = base + rng.normal(size=d)
-        before_nr = onr.groups[0].values.copy()
-        before_ab = oab.groups[0].values.copy()
-        onr.step([g])
-        oab.step([g])
+        g = (base + rng.normal(size=d))[None]
+        before_nr = tnr[0].copy()
+        before_ab = tab[0].copy()
+        onr.step(tnr, g, t)
+        oab.step(tab, g, t)
         if t <= 50:
             continue
-        step_nr = onr.groups[0].values - before_nr
-        step_ab = oab.groups[0].values - before_ab
+        step_nr = tnr[0] - before_nr
+        step_ab = tab[0] - before_ab
         cos = step_nr @ step_ab / (
             np.linalg.norm(step_nr) * np.linalg.norm(step_ab)
         )
@@ -341,20 +334,20 @@ def test_norobustness_direction_aligns_with_adabelief():
 def test_noadaptiveness_freezes_dof():
     cfg = OptimizerConfig(algorithm="AdaTerm", ablation="NoAdaptiveness",
                           nu_tilde_init=100.0)
-    opt = AdaTerm(np.zeros(2), cfg)
+    st, theta = _model(cfg, np.zeros(2))
     rng = make_rng(8)
-    for _ in range(25):
-        opt.step([rng.normal(size=2) * 10.0])
-    assert opt.groups[0].state.nu[0] == 100.0
+    for t in range(1, 26):
+        st.step(theta, rng.normal(size=(1, 2)) * 10.0, t)
+    assert st.nu[0] == 100.0
 
 
 def test_large_init_decays_under_outliers():
     cfg = OptimizerConfig(algorithm="AdaTerm", nu_tilde_init=100.0)
-    opt = AdaTerm(np.zeros(1), cfg)
+    st, theta = _model(cfg, np.zeros(1))
     rng = make_rng(9)
-    for _ in range(200):
-        opt.step([rng.normal(size=1) * (10.0 ** rng.uniform(-2, 2))])
-    assert 1.0 < opt.groups[0].state.nu[0] < 100.0
+    for t in range(1, 201):
+        st.step(theta, rng.normal(size=(1, 1)) * (10.0 ** rng.uniform(-2, 2)), t)
+    assert 1.0 < st.nu[0] < 100.0
 
 
 def test_bias_accumulator_closed_form_short():
@@ -366,10 +359,10 @@ def test_bias_accumulator_closed_form_short():
 
 @pytest.mark.parametrize("algo", ALGORITHMS)
 def test_zero_gradient_leaves_parameters(algo):
-    opt = make_optimizer(np.array([0.4, -0.7]), OptimizerConfig(algorithm=algo))
-    for _ in range(3):
-        opt.step([np.zeros(2)])
-    np.testing.assert_array_equal(opt.groups[0].values, [0.4, -0.7])
+    st, theta = _model(OptimizerConfig(algorithm=algo), [0.4, -0.7])
+    for t in range(1, 4):
+        st.step(theta, np.zeros((1, 2)), t)
+    np.testing.assert_array_equal(theta, [[0.4, -0.7]])
 
 
 def test_uncentered_direction_is_bounded():
@@ -424,107 +417,26 @@ def test_step_leaves_its_inputs_unchanged(kwargs, n, d, warmup, seed):
 
 
 # ---------------------------------------------------------------------------
-# Group handling
+# Step contract
 # ---------------------------------------------------------------------------
 
 
-def test_groups_are_independent_of_order_and_names():
-    def run(names, order):
-        groups = [ParamGroup(name=n, values=np.array([0.1 * (i + 1)]))
-                  for i, n in enumerate(names)]
-        opt = AdaTerm([groups[i] for i in order], OptimizerConfig(alpha=0.01))
-        rng = make_rng(12)
-        for _ in range(20):
-            gs = {n: rng.normal(size=1) for n in names}
-            opt.step(gs)
-        return {g.name: g.values.copy() for g in opt.groups}
-
-    a = run(["p", "q"], [0, 1])
-    b = run(["x", "y"], [1, 0])
-    assert np.array_equal(a["p"], b["x"])
-    assert np.array_equal(a["q"], b["y"])
-
-
-def test_gradient_input_forms_agree():
-    def run(feed):
-        g1 = ParamGroup(name="a", values=np.array([0.5]))
-        g2 = ParamGroup(name="b", values=np.array([[1.0, 2.0]]))
-        opt = Adam([g1, g2], OptimizerConfig(algorithm="Adam", alpha=0.1))
-        for k in range(5):
-            ga = np.array([0.1 * k - 0.2])
-            gb = np.array([[0.3, -0.1 * k]])
-            if feed == "list":
-                opt.step([ga, gb])
-            elif feed == "dict":
-                opt.step({"b": gb, "a": ga})
-            else:
-                g1.grad = ga
-                g2.grad = gb
-                opt.step()
-        return g1.values.copy(), g2.values.copy()
-
-    want = run("list")
-    for feed in ("dict", "slot"):
-        got = run(feed)
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
-
-
 def test_step_error_paths():
-    opt = Adam(np.zeros(2), OptimizerConfig(algorithm="Adam"))
-    with pytest.raises(ValueError, match="Missing gradient"):
-        opt.step([None])
+    st, theta = _model(OptimizerConfig(algorithm="Adam"), np.zeros(2))
     with pytest.raises(ValueError, match="shape"):
-        opt.step([np.zeros(3)])
+        st.step(theta, np.zeros((1, 3)), 1)
     with pytest.raises(NonFiniteGradientError):
-        opt.step([np.array([np.nan, 0.0])])
+        st.step(theta, np.array([[np.nan, 0.0]]), 1)
     # A rejected gradient is caught before weight decay moves the values.
-    decayed = Adam(np.ones(2), OptimizerConfig(algorithm="Adam", weight_decay=0.5))
+    decayed, theta = _model(OptimizerConfig(algorithm="Adam", weight_decay=0.5),
+                            np.ones(2))
     with pytest.raises(NonFiniteGradientError):
-        decayed.step([np.array([np.inf, 0.0])])
-    np.testing.assert_array_equal(decayed.groups[0].values, [1.0, 1.0])
-    with pytest.raises(ValueError, match="Duplicate"):
-        Adam([ParamGroup("a", np.zeros(1)), ParamGroup("a", np.zeros(1))],
-             OptimizerConfig(algorithm="Adam"))
-    with pytest.raises(ValueError, match="needs algorithm='Adam'"):
-        Adam(np.zeros(1), OptimizerConfig(algorithm="AdaTerm"))
+        decayed.step(theta, np.array([[np.inf, 0.0]]), 1)
+    np.testing.assert_array_equal(theta, [[1.0, 1.0]])
 
 
 def test_weight_decay_applies_before_direction():
     cfg = OptimizerConfig(algorithm="Adam", alpha=0.1, weight_decay=0.5)
-    opt = Adam(np.array([1.0]), cfg)
-    opt.step([np.zeros(1)])  # zero gradient isolates the decay term
-    assert opt.groups[0].values[0] == 1.0 - 0.1 * 0.5 * 1.0
-
-
-def test_nu_tilde_property_reports_by_name():
-    model = MlpModel((1, 3, 1), make_rng(0))
-    opt = AdaTerm(make_param_groups(model), OptimizerConfig())
-    nus = opt.nu_tilde
-    assert set(nus) == {"layer0.weight", "layer0.bias",
-                        "layer1.weight", "layer1.bias"}
-    assert all(val == pytest.approx(1.0 + 1e-5) for val in nus.values())
-
-
-def test_make_param_groups_layout():
-    model = MlpModel((1, 50, 50, 50, 50, 1), make_rng(0))
-    groups = make_param_groups(model)
-    assert [g.name for g in groups] == [
-        f"layer{i}.{kind}" for i in range(5) for kind in ("weight", "bias")
-    ]
-    assert [g.d for g in groups] == [50, 50, 2500, 50, 2500, 50, 2500, 50, 50, 1]
-    total = sum(w.size for w in model.weights) + sum(b.size for b in model.biases)
-    assert sum(g.d for g in groups) == total
-    # Groups hold views of the live parameters, not copies.
-    assert groups[0].values is model.weights[0]
-
-
-def test_make_param_groups_empty_model():
-    assert make_param_groups(MlpModel((4,))) == []
-
-
-def test_make_optimizer_dispatch():
-    for algo, cls in (("AdaTerm", AdaTerm), ("Adam", Adam),
-                      ("AdaBelief", AdaBelief), ("TAdam", TAdam)):
-        opt = make_optimizer(np.zeros(1), OptimizerConfig(algorithm=algo))
-        assert type(opt) is cls
+    st, theta = _model(cfg, [1.0])
+    st.step(theta, np.zeros((1, 1)), 1)  # zero gradient isolates the decay term
+    assert theta[0, 0] == 1.0 - 0.1 * 0.5 * 1.0
