@@ -8,7 +8,6 @@ Subcommands:
 * ``surface <kind> [--out FILE]`` — emit one figure grid as CSV.
 * ``verify-gradients [--points N] [--tolerance T] [--seed S]`` — check the
   density gradients against finite differences.
-* ``regret <config>`` — alias of ``run`` restricted to regret configs.
 
 Exit codes: 0 success, 2 config problems (an output file that cannot be
 written included), 3 runtime numerical failure, 4 verification/invariant
@@ -62,18 +61,11 @@ def _build_parser():
     p_ver.add_argument("--points", type=int, default=100)
     p_ver.add_argument("--tolerance", type=float, default=1e-5)
     p_ver.add_argument("--seed", type=int, default=0)
-
-    p_reg = sub.add_parser("regret", help="run a regret config")
-    p_reg.add_argument("config", type=Path)
     return parser
 
 
-def _cmd_run(args, expect_kind=None):
+def _cmd_run(args):
     cfg = load_config(args.config)
-    if expect_kind and cfg.kind != expect_kind:
-        raise ConfigError(
-            f"Expected a {expect_kind} config, got {cfg.kind!r} in {args.config}"
-        )
     rows = run_experiment(cfg)
     if cfg.kind == "surfaces":
         print("surfaces: wrote " + ", ".join(str(p) for p in grid_paths(cfg)))
@@ -132,8 +124,6 @@ def main(argv=None) -> int:
             return _cmd_surface(args)
         if args.command == "verify-gradients":
             return _cmd_verify(args)
-        if args.command == "regret":
-            return _cmd_run(args, expect_kind="regret")
     except (ConfigError, OutputError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -9,8 +9,8 @@ the canonical per-trial draw order), and hands the arrays to every
 optimizer's cell; a cell only computes from what it is handed.  The cell
 advances all of its trials as one batched array computation (trial axis
 leading) through ``optimizers.GroupState``, the same state a regret run
-steps with one dimension's seeds on the trial axis and the optimizer
-classes hold at n = 1.  A test-function experiment makes one pass per
+steps with one dimension's seeds on the trial axis; a single model is the
+case n = 1.  A test-function experiment makes one pass per
 optimizer: its k noise ratios are stacked on the trial axis (k * n rows,
 ratio outer) over the same (n, steps) noise.  A regression experiment
 draws each trial's model and stream once, into arrays with the trial
@@ -35,7 +35,7 @@ import csv
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 import yaml
@@ -80,13 +80,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-EXPERIMENT_KINDS = (
-    "test_function",
-    "regression",
-    "regret",
-    "surfaces",
-    "verify_gradients",
-)
 
 TEST_X_POINTS = 1001  # fixed evaluation grid for the regression test loss
 
@@ -219,18 +212,6 @@ _ALGORITHM_KEYS = {
 _NON_NUMBER_KEYS = {"algorithm", "variant", "ablation", "lr_schedule", "bias_correction"}
 
 
-# Top-level keys each experiment kind reads, besides schema_version,
-# experiment and output_dir.  Any other key is rejected: a misspelt or
-# leftover key would otherwise be silently ignored.
-_KIND_KEYS = {
-    "test_function": {"seed", "trials", "steps", "record_every", "problem", "optimizers"},
-    "regression": {"seed", "trials", "problem", "model", "optimizers"},
-    "regret": {"seed", "trials", "horizon", "dims", "problem", "optimizer"},
-    "surfaces": {"problem", "grids"},
-    "verify_gradients": {"seed", "points", "dims", "tolerance"},
-}
-
-
 def _number(value, kind, what, low=None):
     """``value`` as ``kind`` (int or float), or a ConfigError naming ``what``.
 
@@ -286,6 +267,26 @@ def _parse_optimizer(section, index):
     return str(name), cfg
 
 
+def _optimizer_list(raw, cfg):
+    """Parse the ``optimizers:`` list into ``cfg.optimizers``; names must differ."""
+    sections = raw.get("optimizers")
+    if not isinstance(sections, list) or not sections:
+        raise ConfigError(f"{cfg.kind} experiments need a non-empty optimizers list")
+    cfg.optimizers = [_parse_optimizer(s, i) for i, s in enumerate(sections)]
+    names = [n for n, _ in cfg.optimizers]
+    if len(set(names)) != len(names):
+        raise ConfigError(f"Duplicate optimizer names: {names}")
+
+
+def _noise_ratios(problem):
+    """Check the problem's ``noise_ratios`` list (default [0.0]) and store it."""
+    ratios = problem.get("noise_ratios", [0.0])
+    problem["noise_ratios"] = _number_list(ratios, float, "noise_ratios")
+    for p in problem["noise_ratios"]:
+        if not 0.0 <= p <= 1.0:
+            raise ConfigError(f"noise ratio out of [0, 1]: {p}")
+
+
 def load_config(path) -> ExperimentConfig:
     try:
         with open(path) as fh:
@@ -302,9 +303,9 @@ def load_config(path) -> ExperimentConfig:
             f"(expected {SCHEMA_VERSION})"
         )
     kind = raw.get("experiment")
-    if kind not in EXPERIMENT_KINDS:
+    if kind not in _KINDS:
         raise ConfigError(f"Unknown experiment kind: {kind!r}")
-    unknown = set(raw) - {"schema_version", "experiment", "output_dir"} - _KIND_KEYS[kind]
+    unknown = set(raw) - {"schema_version", "experiment", "output_dir"} - _KINDS[kind].keys
     if unknown:
         raise ConfigError(f"{kind} configs do not use key(s) {sorted(unknown)}")
 
@@ -322,67 +323,7 @@ def load_config(path) -> ExperimentConfig:
     if not isinstance(problem, dict):
         raise ConfigError("problem section must be a mapping")
     cfg.problem = problem
-
-    if kind in ("test_function", "regression"):
-        sections = raw.get("optimizers")
-        if not isinstance(sections, list) or not sections:
-            raise ConfigError(f"{kind} experiments need a non-empty optimizers list")
-        cfg.optimizers = [_parse_optimizer(s, i) for i, s in enumerate(sections)]
-        names = [n for n, _ in cfg.optimizers]
-        if len(set(names)) != len(names):
-            raise ConfigError(f"Duplicate optimizer names: {names}")
-    if kind == "regret":
-        section = raw.get("optimizer", {})
-        if not isinstance(section, dict):
-            raise ConfigError("optimizer section must be a mapping")
-        cfg.optimizers = [_parse_optimizer(section, 0)]
-        try:
-            _validate_regret_config(cfg.optimizers[0][1])
-        except ValueError as exc:
-            raise ConfigError(f"optimizer: {exc}") from None
-        cfg.dims = tuple(_number_list(raw.get("dims", [2]), int, "dims", 1))
-    if kind in ("test_function", "regression"):
-        ratios = problem.get("noise_ratios", [0.0])
-        problem["noise_ratios"] = _number_list(ratios, float, "noise_ratios")
-        for p in problem["noise_ratios"]:
-            if not 0.0 <= p <= 1.0:
-                raise ConfigError(f"noise ratio out of [0, 1]: {p}")
-    if kind == "test_function":
-        unknown = set(problem) - {"function", "noise_ratios"}
-        if unknown:
-            raise ConfigError(f"problem: unknown key(s) {sorted(unknown)}")
-        fn = problem.get("function")
-        if fn not in TEST_FUNCTIONS:
-            raise ConfigError(
-                f"Unknown test function: {fn!r} (choose from {sorted(TEST_FUNCTIONS)})"
-            )
-    if kind == "regression":
-        model = raw.get("model", {})
-        if not isinstance(model, dict) or set(model) - {"layer_sizes"}:
-            raise ConfigError(f"model must map layer_sizes only, got {model!r}")
-        sizes = model.get("layer_sizes", list(DEFAULT_LAYER_SIZES))
-        sizes = _number_list(sizes, int, "model.layer_sizes", 1)
-        if len(sizes) < 2:
-            raise ConfigError(f"model.layer_sizes must list >= 2 sizes, got {sizes!r}")
-        cfg.model_sizes = tuple(sizes)
-    if kind == "surfaces":
-        grids = raw.get("grids", list(GRID_KINDS))
-        if not isinstance(grids, list) or not grids:
-            raise ConfigError("grids must be a non-empty list")
-        for g in grids:
-            if g not in GRID_KINDS:
-                raise ConfigError(f"Unknown grid kind: {g!r}")
-        cfg.grids = tuple(grids)
-        unknown = set(problem) - set(grids)
-        if unknown:
-            raise ConfigError(f"problem: key(s) {sorted(unknown)} name no listed grid")
-    if kind == "verify_gradients":
-        cfg.dims = tuple(_number_list(raw.get("dims", [1, 2, 5, 8]), int, "dims", 1))
-        _check_verification_range(cfg.points, cfg.tolerance)
-    # Build the problem specs once here, so that a bad problem key exits
-    # before the run makes its output directory.
-    if kind in _SPECS:
-        _SPECS[kind](cfg)
+    _KINDS[kind].parse(raw, cfg)
     return cfg
 
 
@@ -455,6 +396,18 @@ def _run_test_function_cell(function, ratios, opt_cfg, us, deltas, record_every=
     final_norm = _error_norm(grid - opt_pt)
     final_nu = state.nu.reshape(k, n) if opt_cfg.algorithm == "AdaTerm" else None
     return final_norm, final_nu, trails
+
+
+def _parse_test_function(raw, cfg: ExperimentConfig):
+    _optimizer_list(raw, cfg)
+    _noise_ratios(cfg.problem)
+    unknown = set(cfg.problem) - {"function", "noise_ratios"}
+    if unknown:
+        raise ConfigError(f"problem: unknown key(s) {sorted(unknown)}")
+    fn = cfg.problem.get("function")
+    if fn not in TEST_FUNCTIONS:
+        raise ConfigError(f"Unknown test function: {fn!r} "
+                          f"(choose from {sorted(TEST_FUNCTIONS)})")
 
 
 def _run_test_function_experiment(cfg: ExperimentConfig):
@@ -545,6 +498,20 @@ def _regression_spec(cfg: ExperimentConfig):
     return _spec(RegressionStreamSpec, "problem section", values)
 
 
+def _parse_regression(raw, cfg: ExperimentConfig):
+    _optimizer_list(raw, cfg)
+    _noise_ratios(cfg.problem)
+    model = raw.get("model", {})
+    if not isinstance(model, dict) or set(model) - {"layer_sizes"}:
+        raise ConfigError(f"model must map layer_sizes only, got {model!r}")
+    sizes = model.get("layer_sizes", list(DEFAULT_LAYER_SIZES))
+    sizes = _number_list(sizes, int, "model.layer_sizes", 1)
+    if len(sizes) < 2:
+        raise ConfigError(f"model.layer_sizes must list >= 2 sizes, got {sizes!r}")
+    cfg.model_sizes = tuple(sizes)
+    _regression_spec(cfg)
+
+
 def _run_regression_experiment(cfg: ExperimentConfig):
     spec = _regression_spec(cfg)
     n, n_pairs = cfg.trials, spec.n_pairs
@@ -577,6 +544,19 @@ def _regret_specs(cfg: ExperimentConfig):
     """One problem spec per dimension."""
     return [_spec(OnlineConvexSpec, "problem section", cfg.problem, dim=d)
             for d in cfg.dims]
+
+
+def _parse_regret(raw, cfg: ExperimentConfig):
+    section = raw.get("optimizer", {})
+    if not isinstance(section, dict):
+        raise ConfigError("optimizer section must be a mapping")
+    cfg.optimizers = [_parse_optimizer(section, 0)]
+    try:
+        _validate_regret_config(cfg.optimizers[0][1])
+    except ValueError as exc:
+        raise ConfigError(f"optimizer: {exc}") from None
+    cfg.dims = tuple(_number_list(raw.get("dims", [2]), int, "dims", 1))
+    _regret_specs(cfg)
 
 
 def _run_regret_dimension(cfg: ExperimentConfig, spec: OnlineConvexSpec):
@@ -628,6 +608,22 @@ def _grid_specs(cfg: ExperimentConfig):
         _spec(GridSpec, f"grid {kind}", cfg.problem.get(kind, {}), kind=kind)
         for kind in cfg.grids
     ]
+
+
+def _parse_surfaces(raw, cfg: ExperimentConfig):
+    grids = raw.get("grids", list(GRID_KINDS))
+    if not isinstance(grids, list) or not grids:
+        raise ConfigError("grids must be a non-empty list")
+    for g in grids:
+        if g not in GRID_KINDS:
+            raise ConfigError(f"Unknown grid kind: {g!r}")
+        if isinstance(values := cfg.problem.get(g), dict) and "d_list" in values:
+            values["d_list"] = _number_list(values["d_list"], int, f"grid {g}: d_list", 1)
+    cfg.grids = tuple(grids)
+    unknown = set(cfg.problem) - set(grids)
+    if unknown:
+        raise ConfigError(f"problem: key(s) {sorted(unknown)} name no listed grid")
+    _grid_specs(cfg)
 
 
 def _run_surfaces_experiment(cfg: ExperimentConfig):
@@ -705,6 +701,11 @@ def run_gradient_verification(points=100, dims=(1, 2, 5, 8), tolerance=1e-5,
     return report, ok
 
 
+def _parse_verify_gradients(raw, cfg: ExperimentConfig):
+    cfg.dims = tuple(_number_list(raw.get("dims", [1, 2, 5, 8]), int, "dims", 1))
+    _check_verification_range(cfg.points, cfg.tolerance)
+
+
 def _run_verify_gradients_experiment(cfg: ExperimentConfig):
     report, ok = run_gradient_verification(
         points=cfg.points, dims=cfg.dims, tolerance=cfg.tolerance, seed=cfg.seed
@@ -727,20 +728,29 @@ def _run_verify_gradients_experiment(cfg: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 
-# The problem-spec builders that ``load_config`` runs to check a config.
-_SPECS = {
-    "regression": _regression_spec,
-    "regret": _regret_specs,
-    "surfaces": _grid_specs,
-}
+class _Kind(NamedTuple):
+    keys: set
+    parse: Callable
+    run: Callable
 
-_RUNNERS = {
-    "test_function": _run_test_function_experiment,
-    "regression": _run_regression_experiment,
-    "regret": _run_regret_experiment_kind,
-    "surfaces": _run_surfaces_experiment,
-    "verify_gradients": _run_verify_gradients_experiment,
+
+# One entry per experiment kind: ``keys``, the top-level keys its configs
+# read besides schema_version, experiment and output_dir (any other is
+# refused, not silently ignored); ``parse(raw, cfg)``, its checks after
+# ``load_config``'s shared parsing, ending with its problem specs so that a
+# bad problem key exits before the output directory is made; ``run(cfg)``, its rows.
+_KINDS = {
+    "test_function": _Kind({"seed", "trials", "steps", "record_every", "problem", "optimizers"},
+                           _parse_test_function, _run_test_function_experiment),
+    "regression": _Kind({"seed", "trials", "problem", "model", "optimizers"},
+                        _parse_regression, _run_regression_experiment),
+    "regret": _Kind({"seed", "trials", "horizon", "dims", "problem", "optimizer"},
+                    _parse_regret, _run_regret_experiment_kind),
+    "surfaces": _Kind({"problem", "grids"}, _parse_surfaces, _run_surfaces_experiment),
+    "verify_gradients": _Kind({"seed", "points", "dims", "tolerance"},
+                              _parse_verify_gradients, _run_verify_gradients_experiment),
 }
+EXPERIMENT_KINDS = tuple(_KINDS)
 
 
 def run_experiment(cfg: ExperimentConfig):
@@ -749,7 +759,7 @@ def run_experiment(cfg: ExperimentConfig):
         cfg.output_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"Cannot make output directory {cfg.output_dir}: {exc}") from exc
-    rows = _RUNNERS[cfg.kind](cfg)
+    rows = _KINDS[cfg.kind].run(cfg)
     if rows:
         write_results_csv(rows, cfg.output_dir / "results.csv")
         write_summary_csv(summarize_rows(rows), cfg.output_dir / "summary.csv")

@@ -13,20 +13,16 @@ axis leading, and applies weight decay and the learning-rate schedule to
 the parameters.  The experiment harness advances a whole cell of trials in
 one vectorized call, the regret loop all of one dimension's seeds; a
 single model is the case n = 1.  ``GroupState`` is the package's one state
-layout, and its checkpoint (``to_bytes``, ``save``) is the package's one
-checkpoint format.
+layout.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .files import atomic_write
 from .tdist import NonFiniteGradientError, advance_arrays, diagnostics_arrays
 
 __all__ = [
@@ -44,13 +40,6 @@ ABLATIONS = ("None", "NoAdaptiveness", "NoRobustness")
 LR_SCHEDULES = ("Constant", "InverseSqrt")
 
 _DEFAULT_EPS = {"AdaTerm": 1e-5, "Adam": 1e-8, "AdaBelief": 1e-8, "TAdam": 1e-8}
-
-CHECKPOINT_MAGIC = b"ADTM"
-CHECKPOINT_VERSION = 2
-# Magic, version byte, algorithm index byte, then n and d as u64.
-_CHECKPOINT_HEADER = struct.Struct("<4sBBQQ")
-# The per-trial (n,) arrays each algorithm keeps besides m and v.
-_TRIAL_ARRAYS = {"AdaTerm": ("nu", "c"), "Adam": (), "AdaBelief": (), "TAdam": ("W",)}
 
 
 @dataclass
@@ -261,50 +250,6 @@ class GroupState:
                 # which the first step's weight reduces to Adam's 1-beta1
                 # for an inlier.
                 self.W = np.full(n, cfg.beta1 / (1.0 - cfg.beta1))
-
-    def _arrays(self):
-        """The checkpointed arrays' names, in checkpoint order."""
-        return ("m", "v") + _TRIAL_ARRAYS[self.cfg.algorithm]
-
-    def to_bytes(self) -> bytes:
-        """Checkpoint: magic, version byte, the algorithm's index in
-        ALGORITHMS, n and d as little-endian u64, then the float64 arrays
-        m, v and nu, c (AdaTerm) or W (TAdam).  The step count is not
-        saved: callers pass ``t`` to ``step`` as before.
-        """
-        algo = ALGORITHMS.index(self.cfg.algorithm)
-        head = _CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, algo, *self.m.shape)
-        return head + b"".join(getattr(self, k).astype("<f8").tobytes() for k in self._arrays())
-
-    @classmethod
-    def from_bytes(cls, cfg: OptimizerConfig, blob: bytes) -> "GroupState":
-        """The state ``to_bytes`` wrote, for a config of the same algorithm."""
-        if len(blob) < _CHECKPOINT_HEADER.size or blob[:4] != CHECKPOINT_MAGIC:
-            raise ValueError("Not a checkpoint: bad magic or short header")
-        _, version, algo, n, d = _CHECKPOINT_HEADER.unpack_from(blob)
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"Unsupported checkpoint version: {version}")
-        if algo != ALGORITHMS.index(cfg.algorithm):
-            raise ValueError(f"Checkpoint algorithm index {algo}, config has {cfg.algorithm!r}")
-        count = 2 * n * d + len(_TRIAL_ARRAYS[cfg.algorithm]) * n
-        if len(blob) != _CHECKPOINT_HEADER.size + 8 * count:
-            raise ValueError(f"Checkpoint length {len(blob)} inconsistent with n={n}, d={d}")
-        state, offset = cls(cfg, n, d), _CHECKPOINT_HEADER.size
-        for name in state._arrays():  # copied into the fresh state's own arrays
-            array = getattr(state, name)
-            array[...] = np.frombuffer(blob, "<f8", array.size, offset).reshape(array.shape)
-            offset += array.nbytes
-        return state
-
-    def save(self, path) -> None:
-        """Write the checkpoint to ``path`` atomically."""
-        with atomic_write(path, binary=True) as fh:
-            fh.write(self.to_bytes())
-
-    @classmethod
-    def load(cls, cfg: OptimizerConfig, path) -> "GroupState":
-        """The state ``save`` wrote to ``path``."""
-        return cls.from_bytes(cfg, Path(path).read_bytes())
 
     def step(self, values, g, t):
         """Advance the state by the (n, d) gradient ``g`` at 1-based step

@@ -25,7 +25,7 @@ All array functions accept leading batch axes: shapes (..., d) for vectors
 and (...) for per-group scalars, reducing over the trailing axis only.
 They hold no state: the arrays live in ``optimizers.GroupState``, the one
 state class of the package, which steps them for every run (test
-functions, regression and regret alike) and writes their checkpoint.
+functions, regression and regret alike).
 """
 
 from __future__ import annotations

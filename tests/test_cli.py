@@ -131,8 +131,16 @@ def test_run_small_experiment(tmp_path, capsys):
         (SMALL_RUN, "trials: 2", "trails: 50", "trails"),
         (SMALL_RUN, "steps: 30", "steps: 30\nworkers: 4", "workers"),
         (SMALL_REGRESSION, "trials: 1", "trials: 1\nsteps: 10", "steps"),
+        (SMALL_SURFACES, "grids:", "seed: 0\ngrids:", "seed"),
+        (SMALL_VERIFY, "points: 2", "points: 2\noptimizers: [{{algorithm: Adam}}]",
+         "optimizers"),
+        (SMALL_RUN, "trials: 2", "trials: 2\nmodel: {{layer_sizes: [1, 4, 1]}}", "model"),
+        # Regret reads only the singular optimizer section for now.
+        (SMALL_REGRET, "trials: 1", "trials: 1\noptimizers: [{{algorithm: AdaTerm}}]",
+         "optimizers"),
     ],
-    ids=["misspelt-trials", "workers", "steps-in-regression"],
+    ids=["misspelt-trials", "workers", "steps-in-regression", "seed-in-surfaces",
+         "optimizers-in-verify", "model-in-test-function", "optimizers-in-regret"],
 )
 def test_run_rejects_unused_top_level_key(tmp_path, capsys, template, old, new, key):
     cfg = write_config(tmp_path, template.replace(old, new))
@@ -199,6 +207,12 @@ def test_run_rejects_unused_top_level_key(tmp_path, capsys, template, old, new, 
         (SMALL_RUN, "output_dir: {out}", "output_dir: [a, b]",
          "output_dir must be a string, got ['a', 'b']"),
         (SMALL_SURFACES, "{{n_nu: 3, n_D: 4}}", "5", "grid TauSurface must be a mapping"),
+        (SMALL_SURFACES, "problem:", "problem:\n  Fig1: {{d_list: [2.5]}}",
+         "grid Fig1: d_list entry must be an integer, got 2.5"),
+        (SMALL_SURFACES, "problem:", "problem:\n  Fig1: {{d_list: [true]}}",
+         "grid Fig1: d_list entry must be an integer, got True"),
+        (SMALL_SURFACES, "problem:", "problem:\n  Fig1: {{d_list: [.inf]}}",
+         "grid Fig1: d_list entry must be an integer, got inf"),
     ],
     ids=["tolerance", "testfn-ratio", "regression-ratio", "dims", "layer-sizes",
          "misspelt-noise-ratios", "regret-bias-correction", "regret-algorithm",
@@ -210,7 +224,7 @@ def test_run_rejects_unused_top_level_key(tmp_path, capsys, template, old, new, 
          "bias-correction-string", "adaterm-beta1", "adam-beta", "regret-beta2",
          "fractional-n-pairs", "bool-n-pairs", "fractional-batch-size",
          "fractional-grid-resolution", "infinite-box", "output-dir-list",
-         "grid-not-mapping"],
+         "grid-not-mapping", "fractional-d-list", "bool-d-list", "infinite-d-list"],
 )
 def test_run_rejects_bad_value(tmp_path, capsys, template, old, new, fragment):
     cfg = write_config(tmp_path, template.replace(old, new))
@@ -420,15 +434,9 @@ def test_surface_default_name(tmp_path, monkeypatch):
     assert (tmp_path / "Fig1.csv").read_text().startswith("d,w_mv,value")
 
 
-def test_regret_alias_enforces_kind(tmp_path, capsys):
-    wrong = write_config(tmp_path, SMALL_RUN)
-    assert main(["regret", str(wrong)]) == EXIT_CONFIG
-    assert "Expected a regret config" in capsys.readouterr().err
-
-
 def test_regret_alias_runs(tmp_path):
     cfg = write_config(tmp_path, SMALL_REGRET)
-    assert main(["regret", str(cfg)]) == EXIT_OK
+    assert main(["run", str(cfg)]) == EXIT_OK
     assert (tmp_path / "out" / "regret_d2_seed0.csv").exists()
 
 

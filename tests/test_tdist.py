@@ -1,7 +1,5 @@
 """Student's-t density, its gradients, and the online estimator's step."""
 
-import struct
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -30,13 +28,7 @@ from _golden import (
     PRE_SURROGATE_D1E4_W09,
 )
 
-from adaterm.optimizers import (
-    ALGORITHMS,
-    CHECKPOINT_MAGIC,
-    CHECKPOINT_VERSION,
-    GroupState,
-    OptimizerConfig,
-)
+from adaterm.optimizers import GroupState, OptimizerConfig
 from adaterm.rng import make_rng
 
 
@@ -397,77 +389,3 @@ def test_step_invariants(case):
     (_, v1, nu1), _ = advance(m, v, nu, g, beta=beta)
     assert np.all(v1 >= eps**2 * (1.0 - 1e-12))
     assert nu1 > nu_tilde_min
-
-
-# ---------------------------------------------------------------------------
-# Checkpoints of the estimator state (and of every algorithm's GroupState)
-# ---------------------------------------------------------------------------
-
-
-def _stepped(algorithm):
-    """An n = 2 GroupState and its parameters after 5 steps, and the
-    gradient stream they came from."""
-    state = GroupState(OptimizerConfig(algorithm=algorithm, alpha=0.01), 2, 3)
-    theta = np.ones((2, 3))
-    rng = make_rng(4)
-    for t in range(1, 6):
-        state.step(theta, rng.normal(size=theta.shape), t)
-    return state, theta, rng
-
-
-def test_checkpoint_round_trip(tmp_path):
-    """Saved after 5 steps, each algorithm's state takes its 6th step to the
-    same parameter bits as the state that was never saved."""
-    for algorithm in ALGORITHMS:
-        state, theta, rng = _stepped(algorithm)
-        path = tmp_path / f"{algorithm}.bin"
-        state.save(path)
-        copies = [GroupState.from_bytes(state.cfg, state.to_bytes()),
-                  GroupState.load(state.cfg, path)]
-        g = rng.normal(size=theta.shape)
-        thetas = [theta.copy() for _ in copies]
-        for copy, values in zip(copies, thetas):
-            assert copy.m.flags.writeable and copy.m.flags.owndata
-            copy.step(values, g, 6)
-        state.step(theta, g, 6)
-        for copy, values in zip(copies, thetas):
-            assert values.tobytes() == theta.tobytes(), algorithm
-            for name in vars(state).keys() - {"cfg"}:
-                assert np.array_equal(getattr(copy, name), getattr(state, name))
-        assert not list(tmp_path.glob(".*.tmp"))
-
-
-def test_checkpoint_exact_byte_layout():
-    cfg = OptimizerConfig(algorithm="TAdam")
-    state = GroupState(cfg, 1, 2)
-    state.m[:] = [[0.25, -1.5]]
-    state.v[:] = [[1.0, 2.0]]
-    state.W[:] = [7.0]
-    want = (
-        b"ADTM"
-        + bytes([2, 3])
-        + struct.pack("<QQ", 1, 2)
-        + struct.pack("<5d", 0.25, -1.5, 1.0, 2.0, 7.0)
-    )
-    assert state.to_bytes() == want
-    assert CHECKPOINT_MAGIC == b"ADTM"
-    assert CHECKPOINT_VERSION == 2
-
-
-def test_checkpoint_rejects_corruption():
-    cfg = OptimizerConfig()
-    blob = GroupState(cfg, 2, 3).to_bytes()
-    with pytest.raises(ValueError, match="magic"):
-        GroupState.from_bytes(cfg, b"XXXX" + blob[4:])
-    for version in (1, 9):  # the v1 single-group layout is refused too
-        with pytest.raises(ValueError, match="version"):
-            GroupState.from_bytes(cfg, blob[:4] + bytes([version]) + blob[5:])
-    with pytest.raises(ValueError, match="algorithm"):
-        GroupState.from_bytes(OptimizerConfig(algorithm="Adam"), blob)
-    # Claimed shape inconsistent with the payload, either way.
-    for n, d in ((2, 4), (1, 3)):
-        bad = blob[:6] + struct.pack("<QQ", n, d) + blob[22:]
-        with pytest.raises(ValueError, match="inconsistent"):
-            GroupState.from_bytes(cfg, bad)
-    with pytest.raises(ValueError, match="inconsistent"):
-        GroupState.from_bytes(cfg, blob[:-8])
