@@ -646,13 +646,16 @@ def _fd_log_density(g, m, v, nu, which, index, h):
     return (f(x0 + h) - f(x0 - h)) / (2.0 * h)
 
 
-def _check_verification_range(points, tolerance):
-    """A check with no points, or a tolerance nothing can exceed, checks nothing."""
+def _check_verification_range(points, tolerance, seed):
+    """A check with no points, or a tolerance nothing can exceed, checks
+    nothing; a negative seed names no generator."""
     if not (points >= 1 and 0.0 < tolerance < math.inf):
         raise ConfigError(
             f"Gradient check needs points >= 1 and 0 < tolerance < inf, "
             f"got points={points}, tolerance={tolerance}"
         )
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
 def run_gradient_verification(points=100, dims=(1, 2, 5, 8), tolerance=1e-5,
@@ -663,7 +666,7 @@ def run_gradient_verification(points=100, dims=(1, 2, 5, 8), tolerance=1e-5,
     max_rel_err).  Relative error uses max(1, |analytic|) in the
     denominator so roots of the gradient do not blow up the ratio.
     """
-    _check_verification_range(points, tolerance)
+    _check_verification_range(points, tolerance, seed)
     rng = make_rng(seed)
     report = []
     ok = True
@@ -703,7 +706,7 @@ def run_gradient_verification(points=100, dims=(1, 2, 5, 8), tolerance=1e-5,
 
 def _parse_verify_gradients(raw, cfg: ExperimentConfig):
     cfg.dims = tuple(_number_list(raw.get("dims", [1, 2, 5, 8]), int, "dims", 1))
-    _check_verification_range(cfg.points, cfg.tolerance)
+    _check_verification_range(cfg.points, cfg.tolerance, cfg.seed)
 
 
 def _run_verify_gradients_experiment(cfg: ExperimentConfig):

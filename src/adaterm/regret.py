@@ -1,20 +1,20 @@
 """Online convex regret runs and empirical evaluation of the convergence
 bound.
 
-A run is handed its loss sequence: the experiment draws a
-``problems.QuadraticSequence`` with one generator per trial, and the run
-plays all of its rounds, so the horizon is the sequence's length.  It
-steps the noise-robust optimizer for every trial at once through one
-``optimizers.GroupState`` with the trial axis leading, the same state
-every other run steps (no bias correction, no weight decay, step size
-alpha/sqrt(t)), followed by the weighted projection onto the box.  It
-plays each trial's sequence of random strongly-convex quadratics,
-accumulates the regret against the offline optimum, and evaluates every
-term of the bound's right-hand side from observed quantities only: v_t,
-g_t, tau_t, the domain diameter and the step-size schedule.  The bound
-must dominate the regret at every prefix.  Every quantity is computed row
-by row, so a trial's report does not depend on which trials share its
-run.
+A run is handed a ``problems.QuadraticSequence`` with one generator per
+trial and plays all of its rounds, so the horizon T is the sequence's
+length.  It steps the noise-robust optimizer for every trial at once
+through one ``optimizers.GroupState`` (no bias correction, no weight
+decay, step size alpha/sqrt(t)), then projects onto the box.  It first
+plays every round, keeping (trials, T) logs of the loss, tau_t and the
+per-round sums over the coordinates of g_t^2, v_t^{1/2} and
+(sum_{s<t} g_s^4)^{1/2}.  Then, in blocks of ``BLOCK`` = 1024 rounds, it
+evaluates the regret against the offline optimum and every term of the
+bound at every prefix, from observed quantities only.  Each running
+quantity is a sequential scan carried across the block edges, so every
+prefix has the bits of a round-by-round accumulation; and every quantity
+is computed row by row, so a trial's report does not depend on which
+trials share its run.  The bound must dominate the regret at every prefix.
 
 Bound structure (four terms, evaluated at horizon T):
 
@@ -53,6 +53,9 @@ __all__ = [
     "sublinearity_ratio",
     "write_regret_csv",
 ]
+
+# Rounds per block of the comparator's losses and of the bound's evaluation.
+BLOCK = 1024
 
 
 def weighted_projection(theta, box):
@@ -129,8 +132,23 @@ def _validate_regret_config(cfg: OptimizerConfig):
         raise ValueError("Regret runs require weight_decay=0: the bound assumes none")
 
 
+def _geometric_sums(g2, lows, k0, total):
+    """One trial's sum_{k<t} (1 - tau_low)^{t-k} g2[k] at the rounds t > k0
+    of a block, from the sum ``total`` and tau_low ``lows[0]`` at round k0
+    and the block's running minima ``lows[1:]``.  A one-step recurrence
+    extends the sum; a new minimum rebuilds it from ``g2`` (g2[0] = 0)."""
+    sums = []
+    for t, prev, low, g2_prev in zip(range(k0 + 1, k0 + len(lows)), lows, lows[1:],
+                                     g2[k0:k0 + len(lows) - 1].tolist()):
+        total = (1.0 - prev) * (total + g2_prev)
+        if low < prev:
+            total = float(np.sum((1.0 - low) ** (t - np.arange(1, t)) * g2[1:t]))
+        sums.append(total)
+    return sums
+
+
 def run_regret_experiment(seq: QuadraticSequence, cfg: OptimizerConfig):
-    """Play every round of ``seq`` for all of its trials at once and
+    """Play every round of ``seq`` for all of its trials at once, then
     evaluate each trial's bound at every prefix.
 
     Returns one ``RegretReport`` per trial, in the order of the sequence's
@@ -142,105 +160,87 @@ def run_regret_experiment(seq: QuadraticSequence, cfg: OptimizerConfig):
         raise TypeError(f"Expected QuadraticSequence, got {type(seq).__name__}")
     _validate_regret_config(cfg)
     spec = seq.spec
-    T = len(seq)
-    n = seq.A.shape[0]
-    d = spec.dim
+    n, T, d = seq.A.shape
     lo, hi = spec.box
     D_diam = spec.diameter
     theta_star = seq.offline_optimum()
-    # The comparator is fixed: its losses once, a trial and 1024 rounds at a time.
+    # The comparator is fixed: its losses once, a trial and a block at a time.
     star_losses = np.empty((n, T))
     for A, C, star, out in zip(seq.A, seq.C, theta_star, star_losses):
-        for k in range(0, T, 1024):  # small blocks: a (T, d) temporary raises peak RSS
-            diff = star - C[k:k + 1024]
-            out[k:k + 1024] = 0.5 * np.sum(A[k:k + 1024] * diff * diff, axis=1)
+        for k in range(0, T, BLOCK):  # a (T, d) temporary would raise peak RSS
+            diff = star - C[k:k + BLOCK]
+            out[k:k + BLOCK] = 0.5 * np.sum(A[k:k + BLOCK] * diff * diff, axis=1)
     # Start at the upper box corner, far from any weighted mean of the
     # centers.  A start near the comparator would make the early regret
     # negligible and the normalized-regret criterion vacuous.  The start is
     # a float copy: an integer box_halfwidth gives an integer box.
     theta = np.tile(hi.astype(np.float64), (n, 1))
-
-    alpha, beta, eps = cfg.alpha, cfg.beta, cfg.eps
     state = GroupState(cfg, n, d)
 
+    # Play, keeping the per-round logs the bound reads.
     losses = np.empty((n, T))
-    regret_prefix = np.empty((n, T))
-    bound_rhs_prefix = np.empty((n, T))
     tau_log = np.empty((n, T))
-    g2_step = np.empty((n, T))  # sum_i g_{t,i}^2 per step, feeds the geometric term
-
+    g2_step = np.zeros((n, T + 1))  # round t's sum of g^2 in column t
+    sqrt_v_sum = np.empty((n, T))
+    sqrt_g4_sum = np.empty((n, T))
     G = np.zeros(n)
-    regret = np.zeros(n)
-    tau_low = np.full(n, math.inf)
-    geo = np.zeros(n)  # sum_{k<T} (1 - tau_low)^{T-k} g2_step[k] at the current prefix
-    sv_past = np.zeros(n)  # sum_{t<T} sqrt(t) * sum_i v_{t,i}^{1/2}
-    g4_past = np.zeros((n, d))  # sum_{t<T} g_{t,i}^4
-
+    g4_past = np.zeros((n, d))
     for t in range(1, T + 1):
-        loss_t = seq.loss(t - 1, theta)
+        losses[:, t - 1] = seq.loss(t - 1, theta)
         g = seq.grad(t - 1, theta)
         G = np.maximum(G, np.max(np.abs(g), axis=1))
-        regret += loss_t - star_losses[:, t - 1]
-
         state.step(theta, g, t)
         theta = weighted_projection(theta, (lo, hi))
-        tau_t = state.tau
-        v = state.v
-
-        losses[:, t - 1] = loss_t
-        regret_prefix[:, t - 1] = regret
-        tau_log[:, t - 1] = tau_t
-
-        # Prefix bound at horizon t.  The geometric term depends on the
-        # running minimum tau_low: while it is unchanged a one-step
-        # recurrence extends the sum; in the rows where a new minimum
-        # appears the sum is rebuilt from the stored per-step g^2 totals.
-        if t > 1:
-            geo = (1.0 - tau_low) * (geo + g2_step[:, t - 2])
-        low = np.flatnonzero(tau_t < tau_low)
-        if low.size:
-            tau_low[low] = tau_t[low]
-            if t > 1:
-                ks = np.arange(1, t)
-                geo[low] = np.sum(
-                    (1.0 - tau_low[low, None]) ** (t - ks) * g2_step[low, : t - 1],
-                    axis=1,
-                )
-        g2_step[:, t - 1] = np.sum(g * g, axis=1)
-
-        sqrt_t = math.sqrt(t)
-        sum_sqrt_v = np.sum(np.sqrt(v), axis=1)
-        term1 = D_diam**2 * sqrt_t / (4.0 * tau_t * alpha) * sum_sqrt_v
-        term2 = _coeff_term2(tau_low, beta) * D_diam**2 / alpha * sv_past
-        term3 = (1.0 - beta) ** 2 * alpha / (eps * tau_low**2 * sqrt_t) * geo
-        if t >= 2:
-            term4 = (
-                _coeff_term4(tau_low, beta, alpha, eps)
-                * math.sqrt(1.0 + math.log(t - 1))
-                * np.sum(np.sqrt(g4_past), axis=1)
-            )
-        else:
-            term4 = np.zeros(n)
-        bound_rhs_prefix[:, t - 1] = term1 + term2 + term3 + term4
-
-        sv_past += sqrt_t * sum_sqrt_v
+        tau_log[:, t - 1] = state.tau
+        g2_step[:, t] = np.sum(g * g, axis=1)
+        sqrt_v_sum[:, t - 1] = np.sum(np.sqrt(state.v), axis=1)
+        sqrt_g4_sum[:, t - 1] = np.sum(np.sqrt(g4_past), axis=1)
         g4_past += g**4
 
-    final_terms = np.stack([term1, term2, term3, term4], axis=1)
-    return [
-        RegretReport(
-            T=T,
-            D_diam=D_diam,
-            G=float(G[i]),
-            theta_star=theta_star[i],
-            losses=losses[i],
-            regret_prefix=regret_prefix[i],
-            bound_rhs_prefix=bound_rhs_prefix[i],
-            tau=tau_log[i],
-            bound_terms=final_terms[i],
-        )
-        for i in range(n)
-    ]
+    # Evaluate, a block of rounds at a time, each running quantity carried
+    # across the block edges.
+    regret_prefix = np.subtract(losses, star_losses, out=star_losses)
+    np.cumsum(regret_prefix, axis=1, out=regret_prefix)
+    # A block of the g^4 log is read only by its own terms: the bound overwrites it.
+    bound_rhs_prefix = sqrt_g4_sum
+    alpha, beta, eps = cfg.alpha, cfg.beta, cfg.eps
+    # tau_1 stands for tau_low before round 1: it leaves the minima unchanged
+    # and, with g2 zero there, gives the empty sum 0 at round 1.
+    low_carry, sv_carry, geo = tau_log[:, 0], np.zeros(n), [0.0] * n
+    for k0 in range(0, T, BLOCK):
+        k1 = min(k0 + BLOCK, T)
+        # Scalars from math: np.log and math.log can differ in the last bit.
+        sqrt_t = np.array([math.sqrt(t) for t in range(k0 + 1, k1 + 1)])
+        log_t = np.array([math.sqrt(1.0 + math.log(t - 1)) if t > 1 else 0.0
+                          for t in range(k0 + 1, k1 + 1)])
+        tau = tau_log[:, k0:k1]
+        lows = np.concatenate([low_carry[:, None], tau], axis=1)
+        np.minimum.accumulate(lows, axis=1, out=lows)
+        tau_low = lows[:, 1:]
+        y = sqrt_t * sqrt_v_sum[:, k0:k1]
+        sv_past = np.concatenate([sv_carry[:, None], y[:, :-1]], axis=1)
+        np.cumsum(sv_past, axis=1, out=sv_past)
+        geo_block = np.empty_like(tau)  # filled row by row: one trial's float list at a time
+        for i, total in enumerate(geo):
+            geo_block[i] = _geometric_sums(g2_step[i], lows[i].tolist(), k0, total)
+        term1 = D_diam**2 * sqrt_t / (4.0 * tau * alpha) * sqrt_v_sum[:, k0:k1]
+        term2 = _coeff_term2(tau_low, beta) * D_diam**2 / alpha * sv_past
+        term3 = (1.0 - beta) ** 2 * alpha / (eps * tau_low**2 * sqrt_t) * geo_block
+        term4 = _coeff_term4(tau_low, beta, alpha, eps) * log_t * sqrt_g4_sum[:, k0:k1]
+        if k0 == 0:
+            term4[:, 0] = 0.0  # the sum over rounds before round 1 is empty
+        bound = np.add(term1, term2, out=bound_rhs_prefix[:, k0:k1])
+        bound += term3
+        bound += term4
+        low_carry, sv_carry = lows[:, -1], sv_past[:, -1] + y[:, -1]
+        geo = geo_block[:, -1].tolist()
+
+    final_terms = np.stack([term[:, -1] for term in (term1, term2, term3, term4)], axis=1)
+    return [RegretReport(T=T, D_diam=D_diam, G=float(G[i]), theta_star=theta_star[i],
+                         losses=losses[i], regret_prefix=regret_prefix[i],
+                         bound_rhs_prefix=bound_rhs_prefix[i], tau=tau_log[i],
+                         bound_terms=final_terms[i])
+            for i in range(n)]
 
 
 def theorem_rhs(v_log, g_log, tau_low, tau_T, alpha, beta, eps, D_diam):

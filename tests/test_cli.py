@@ -106,15 +106,15 @@ def test_verify_gradients_impossible_tolerance(capsys):
 @pytest.mark.parametrize(
     "argv",
     [["--points", "-3"], ["--points", "0"], ["--tolerance", "inf"],
-     ["--tolerance", "nan"], ["--tolerance", "0"]],
+     ["--tolerance", "nan"], ["--tolerance", "0"], ["--seed", "-1"]],
     ids=["negative-points", "zero-points", "infinite-tolerance", "nan-tolerance",
-         "zero-tolerance"],
+         "zero-tolerance", "negative-seed"],
 )
 def test_verify_gradients_rejects_vacuous_check(capsys, argv):
     assert main(["verify-gradients", *argv]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert "all gradients verified" not in captured.out
-    assert captured.err.startswith("config error: ")
+    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
 
 
 def test_run_small_experiment(tmp_path, capsys):

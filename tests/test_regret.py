@@ -7,6 +7,7 @@ import pytest
 from adaterm.optimizers import OptimizerConfig
 from adaterm.problems import OnlineConvexSpec, QuadraticSequence
 from adaterm.regret import (
+    BLOCK,
     corollary_rhs,
     run_regret_experiment,
     sublinearity_ratio,
@@ -178,6 +179,46 @@ def test_reports_do_not_depend_on_the_batch(dim):
         assert _report_bytes(rev) == _report_bytes(own), seed
 
 
+def test_reports_do_not_depend_on_the_batch_across_blocks():
+    # A horizon that crosses two edges of the bound's evaluation blocks and
+    # ends five rounds into a third block.
+    spec = OnlineConvexSpec(dim=3)
+    cfg = regret_config()
+    T = 2 * BLOCK + 5
+    seeds = [0, 1]
+    batch = run_regret_experiment(
+        QuadraticSequence(spec, [make_rng(s) for s in seeds], T), cfg
+    )
+    for seed, rep in zip(seeds, batch):
+        [own] = run_regret_experiment(QuadraticSequence(spec, [make_rng(seed)], T), cfg)
+        assert rep.T == T
+        assert _report_bytes(rep) == _report_bytes(own), seed
+
+
+def test_one_round_past_a_block_replays_exactly():
+    # The last evaluation block holds a single round.
+    cfg = regret_config()
+    seq = QuadraticSequence(OnlineConvexSpec(dim=2), [make_rng(0)], BLOCK + 1)
+    [report] = run_regret_experiment(seq, cfg)
+    v_log, g_log = replay_logs(seq, cfg, report)
+    rhs = theorem_rhs(v_log, g_log, report.underline_tau, report.tau_T,
+                      cfg.alpha, cfg.beta, cfg.eps, report.D_diam)
+    np.testing.assert_allclose(report.bound_terms, rhs, rtol=1e-12)
+    assert rhs.sum() == pytest.approx(report.bound_rhs_prefix[-1], rel=1e-9)
+
+
+def test_first_round_bound_has_no_g4_term():
+    # At eps = 1e-40 the g^4 term's coefficient overflows from round 1 on,
+    # where the sum it multiplies is empty: the round-1 bound stays finite.
+    cfg = OptimizerConfig(algorithm="AdaTerm", alpha=0.1, lr_schedule="InverseSqrt",
+                          bias_correction=False, eps=1e-40, nu_tilde_init=1.5)
+    seq = QuadraticSequence(OnlineConvexSpec(dim=2), [make_rng(0)], 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        [report] = run_regret_experiment(seq, cfg)
+    assert np.isfinite(report.bound_rhs_prefix[0])
+    assert np.isinf(report.bound_rhs_prefix[1])
+
+
 @pytest.fixture(scope="module")
 def medium_report():
     spec = OnlineConvexSpec(dim=2)
@@ -202,9 +243,7 @@ def test_bound_holds_at_every_prefix(medium_report):
     assert np.all(report.regret_prefix <= report.bound_rhs_prefix)
 
 
-@pytest.mark.parametrize("t", [2, 57, 400, 500])
-def test_prefix_bound_matches_whole_log_evaluation(medium_report, t):
-    report, (v_log, g_log) = medium_report
+def _check_prefix_bound(report, v_log, g_log, t):
     cfg = regret_config()
     rhs = theorem_rhs(
         v_log[:t],
@@ -217,6 +256,34 @@ def test_prefix_bound_matches_whole_log_evaluation(medium_report, t):
         report.D_diam,
     )
     assert rhs.sum() == pytest.approx(report.bound_rhs_prefix[t - 1], rel=1e-9)
+
+
+@pytest.mark.parametrize("t", [2, 57, 400, 500])
+def test_prefix_bound_matches_whole_log_evaluation(medium_report, t):
+    report, (v_log, g_log) = medium_report
+    _check_prefix_bound(report, v_log, g_log, t)
+
+
+@pytest.fixture(scope="module")
+def long_report():
+    cfg = regret_config()
+    seq = QuadraticSequence(OnlineConvexSpec(dim=2), [make_rng(1)], 2 * BLOCK + 5)
+    [report] = run_regret_experiment(seq, cfg)
+    return report, replay_logs(seq, cfg, report)
+
+
+@pytest.mark.parametrize("t", [BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1, 2 * BLOCK + 5])
+def test_prefix_bound_matches_across_block_edges(long_report, t):
+    report, (v_log, g_log) = long_report
+    _check_prefix_bound(report, v_log, g_log, t)
+
+
+def test_final_terms_match_across_block_edges(long_report):
+    report, (v_log, g_log) = long_report
+    cfg = regret_config()
+    rhs = theorem_rhs(v_log, g_log, report.underline_tau, report.tau_T,
+                      cfg.alpha, cfg.beta, cfg.eps, report.D_diam)
+    np.testing.assert_allclose(report.bound_terms, rhs, rtol=1e-12)
 
 
 def test_final_terms_match_whole_log_evaluation(medium_report):
