@@ -35,7 +35,7 @@ import csv
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional, get_type_hints
 
 import numpy as np
 import yaml
@@ -201,15 +201,13 @@ class ExperimentConfig:
 # The optimizer keys every algorithm reads, and those each one reads on
 # top.  A key the chosen algorithm never reads is rejected, not ignored.
 _SHARED_OPTIMIZER_KEYS = {"name", "algorithm", "alpha", "eps", "lr_schedule",
-                          "weight_decay", "bias_correction"}
+                          "bias_correction"}
 _ALGORITHM_KEYS = {
     "AdaTerm": {"beta", "nu_tilde_min", "nu_tilde_init", "variant", "ablation"},
     "Adam": {"beta1", "beta2"},
     "AdaBelief": {"beta1", "beta2"},
     "TAdam": {"beta1", "beta2", "nu_tilde_min"},
 }
-# The OptimizerConfig fields that take text or a bool; the others are numbers.
-_NON_NUMBER_KEYS = {"algorithm", "variant", "ablation", "lr_schedule", "bias_correction"}
 
 
 def _number(value, kind, what, low=None):
@@ -252,17 +250,8 @@ def _parse_optimizer(section, index):
         raise ConfigError(
             f"optimizers[{index}]: unknown key(s) {sorted(unknown)} for {algorithm}"
         )
-    if not isinstance(flag := section.get("bias_correction", True), bool):
-        raise ConfigError(
-            f"optimizers[{index}]: bias_correction must be true or false, got {flag!r}")
-    kwargs = {
-        k: v if k in _NON_NUMBER_KEYS else _number(v, float, f"optimizers[{index}]: {k}")
-        for k, v in section.items() if k != "name"
-    }
-    try:
-        cfg = OptimizerConfig(**kwargs)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"optimizers[{index}]: {exc}") from exc
+    cfg = _spec(OptimizerConfig, f"optimizers[{index}]",
+                {k: v for k, v in section.items() if k != "name"})
     name = section.get("name", cfg.algorithm)
     return str(name), cfg
 
@@ -476,16 +465,27 @@ def _run_regression_cell(Ws, Bs, X, Y, batch_size, opt_cfg, x_test):
     return mse_loss(y_hat, np.broadcast_to(f, y_hat.shape))[0]
 
 
+# The declared field types ``_spec`` checks a config value against; a
+# field of any other type (text, a tuple) takes the value as it is.
+_FIELD_KINDS = {int: int, float: float, Optional[float]: float, bool: bool}
+
+
+def _field_value(value, kind, what):
+    if kind is bool and not isinstance(value, bool):
+        raise ConfigError(f"{what} must be true or false, got {value!r}")
+    return _number(value, kind, what) if kind in (int, float) else value
+
+
 def _spec(cls, what, values, **fixed):
     """``cls(**values, **fixed)``, or a ConfigError naming ``what`` if
     ``values`` is not a mapping or the class refuses it.  A value whose
-    field defaults to an int or a float goes through ``_number`` as that
-    type first."""
+    field is declared an int or a float (optional or not) goes through
+    ``_number`` as that type first, and one declared a bool must be one."""
     if not isinstance(values, dict):
         raise ConfigError(f"{what} must be a mapping, got {values!r}")
-    kinds = {f.name: type(f.default) for f in fields(cls)}
-    values = {k: _number(v, kinds[k], f"{what}: {k}") if kinds.get(k) in (int, float)
-              else v for k, v in values.items()}
+    hints = get_type_hints(cls)
+    kinds = {f.name: _FIELD_KINDS.get(hints[f.name]) for f in fields(cls)}
+    values = {k: _field_value(v, kinds.get(k), f"{what}: {k}") for k, v in values.items()}
     try:
         return cls(**values, **fixed)
     except (TypeError, ValueError) as exc:
@@ -564,7 +564,7 @@ def _run_regret_dimension(cfg: ExperimentConfig, spec: OnlineConvexSpec):
     name, opt_cfg = cfg.optimizers[0]
     exp_id = f"regret:d={spec.dim}"
     seeds = range(cfg.seed, cfg.seed + cfg.trials)
-    # Passed inline, so the draws are freed when the run returns.
+    # Passed inline, so the run can free the draws once every round is played.
     reports = run_regret_experiment(
         QuadraticSequence(spec, [make_rng(seed) for seed in seeds], cfg.horizon),
         opt_cfg,

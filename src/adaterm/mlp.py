@@ -21,23 +21,19 @@ class MlpModel:
     """Feedforward ReLU network.
 
     Args:
-        layer_sizes: unit counts from input to output; ``len - 1`` linear
-            layers are created.  A single-entry sequence yields an empty
-            model whose forward pass is the identity.
+        layer_sizes: unit counts from input to output, at least two;
+            ``len - 1`` linear layers are created.
         rng: numpy Generator for the He-uniform fan-in initialization
-            (weights in +-sqrt(6/fan_in), biases zero).  Required whenever
-            the model has at least one layer.
+            (weights in +-sqrt(6/fan_in), biases zero).
     """
 
-    def __init__(self, layer_sizes=DEFAULT_LAYER_SIZES, rng=None):
+    def __init__(self, layer_sizes, rng):
         sizes = tuple(int(s) for s in layer_sizes)
-        if len(sizes) < 1 or any(s < 1 for s in sizes):
+        if len(sizes) < 2 or any(s < 1 for s in sizes):
             raise ValueError(f"Invalid layer sizes: {layer_sizes}")
         self.layer_sizes = sizes
         self.weights = []
         self.biases = []
-        if len(sizes) > 1 and rng is None:
-            raise ValueError("rng is required to initialize a non-empty model")
         for n_in, n_out in zip(sizes[:-1], sizes[1:]):
             limit = np.sqrt(6.0 / n_in)
             self.weights.append(rng.uniform(-limit, limit, size=(n_in, n_out)))
@@ -58,7 +54,7 @@ def forward(Ws, Bs, x):
     ``masks[j]`` marks the strictly positive pre-activations of hidden
     layer j; the inputs and masks are what ``backward`` needs.
     """
-    if x.ndim != 3 or (Ws and x.shape[2] != Ws[0].shape[1]):
+    if x.ndim != 3 or x.shape[2] != Ws[0].shape[1]:
         raise ValueError(f"Expected input of shape (n, batch, in), got {x.shape}")
     inputs = [x]
     masks = []
@@ -79,7 +75,7 @@ def backward(Ws, inputs, masks, delta):
     """Exact gradients of each trial's scalar loss w.r.t. every weight and
     bias, given ``delta``, the loss gradient w.r.t. the (n, batch, out)
     output.  Returns ([dW per layer], [dB per layer])."""
-    if len(masks) != max(len(Ws) - 1, 0):
+    if len(masks) != len(Ws) - 1:
         raise ValueError(
             f"{len(masks)} ReLU masks do not match a model of depth {len(Ws)}"
         )

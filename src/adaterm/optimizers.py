@@ -9,8 +9,7 @@ The update rules are written as pure array functions with optional leading
 batch axes (shapes (..., d)).  ``GroupState(cfg, n, d).step(values, g, t)``
 is the package's one optimizer interface and the only place the rules are
 driven: it advances one parameter group of n independent trials, trial
-axis leading, and applies weight decay and the learning-rate schedule to
-the parameters.  The experiment harness advances a whole cell of trials in
+axis leading, and applies the learning-rate schedule to the parameters.  The experiment harness advances a whole cell of trials in
 one vectorized call, the regret loop all of one dimension's seeds; a
 single model is the case n = 1.  ``GroupState`` is the package's one state
 layout.
@@ -61,7 +60,6 @@ class OptimizerConfig:
             NoRobustness forces the exact Gaussian limit (tau = 1 - beta,
             delta_s = eps^2).
         lr_schedule: Constant, or InverseSqrt (alpha_t = alpha / sqrt(t)).
-        weight_decay: decoupled additive decay applied before the step.
         bias_correction: divide the moments by their warm-up corrections
             (disabled for regret runs).
     """
@@ -77,7 +75,6 @@ class OptimizerConfig:
     variant: str = "Default"
     ablation: str = "None"
     lr_schedule: str = "Constant"
-    weight_decay: float = 0.0
     bias_correction: bool = True
 
     def __post_init__(self):
@@ -107,8 +104,6 @@ class OptimizerConfig:
             raise ValueError(f"Unknown ablation: {self.ablation!r}")
         if self.lr_schedule not in LR_SCHEDULES:
             raise ValueError(f"Unknown lr_schedule: {self.lr_schedule!r}")
-        if self.weight_decay < 0.0:
-            raise ValueError(f"Invalid weight_decay: {self.weight_decay}")
 
     def learning_rate(self, t: int) -> float:
         if self.lr_schedule == "InverseSqrt":
@@ -253,9 +248,8 @@ class GroupState:
 
     def step(self, values, g, t):
         """Advance the state by the (n, d) gradient ``g`` at 1-based step
-        ``t``, then update ``values`` in place: decoupled weight decay and
-        the step along the update direction, both at the scheduled learning
-        rate.  ``values`` holds the group's n * d numbers in any shape with
+        ``t``, then update ``values`` in place: the step along the update
+        direction at the scheduled learning rate.  ``values`` holds the group's n * d numbers in any shape with
         the trial axis leading.  A rejected gradient changes nothing.
         """
         cfg = self.cfg
@@ -283,7 +277,5 @@ class GroupState:
                 self.m, self.v, t, cfg.beta1, cfg.beta2, cfg.eps, cfg.bias_correction
             )
         alpha_t = cfg.learning_rate(t)
-        if cfg.weight_decay:
-            values -= alpha_t * cfg.weight_decay * values
         values -= alpha_t * eta.reshape(values.shape)
 

@@ -4,11 +4,11 @@ bound.
 A run is handed a ``problems.QuadraticSequence`` with one generator per
 trial and plays all of its rounds, so the horizon T is the sequence's
 length.  It steps the noise-robust optimizer for every trial at once
-through one ``optimizers.GroupState`` (no bias correction, no weight
-decay, step size alpha/sqrt(t)), then projects onto the box.  It first
-plays every round, keeping (trials, T) logs of the loss, tau_t and the
-per-round sums over the coordinates of g_t^2, v_t^{1/2} and
-(sum_{s<t} g_s^4)^{1/2}.  Then, in blocks of ``BLOCK`` = 1024 rounds, it
+through one ``optimizers.GroupState`` (no bias correction, step size
+alpha/sqrt(t)), then projects onto the box.  It first plays every round,
+keeping (trials, T) logs of the loss, tau_t and the per-round sums over
+the coordinates of g_t^2, v_t^{1/2} and (sum_{s<t} g_s^4)^{1/2}.  Then it
+frees the draws and, in blocks of ``BLOCK`` = 1024 rounds, it
 evaluates the regret against the offline optimum and every term of the
 bound at every prefix, from observed quantities only.  Each running
 quantity is a sequential scan carried across the block edges, so every
@@ -128,8 +128,6 @@ def _validate_regret_config(cfg: OptimizerConfig):
         raise ValueError("Regret runs require the InverseSqrt step-size schedule")
     if cfg.bias_correction:
         raise ValueError("Regret runs require bias_correction=False")
-    if cfg.weight_decay:
-        raise ValueError("Regret runs require weight_decay=0: the bound assumes none")
 
 
 def _geometric_sums(g2, lows, k0, total):
@@ -196,6 +194,9 @@ def run_regret_experiment(seq: QuadraticSequence, cfg: OptimizerConfig):
         sqrt_v_sum[:, t - 1] = np.sum(np.sqrt(state.v), axis=1)
         sqrt_g4_sum[:, t - 1] = np.sum(np.sqrt(g4_past), axis=1)
         g4_past += g**4
+    # The evaluation reads only the logs: free the (n, T, d) draws for its
+    # temporaries.
+    del seq, A, C
 
     # Evaluate, a block of rounds at a time, each running quantity carried
     # across the block edges.

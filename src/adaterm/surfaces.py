@@ -11,7 +11,10 @@ Three grid kinds, all emitted as CSV tables rather than plots:
   same plane: positive where the estimator raises nu_tilde (gradients look
   Gaussian), negative where it lowers it (outliers detected).  The product
   kappa_dnu * g_nu is dimension-free: the d in the step size cancels the d
-  in the surrogate gradient.
+  in the surrogate gradient, so the surface is evaluated at d = 1.
+
+The surfaces restate no formula: they call ``tdist.weights`` and
+``tdist.dof_step``, the functions the estimator steps with.
 """
 
 from __future__ import annotations
@@ -21,12 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .files import write_csv
-from .special import EPS_FLOAT32, W_NU_BAR_CEIL
-from .tdist import (
-    grad_nu_surrogate_pre,
-    grad_nu_tilde_surrogate,
-    interpolation_factor,
-)
+from .tdist import dof_step, grad_nu_surrogate_pre, interpolation_factor, weights
 
 __all__ = ["GRID_KINDS", "GridSpec", "emit_grid", "write_grid_csv"]
 
@@ -83,33 +81,6 @@ class GridSpec:
         return np.linspace(self.D_low, self.D_high, self.n_D)
 
 
-def _w_mv(nu_tilde, D):
-    return (nu_tilde + 1.0) / (nu_tilde + D)
-
-
-def tau_mv_of(nu_tilde, D, beta):
-    """tau_mv as a function of (nu_tilde, D): (1-beta) w_mv / w_mv_bar."""
-    w = _w_mv(nu_tilde, D)
-    w_bar = (nu_tilde + 1.0) / nu_tilde
-    return interpolation_factor(beta, w, w_bar)
-
-
-def dof_increment_of(nu_tilde, D, beta, nu_tilde_min):
-    """kappa_dnu * g_nu at (nu_tilde, D); dimension-free (evaluated at d=1).
-
-    Uses the same floors as the estimator: w_mv floored at the float32
-    epsilon inside w_nu, and the ceiling on w_nu_bar.
-    """
-    nu_tilde = np.asarray(nu_tilde, dtype=np.float64)
-    D = np.asarray(D, dtype=np.float64)
-    w = np.maximum(_w_mv(nu_tilde, D), EPS_FLOAT32)
-    w_bar = (nu_tilde + 1.0) / nu_tilde
-    w_nu_bar = np.maximum(w_bar - np.log(w_bar), W_NU_BAR_CEIL)
-    dnu = nu_tilde - nu_tilde_min
-    kappa = 2.0 * dnu * (1.0 - beta) / w_nu_bar
-    return kappa * grad_nu_tilde_surrogate(nu_tilde, 1, w)
-
-
 def emit_grid(spec: GridSpec):
     """Evaluate the grid; returns (column names, rows as a float array).
 
@@ -129,11 +100,13 @@ def emit_grid(spec: GridSpec):
     nu = spec.nu_axis()
     D = spec.D_axis()
     nu_g, D_g = np.meshgrid(nu, D, indexing="ij")
+    w_mv, w_mv_bar, w_nu, w_nu_bar = weights(nu_g, D_g)
     if spec.kind == "TauSurface":
-        vals = tau_mv_of(nu_g, D_g, spec.beta)
+        vals = interpolation_factor(spec.beta, w_mv, w_mv_bar)
         name = "tau_mv"
     else:
-        vals = dof_increment_of(nu_g, D_g, spec.beta, spec.nu_tilde_min)
+        kappa_dnu, g_nu = dof_step(nu_g, w_nu, w_nu_bar, 1, spec.beta, spec.nu_tilde_min)
+        vals = kappa_dnu * g_nu
         name = "increment"
     table = np.column_stack([nu_g.ravel(), D_g.ravel(), vals.ravel()])
     return ["nu_tilde", "D", name], table

@@ -21,6 +21,10 @@ against.  The one-shot density and gradient functions exist so the update
 rules can be verified against finite differences and analytic bounds,
 independently of any optimizer.
 
+``weights`` and ``dof_step`` are the one copy of the weight formulas (floor
+and ceiling included) and of the nu_tilde step: the estimator, ``grad_m``,
+``grad_v``, ``ascent_forms`` and the figure grids all call them.
+
 All array functions accept leading batch axes: shapes (..., d) for vectors
 and (...) for per-group scalars, reducing over the trailing axis only.
 They hold no state: the arrays live in ``optimizers.GroupState``, the one
@@ -107,8 +111,7 @@ def grad_m(g, m, v, nu_tilde):
     """
     g, m, v = _check_density_args(g, m, v, nu_tilde)
     s = (g - m) ** 2
-    D = float(np.mean(s / v))
-    w_mv = (nu_tilde + 1.0) / (nu_tilde + D)
+    w_mv = weights(nu_tilde, float(np.mean(s / v)))[0]
     return w_mv * (g - m) / v
 
 
@@ -120,7 +123,7 @@ def grad_v(g, m, v, nu_tilde):
     g, m, v = _check_density_args(g, m, v, nu_tilde)
     s = (g - m) ** 2
     D = float(np.mean(s / v))
-    w_mv = (nu_tilde + 1.0) / (nu_tilde + D)
+    w_mv = weights(nu_tilde, D)[0]
     lead = w_mv * nu_tilde / (2.0 * v * v * (nu_tilde + 1.0))
     return lead * ((s - v) + (s - D * v) / nu_tilde)
 
@@ -176,11 +179,14 @@ def grad_nu_tilde_surrogate(nu_tilde, d, w_mv):
     w = np.asarray(w_mv, dtype=np.float64)
     if np.any(nt <= 0.0) or np.any(w <= 0.0):
         raise ValueError("nu_tilde and w_mv must be strictly positive")
-    w_nu = w - np.log(w)
-    out = w_nu * (0.5 * d) * (
-        -1.0 + ((nt + 2.0) / (nt + 1.0) + nt) / (nt * w_nu)
-    )
+    out = _dof_gradient(nt, d, w - np.log(w))
     return out if out.ndim else float(out)
+
+
+def _dof_gradient(nu_tilde, d, w_nu):
+    return w_nu * (0.5 * d) * (
+        -1.0 + ((nu_tilde + 2.0) / (nu_tilde + 1.0) + nu_tilde) / (nu_tilde * w_nu)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -216,19 +222,35 @@ def interpolation_factor(beta, w, w_bar):
     return np.minimum((1.0 - beta) * w / w_bar, 1.0 - beta)
 
 
+def weights(nu_tilde, D):
+    """(w_mv, w_mv_bar, w_nu, w_nu_bar) at (nu_tilde, D), elementwise.
+
+    The float32 floor on w_mv inside w_nu mirrors the underflow limit that
+    motivates the ceiling W_NU_BAR_CEIL; it keeps tau_nu <= 1 - beta for
+    arbitrarily extreme deviations.
+    """
+    w_mv = (nu_tilde + 1.0) / (nu_tilde + D)
+    w_mv_bar = (nu_tilde + 1.0) / nu_tilde
+    w_floored = np.maximum(w_mv, EPS_FLOAT32)
+    w_nu = w_floored - np.log(w_floored)
+    w_nu_bar = np.maximum(w_mv_bar - np.log(w_mv_bar), W_NU_BAR_CEIL)
+    return w_mv, w_mv_bar, w_nu, w_nu_bar
+
+
+def dof_step(nu_tilde, w_nu, w_nu_bar, d, beta, nu_tilde_min):
+    """(kappa_dnu, g_nu) of the nu_tilde ascent step in dimension d, from
+    the w_nu and w_nu_bar of ``weights``.  The increment kappa_dnu * g_nu is
+    dimension-free: the d in the step size cancels the d in g_nu."""
+    kappa_dnu = 2.0 * (nu_tilde - nu_tilde_min) * (1.0 - beta) / (d * w_nu_bar)
+    return kappa_dnu, _dof_gradient(nu_tilde, d, w_nu)
+
+
 def diagnostics_arrays(m, v, nu_tilde, g, beta, eps, nu_tilde_min):
     """Batched diagnostics: m, v, g shaped (..., d); nu_tilde shaped (...)."""
     nu_tilde = np.asarray(nu_tilde, dtype=np.float64)
     s = (g - m) ** 2
     D = np.mean(s / v, axis=-1)
-    w_mv = (nu_tilde + 1.0) / (nu_tilde + D)
-    w_mv_bar = (nu_tilde + 1.0) / nu_tilde
-    # The float32 floor mirrors the underflow limit that motivates the
-    # ceiling W_NU_BAR_CEIL; it keeps tau_nu <= 1 - beta for arbitrarily
-    # extreme deviations.
-    w_floored = np.maximum(w_mv, EPS_FLOAT32)
-    w_nu = w_floored - np.log(w_floored)
-    w_nu_bar = np.maximum(w_mv_bar - np.log(w_mv_bar), W_NU_BAR_CEIL)
+    w_mv, w_mv_bar, w_nu, w_nu_bar = weights(nu_tilde, D)
     tau_mv = interpolation_factor(beta, w_mv, w_mv_bar)
     tau_nu = interpolation_factor(beta, w_nu, w_nu_bar)
     delta_s = np.maximum(
@@ -283,12 +305,11 @@ def ascent_forms(m, v, nu_tilde, g, beta, eps, nu_tilde_min):
     w_mv, nt = diag.w_mv[..., None], nu_tilde[..., None]
     kappa_m = 2.0 * v * (1.0 - beta) / diag.w_mv_bar[..., None]
     kappa_v = 2.0 * v * v * (1.0 - beta)
-    kappa_dnu = 2.0 * (nu_tilde - nu_tilde_min) * (1.0 - beta) / (d * diag.w_nu_bar)
+    kappa_dnu, g_nu = dof_step(nu_tilde, diag.w_nu, diag.w_nu_bar, d, beta, nu_tilde_min)
     m_asc = m + kappa_m * (w_mv * (g - m) / (2.0 * v))
     g_v_clipped = (
         w_mv * nt / (2.0 * v * v * (nt + 1.0)) * ((diag.s + diag.delta_s) - v)
     )
     v_asc = v + kappa_v * g_v_clipped
-    g_nu = grad_nu_tilde_surrogate(nu_tilde, d, np.maximum(diag.w_mv, EPS_FLOAT32))
     nu_asc = nu_tilde + kappa_dnu * g_nu + diag.tau_nu * eps
     return (m_asc, v_asc, nu_asc), (kappa_m, kappa_v, kappa_dnu)

@@ -168,7 +168,7 @@ def test_run_rejects_unused_top_level_key(tmp_path, capsys, template, old, new, 
          "variant='Uncentered'"),
         (SMALL_REGRET, "InverseSqrt", "Constant", "InverseSqrt"),
         (SMALL_REGRET, "alpha: 0.1", "alpha: 0.1\n  weight_decay: 0.5",
-         "weight_decay=0"),
+         "unknown key(s) ['weight_decay'] for AdaTerm"),
         (SMALL_RUN, "steps: 30", "steps: -5", "steps must be >= 0, got -5"),
         (SMALL_RUN, "steps: 30", "steps: 30\nrecord_every: -1",
          "record_every must be >= 0, got -1"),
@@ -276,7 +276,7 @@ def test_run_reads_exponent_floats(tmp_path):
     optimizer values take it as the number it spells."""
     out = {}
     for spelling in ("0.001", "1e-3"):
-        text = SMALL_RUN.replace("alpha: 0.01", f"alpha: {spelling}, weight_decay: 1e-4")
+        text = SMALL_RUN.replace("alpha: 0.01", f"alpha: {spelling}, eps: 1e-5")
         cfg = write_config(tmp_path, text.replace("{out}", f"{{out}}-{spelling}"))
         assert main(["run", str(cfg)]) == EXIT_OK
         out[spelling] = (tmp_path / f"out-{spelling}" / "results.csv").read_bytes()

@@ -17,14 +17,6 @@ def test_single_linear_layer_exact():
     np.testing.assert_array_equal(y, [[[2.0 - 3.0 + 0.5], [2.0 + 0.5]]])
 
 
-def test_empty_model_is_identity():
-    Ws, Bs = stack_parameters([MlpModel((3,))])
-    x = np.arange(6.0).reshape(1, 2, 3)
-    y, inputs, masks = forward(Ws, Bs, x)
-    assert np.array_equal(y, x)
-    assert backward(Ws, inputs, masks, np.ones_like(x)) == ([], [])
-
-
 def test_he_uniform_bounds_and_zero_biases():
     model = MlpModel((1, 8, 8, 1), make_rng(3))
     for w, fan_in in zip(model.weights, (1, 8, 8)):
@@ -35,12 +27,7 @@ def test_he_uniform_bounds_and_zero_biases():
         assert np.all(b == 0.0)
 
 
-def test_rng_required_for_nonempty_model():
-    with pytest.raises(ValueError, match="rng"):
-        MlpModel((1, 4, 1))
-
-
-@pytest.mark.parametrize("bad", [(0, 3), (2, -1), ()])
+@pytest.mark.parametrize("bad", [(0, 3), (2, -1), (), (3,)])
 def test_layer_size_validation(bad):
     with pytest.raises(ValueError):
         MlpModel(bad, make_rng(0))

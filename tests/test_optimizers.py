@@ -80,7 +80,6 @@ def test_enum_tuples_are_frozen():
         {"variant": "Fancy"},
         {"ablation": "NoNothing"},
         {"lr_schedule": "Cosine"},
-        {"weight_decay": -0.1},
         {"beta": 0.0},
         {"eps": 0.0},
     ],
@@ -427,16 +426,3 @@ def test_step_error_paths():
         st.step(theta, np.zeros((1, 3)), 1)
     with pytest.raises(NonFiniteGradientError):
         st.step(theta, np.array([[np.nan, 0.0]]), 1)
-    # A rejected gradient is caught before weight decay moves the values.
-    decayed, theta = _model(OptimizerConfig(algorithm="Adam", weight_decay=0.5),
-                            np.ones(2))
-    with pytest.raises(NonFiniteGradientError):
-        decayed.step(theta, np.array([[np.inf, 0.0]]), 1)
-    np.testing.assert_array_equal(theta, [[1.0, 1.0]])
-
-
-def test_weight_decay_applies_before_direction():
-    cfg = OptimizerConfig(algorithm="Adam", alpha=0.1, weight_decay=0.5)
-    st, theta = _model(cfg, [1.0])
-    st.step(theta, np.zeros((1, 1)), 1)  # zero gradient isolates the decay term
-    assert theta[0, 0] == 1.0 - 0.1 * 0.5 * 1.0

@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 
 from adaterm.special import EPS_FLOAT32, W_NU_BAR_CEIL
-from adaterm.surfaces import (
-    GRID_KINDS,
-    GridSpec,
-    dof_increment_of,
-    emit_grid,
-    tau_mv_of,
-    write_grid_csv,
+from adaterm.surfaces import GRID_KINDS, GridSpec, emit_grid, write_grid_csv
+from adaterm.tdist import (
+    diagnostics_arrays,
+    dof_step,
+    grad_nu_surrogate_pre,
+    grad_nu_tilde_surrogate,
+    interpolation_factor,
+    weights,
 )
-from adaterm.tdist import grad_nu_surrogate_pre, grad_nu_tilde_surrogate
 
 
 def test_grid_kinds_frozen():
@@ -84,24 +84,52 @@ def test_tau_surface_values():
     assert np.all(np.diff(first_block) < 0.0)
 
 
+def test_tau_surface_is_the_estimators_tau():
+    # At D = r^2 the estimator sees exactly that deviation from m = 0,
+    # v = 1, g = r, so the grid row must be its tau_mv bit for bit.
+    spec = GridSpec(kind="TauSurface")
+    _, table = emit_grid(spec)
+    nu, D = spec.nu_axis(), spec.D_axis()
+    tau = table[:, 2].reshape(nu.size, D.size)
+    roots = np.arange(11.0)
+    cols = (roots * roots).astype(int)
+    assert np.array_equal(D[cols], roots * roots)
+    shape = (nu.size, roots.size, 1)
+    diag = diagnostics_arrays(
+        np.zeros(shape), np.ones(shape),
+        np.broadcast_to(nu[:, None], shape[:2]),
+        np.broadcast_to(roots[None, :, None], shape),
+        spec.beta, 1e-5, spec.nu_tilde_min,
+    )
+    np.testing.assert_array_equal(tau[:, cols], diag.tau_mv)
+
+
 def test_tau_mv_of_hand_value():
     # nu=1, D=3: w = 2/4, w_bar = 2, tau = 0.1 * 0.25.
-    assert tau_mv_of(1.0, 3.0, 0.9) == pytest.approx(0.025, rel=1e-14)
+    w_mv, w_mv_bar, _, _ = weights(1.0, 3.0)
+    assert interpolation_factor(0.9, w_mv, w_mv_bar) == pytest.approx(0.025, rel=1e-14)
+
+
+def _increment(nu_tilde, D, beta, nu_tilde_min):
+    """kappa_dnu * g_nu at (nu_tilde, D) in dimension 1, as the grid has it."""
+    _, _, w_nu, w_nu_bar = weights(nu_tilde, D)
+    kappa_dnu, g_nu = dof_step(nu_tilde, w_nu, w_nu_bar, 1, beta, nu_tilde_min)
+    return kappa_dnu * g_nu
 
 
 def test_dof_increment_sign_structure():
     # At the lower dof bound the increment is pinned to zero for any D.
-    assert dof_increment_of(1.0, 0.0, 0.9, 1.0) == 0.0
-    assert dof_increment_of(1.0, 37.0, 0.9, 1.0) == 0.0
+    assert _increment(1.0, 0.0, 0.9, 1.0) == 0.0
+    assert _increment(1.0, 37.0, 0.9, 1.0) == 0.0
     # Above the bound: grows when gradients agree with the current scale,
     # shrinks under large normalized deviation.
-    assert dof_increment_of(1.5, 0.0, 0.9, 1.0) > 0.0
-    assert dof_increment_of(1.5, 100.0, 0.9, 1.0) < 0.0
+    assert _increment(1.5, 0.0, 0.9, 1.0) > 0.0
+    assert _increment(1.5, 100.0, 0.9, 1.0) < 0.0
 
 
 def test_dof_increment_is_dimension_free():
     nu, D, beta, nu_min = 2.5, 7.0, 0.9, 1.0
-    ref = dof_increment_of(nu, D, beta, nu_min)
+    ref = _increment(nu, D, beta, nu_min)
     w = max((nu + 1.0) / (nu + D), EPS_FLOAT32)
     w_bar = (nu + 1.0) / nu
     w_nu_bar = max(w_bar - np.log(w_bar), W_NU_BAR_CEIL)
