@@ -9,9 +9,9 @@ Subcommands:
 * ``verify-gradients [--points N] [--tolerance T] [--seed S]`` — check the
   density gradients against finite differences.
 
-Exit codes: 0 success, 2 config problems (an output file that cannot be
-written included), 3 runtime numerical failure, 4 verification/invariant
-failure.
+Exit codes: 0 success, 1 a cell's worker ended with no result, 2 config
+problems (an output file that cannot be written included), 3 runtime
+numerical failure, 4 verification/invariant failure.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .files import OutputError
 from .harness import (
     ConfigError,
     VerificationError,
+    WorkerError,
     grid_paths,
     load_config,
     read_results_csv,
@@ -36,6 +37,7 @@ from .surfaces import GRID_KINDS, GridSpec, write_grid_csv
 from .tdist import NonFiniteGradientError
 
 EXIT_OK = 0
+EXIT_WORKER = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_INVARIANT = 4
@@ -134,6 +136,9 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except WorkerError as exc:
+        print(f"worker error: {exc}", file=sys.stderr)
+        return EXIT_WORKER
     return EXIT_OK
 
 

@@ -10,16 +10,17 @@ optimizer's cell; a cell only computes from what it is handed.  The cell
 advances all of its trials as one batched array computation (trial axis
 leading) through ``optimizers.GroupState``, the same state a regret run
 steps with one dimension's seeds on the trial axis; a single model is the
-case n = 1.  A test-function experiment makes one pass per
-optimizer: its k noise ratios are stacked on the trial axis (k * n rows,
-ratio outer) over the same (n, steps) noise.  A regression experiment
-draws each trial's model and stream once, into arrays with the trial
-axis leading, and makes every ratio's labels from the same draws; a
-regression cell runs one ratio.  A single trial is a
-cell run on that trial's draws alone (a row slice), and rows do not
-depend on how ratios or trials are grouped: any split of the trials into
-contiguous batches, and any grouping of the ratios, gives byte-identical
-rows.
+case n = 1.  A test-function cell is one optimizer's pass: its k noise
+ratios are stacked on the trial axis (k * n rows, ratio outer) over the
+same (n, steps) noise.  A regression experiment draws each trial's model
+and stream once, into arrays with the trial axis leading; a regression
+cell runs one ratio and makes its labels from those draws.  A single
+trial is a cell run on that trial's draws alone (a row slice), and rows
+do not depend on how ratios or trials are grouped: any split of the
+trials into contiguous batches, and any grouping of the ratios, gives
+byte-identical rows.  The cells run in forked workers, one per usable
+core, which inherit the draws and send back only their results
+(``_map_cells``); with one usable core they run in this process.
 
 Output tables are written to a temp file and moved into place, so a run
 that stops part-way leaves the old file or none.
@@ -33,6 +34,8 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import pickle
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, get_type_hints
@@ -64,6 +67,7 @@ from .tdist import NonFiniteGradientError, grad_m, grad_nu_exact, grad_v, log_de
 __all__ = [
     "ConfigError",
     "VerificationError",
+    "WorkerError",
     "SCHEMA_VERSION",
     "EXPERIMENT_KINDS",
     "ResultRow",
@@ -90,6 +94,10 @@ class ConfigError(Exception):
 
 class VerificationError(Exception):
     """A verification experiment observed an invariant violation."""
+
+
+class WorkerError(Exception):
+    """A cell's worker process ended without sending back its result."""
 
 
 class ResultRow(NamedTuple):
@@ -406,15 +414,13 @@ def _run_test_function_experiment(cfg: ExperimentConfig):
     deltas = np.empty((cfg.trials, cfg.steps, 2))
     for i in range(cfg.trials):
         us[i], deltas[i] = draw_test_function_noise(make_rng(cfg.seed + i), cfg.steps)
-    cells = [
-        (name, *_run_test_function_cell(function, ratios, opt_cfg, us, deltas,
-                                        cfg.record_every))
-        for name, opt_cfg in cfg.optimizers
-    ]
+    cells = _map_cells(_run_test_function_cell, {
+        f"{function} {name}": (function, ratios, opt_cfg, us, deltas, cfg.record_every)
+        for name, opt_cfg in cfg.optimizers})
     rows = []
     for j, p in enumerate(ratios):
         exp_id = f"{function}:p={p:g}"
-        for name, norms, nus, trails in cells:
+        for (name, _), (norms, nus, trails) in zip(cfg.optimizers, cells):
             for i in range(cfg.trials):
                 seed = cfg.seed + i
                 rows.append(
@@ -524,15 +530,13 @@ def _run_regression_experiment(cfg: ExperimentConfig):
     Ws, Bs = stack_parameters(models)
     x_test = np.linspace(0.0, 1.0, TEST_X_POINTS)[:, None]
     n_steps = math.ceil(n_pairs / spec.batch_size)
-    rows = []
-    for p in cfg.problem["noise_ratios"]:
-        exp_id = f"regression:p={p:g}"
-        Y = apply_coordinate_noise(F, U, Z, p)  # noise fires where u < p
-        for name, opt_cfg in cfg.optimizers:
-            mses = _run_regression_cell(Ws, Bs, X, Y, spec.batch_size, opt_cfg, x_test)
-            rows.extend(ResultRow(exp_id, name, cfg.seed + i, "test_mse", n_steps,
-                                  float(mses[i])) for i in range(n))
-    return rows
+    cells = {f"regression:p={p:g} {name}": (p, opt_cfg)  # "<experiment id> <optimizer>"
+             for p in cfg.problem["noise_ratios"] for name, opt_cfg in cfg.optimizers}
+    # Each cell makes its own labels (noise fires where u < p).
+    results = _map_cells(lambda p, opt_cfg: _run_regression_cell(
+        Ws, Bs, X, apply_coordinate_noise(F, U, Z, p), spec.batch_size, opt_cfg, x_test), cells)
+    return [ResultRow(*cell.split(" ", 1), cfg.seed + i, "test_mse", n_steps, float(mses[i]))
+            for cell, mses in zip(cells, results) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -589,12 +593,10 @@ def _run_regret_dimension(cfg: ExperimentConfig, spec: OnlineConvexSpec):
 
 
 def _run_regret_experiment_kind(cfg: ExperimentConfig):
-    rows = []
-    for spec in _regret_specs(cfg):
-        # A helper call per dimension: its reports are freed when it
-        # returns, before the next dimension's draws are made.
-        rows.extend(_run_regret_dimension(cfg, spec))
-    return rows
+    # A cell per dimension: in one process, its reports are freed when it
+    # returns, before the next dimension's draws are made.
+    cells = {f"regret:d={spec.dim}": (cfg, spec) for spec in _regret_specs(cfg)}
+    return [row for rows in _map_cells(_run_regret_dimension, cells) for row in rows]
 
 
 def grid_paths(cfg: ExperimentConfig):
@@ -727,8 +729,61 @@ def _run_verify_gradients_experiment(cfg: ExperimentConfig):
 
 
 # ---------------------------------------------------------------------------
-# Dispatch
+# Dispatch: experiment kinds, and cells in forked workers
 # ---------------------------------------------------------------------------
+
+
+def _map_cells(fn, calls):
+    """``[fn(*args) for args in calls.values()]``, ``calls`` mapping each cell's
+    name to its arguments.  Each call runs in a forked child, at most one per
+    usable core, which sends back its pickled result or exception (raised
+    again here).  On any failure every child left is killed and reaped first.
+    With one usable core, one cell or no ``os.fork``, the calls run here."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(calls), cores if hasattr(os, "fork") else 1)
+    if workers <= 1:
+        return [fn(*args) for args in calls.values()]
+    import select
+    import signal
+
+    results, running, todo = {}, {}, list(calls)[::-1]  # running: pipe -> (name, pid)
+    try:
+        while todo or running:
+            while todo and len(running) < workers:
+                r, w = os.pipe()
+                if (pid := os.fork()) == 0:  # the child leaves by os._exit only, so it
+                    try:  # never flushes the parent's stdio or runs its atexit handlers
+                        try:
+                            out = pickle.dumps((True, fn(*calls[todo[-1]])))
+                        except BaseException as exc:
+                            out = pickle.dumps((False, exc))
+                        with open(w, "wb") as pipe:
+                            pipe.write(out)
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+                os.close(w)
+                running[open(r, "rb")] = (todo.pop(), pid)
+            # A child writes only its whole result, so a readable pipe is read to its end.
+            for pipe in select.select(list(running), [], [])[0]:
+                name, pid = running[pipe]
+                out, status = pipe.read(), os.waitpid(pid, 0)[1]
+                del running[pipe]
+                pipe.close()
+                try:
+                    ok, value = pickle.loads(out)
+                except Exception:
+                    raise WorkerError(f"cell {name} ended with no result (wait status {status}, "
+                                      f"exit code {os.waitstatus_to_exitcode(status)})") from None
+                if not ok:
+                    raise value
+                results[name] = value
+    finally:
+        for pipe, (_, pid) in running.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [results[name] for name in calls]
 
 
 class _Kind(NamedTuple):

@@ -2,7 +2,10 @@
 harness is built around: a cell's rows do not depend on how its trials are
 split into batches, a single trial (n = 1) included."""
 
+import ast
 import math
+import os
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -639,11 +642,13 @@ def test_regret_experiment_kind(tmp_path):
 
 def test_regret_experiment_runs_once_per_dimension(tmp_path, monkeypatch):
     # Every seed of a dimension shares one batched run: a per-seed loop
-    # would call the run trials times per dimension.
-    calls = []
+    # would call the run trials times per dimension.  Dimensions may run in
+    # forked workers, so each call is recorded as a file, not in a list.
+    calls_dir = tmp_path / "calls"
+    calls_dir.mkdir()
 
     def counted(seq, opt_cfg):
-        calls.append(seq.A.shape)
+        (calls_dir / f"{os.getpid()}-{time.perf_counter_ns()}").write_text(repr(seq.A.shape))
         return run_regret_experiment(seq, opt_cfg)
 
     monkeypatch.setattr(harness, "run_regret_experiment", counted)
@@ -668,7 +673,8 @@ def test_regret_experiment_runs_once_per_dimension(tmp_path, monkeypatch):
         problem={"box_halfwidth": 1.0, "grad_bound": 4.0},
     )
     rows = run_experiment(cfg)
-    assert calls == [(3, 20, 2), (3, 20, 5)]
+    calls = [ast.literal_eval(p.read_text()) for p in calls_dir.iterdir()]
+    assert sorted(calls, key=lambda shape: shape[2]) == [(3, 20, 2), (3, 20, 5)]
     assert [(r.experiment, r.seed) for r in rows if r.metric == "R_T"] == [
         ("regret:d=2", 4), ("regret:d=2", 5), ("regret:d=2", 6),
         ("regret:d=5", 4), ("regret:d=5", 5), ("regret:d=5", 6),
