@@ -452,7 +452,8 @@ def _run_regression_cell(Ws, Bs, X, Y, batch_size, opt_cfg, x_test):
     short); a single trial is a row slice.  The parameters are copied, not
     trained in place, so every optimizer can be handed the same draws.
     Returns each trial's final test MSE against the clean target on
-    ``x_test``."""
+    ``x_test``, evaluated one trial at a time: the forward pass keeps every
+    layer's activations on the whole test grid."""
     Ws, Bs = [W.copy() for W in Ws], [B.copy() for B in Bs]
     n, n_pairs = X.shape[:2]
     states = [GroupState(opt_cfg, n, P[0].size) for P in Ws + Bs]
@@ -465,10 +466,12 @@ def _run_regression_cell(Ws, Bs, X, Y, batch_size, opt_cfg, x_test):
         for state, P, g in zip(states, Ws + Bs, gWs + gBs):
             state.step(P, g.reshape(n, -1), t)
 
-    xt = np.broadcast_to(x_test, (n,) + x_test.shape)
-    y_hat, _, _ = _batched_forward(Ws, Bs, xt)
     f = true_regression_fn(x_test[:, 0])[None, :, None]
-    return mse_loss(y_hat, np.broadcast_to(f, y_hat.shape))[0]
+    mses = np.empty(n)
+    for i in range(n):
+        W, B = [W[i:i + 1] for W in Ws], [B[i:i + 1] for B in Bs]
+        mses[i] = mse_loss(_batched_forward(W, B, x_test[None])[0], f)[0][0]
+    return mses
 
 
 # The declared field types ``_spec`` checks a config value against; a

@@ -9,14 +9,15 @@ The update rules are written as pure array functions with optional leading
 batch axes (shapes (..., d)).  ``GroupState(cfg, n, d).step(values, g, t)``
 is the package's one optimizer interface and the only place the rules are
 driven: it advances one parameter group of n independent trials, trial
-axis leading, and applies the learning-rate schedule to the parameters.  The experiment harness advances a whole cell of trials in
-one vectorized call, the regret loop all of one dimension's seeds; a
-single model is the case n = 1.  ``GroupState`` is the package's one state
-layout.
+axis leading, and applies the learning-rate schedule to the parameters.
+The experiment harness advances a whole cell of trials in one vectorized
+call, the regret loop all of one dimension's seeds; a single model is the
+case n = 1.  ``GroupState`` is the package's one state layout.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -107,7 +108,7 @@ class OptimizerConfig:
 
     def learning_rate(self, t: int) -> float:
         if self.lr_schedule == "InverseSqrt":
-            return self.alpha / np.sqrt(t)
+            return self.alpha / math.sqrt(t)
         return self.alpha
 
 
@@ -249,13 +250,14 @@ class GroupState:
     def step(self, values, g, t):
         """Advance the state by the (n, d) gradient ``g`` at 1-based step
         ``t``, then update ``values`` in place: the step along the update
-        direction at the scheduled learning rate.  ``values`` holds the group's n * d numbers in any shape with
-        the trial axis leading.  A rejected gradient changes nothing.
+        direction at the scheduled learning rate.  ``values`` holds the
+        group's n * d numbers in any shape with the trial axis leading.  A
+        rejected gradient changes nothing.
         """
         cfg = self.cfg
         if g.shape != self.m.shape:
             raise ValueError(f"Gradient shape {g.shape} is not the state's {self.m.shape}")
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NonFiniteGradientError(f"Non-finite gradient at step {t}")
         if cfg.algorithm == "AdaTerm":
             self.m, self.v, self.nu, self.tau = adaterm_moments(

@@ -241,7 +241,8 @@ class QuadraticSequence:
     a trial's sequence does not depend on the others; ``[make_rng(seed)]``
     is a single trial.  The coefficients are stored as (n, T, d) arrays,
     trial axis leading.  Round t's losses and gradients are ``loss(t,
-    theta)`` and ``grad(t, theta)`` for theta shaped (n, d); the raw
+    theta)`` and ``grad(t, theta)`` for theta shaped (n, d); a slice of
+    rounds in place of t evaluates a block of rounds at once.  The raw
     coefficient arrays stay accessible for the closed-form offline optimum.
     """
 
@@ -266,12 +267,16 @@ class QuadraticSequence:
         return self.A.shape[1]
 
     def loss(self, t, theta):
-        """Every trial's loss of round t (0-based index), shaped (n,)."""
+        """Every trial's loss of round t (0-based index), shaped (n,).  For
+        a slice of k rounds, theta is shaped (n, k, d) (or broadcasts to it)
+        and the losses are shaped (n, k), each with the bits of its round's
+        own call."""
         diff = theta - self.C[:, t]
-        return 0.5 * np.sum(self.A[:, t] * diff * diff, axis=1)
+        return 0.5 * np.sum(self.A[:, t] * diff * diff, axis=-1)
 
     def grad(self, t, theta):
-        """Every trial's gradient of round t, shaped (n, d)."""
+        """Every trial's gradient of round t, shaped (n, d); for a slice of
+        rounds, shaped like the losses' operand, (n, k, d)."""
         return self.A[:, t] * (theta - self.C[:, t])
 
     def offline_optimum(self):

@@ -5,16 +5,20 @@ A run is handed a ``problems.QuadraticSequence`` with one generator per
 trial and plays all of its rounds, so the horizon T is the sequence's
 length.  It steps the noise-robust optimizer for every trial at once
 through one ``optimizers.GroupState`` (no bias correction, step size
-alpha/sqrt(t)), then projects onto the box.  It first plays every round,
-keeping (trials, T) logs of the loss, tau_t and the per-round sums over
-the coordinates of g_t^2, v_t^{1/2} and (sum_{s<t} g_s^4)^{1/2}.  Then it
-frees the draws and, in blocks of ``BLOCK`` = 1024 rounds, it
-evaluates the regret against the offline optimum and every term of the
-bound at every prefix, from observed quantities only.  Each running
-quantity is a sequential scan carried across the block edges, so every
-prefix has the bits of a round-by-round accumulation; and every quantity
-is computed row by row, so a trial's report does not depend on which
-trials share its run.  The bound must dominate the regret at every prefix.
+alpha/sqrt(t)), then clamps onto the box.  It plays in blocks of
+``BLOCK`` = 256 rounds: a round only takes the gradient, steps, clamps and
+writes theta, g and v into the block's (trials, BLOCK, d) buffers, and
+after each block the buffers are reduced into (trials, T) logs of the
+loss, the comparator's loss, tau_t and the per-round sums over the
+coordinates of g_t^2, v_t^{1/2} and (sum_{s<t} g_s^4)^{1/2}.  Then it
+frees the draws and, in blocks of the same size, evaluates the regret
+against the offline optimum and every term of the bound at every prefix,
+from observed quantities only.  Each running quantity (the largest
+gradient, the past g^4, the minima and sums of the bound) is a sequential
+scan carried across the block edges, so every prefix has the bits of a
+round-by-round accumulation; and every quantity is computed row by row,
+so a trial's report does not depend on which trials share its run.  The
+bound must dominate the regret at every prefix.
 
 Bound structure (four terms, evaluated at horizon T):
 
@@ -54,8 +58,21 @@ __all__ = [
     "write_regret_csv",
 ]
 
-# Rounds per block of the comparator's losses and of the bound's evaluation.
-BLOCK = 1024
+# Rounds per block of play, of the comparator's losses and of the bound's
+# evaluation.
+BLOCK = 256
+
+
+def _checked_box(box):
+    """The box's (lo, hi) as float arrays, or a ValueError if it is empty."""
+    lo, hi = box
+    lo = np.asarray(lo, dtype=np.float64)
+    hi = np.asarray(hi, dtype=np.float64)
+    if lo.size == 0 or hi.size == 0:
+        raise ValueError("Empty box")
+    if np.any(hi < lo):
+        raise ValueError("Empty box: upper bound below lower bound")
+    return lo, hi
 
 
 def weighted_projection(theta, box):
@@ -66,14 +83,7 @@ def weighted_projection(theta, box):
     they do not enter the arithmetic and are not passed.  The operation is
     therefore exact and non-expansive in every such weighted norm.
     """
-    lo, hi = box
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-    if lo.size == 0 or hi.size == 0:
-        raise ValueError("Empty box")
-    if np.any(hi < lo):
-        raise ValueError("Empty box: upper bound below lower bound")
-    return np.clip(np.asarray(theta, dtype=np.float64), lo, hi)
+    return np.clip(np.asarray(theta, dtype=np.float64), *_checked_box(box))
 
 
 @dataclass(frozen=True)
@@ -145,6 +155,19 @@ def _geometric_sums(g2, lows, k0, total):
     return sums
 
 
+def _sqrt_past_g4_sums(g, g4_past):
+    """For each round t of a block of gradients ``g`` (n, b, d), the sum over
+    the coordinates of (sum_{s<t} g_s^4)^{1/2}, shaped (n, b), and the new
+    carry; ``g4_past`` is the sum over the rounds before the block.  The
+    exclusive scan makes the same sequential adds as ``g4_past += g**4``
+    after each round.  Its (n, b, d) temporaries die with the call, so they
+    do not add to the next block's peak."""
+    g4 = g**4
+    past = np.concatenate([g4_past[:, None], g4[:, :-1]], axis=1)
+    np.cumsum(past, axis=1, out=past)
+    return np.sum(np.sqrt(past), axis=-1), past[:, -1] + g4[:, -1]
+
+
 def run_regret_experiment(seq: QuadraticSequence, cfg: OptimizerConfig):
     """Play every round of ``seq`` for all of its trials at once, then
     evaluate each trial's bound at every prefix.
@@ -157,46 +180,51 @@ def run_regret_experiment(seq: QuadraticSequence, cfg: OptimizerConfig):
     if not isinstance(seq, QuadraticSequence):
         raise TypeError(f"Expected QuadraticSequence, got {type(seq).__name__}")
     _validate_regret_config(cfg)
-    spec = seq.spec
     n, T, d = seq.A.shape
-    lo, hi = spec.box
-    D_diam = spec.diameter
+    lo, hi = _checked_box(seq.spec.box)
+    D_diam = seq.spec.diameter
     theta_star = seq.offline_optimum()
-    # The comparator is fixed: its losses once, a trial and a block at a time.
-    star_losses = np.empty((n, T))
-    for A, C, star, out in zip(seq.A, seq.C, theta_star, star_losses):
-        for k in range(0, T, BLOCK):  # a (T, d) temporary would raise peak RSS
-            diff = star - C[k:k + BLOCK]
-            out[k:k + BLOCK] = 0.5 * np.sum(A[k:k + BLOCK] * diff * diff, axis=1)
     # Start at the upper box corner, far from any weighted mean of the
     # centers.  A start near the comparator would make the early regret
-    # negligible and the normalized-regret criterion vacuous.  The start is
-    # a float copy: an integer box_halfwidth gives an integer box.
-    theta = np.tile(hi.astype(np.float64), (n, 1))
+    # negligible and the normalized-regret criterion vacuous.  ``hi`` is a
+    # float array even for an integer box_halfwidth.
+    theta = np.tile(hi, (n, 1))
     state = GroupState(cfg, n, d)
 
-    # Play, keeping the per-round logs the bound reads.
+    # Play a block of rounds at a time.  A round only steps, clamps, writes
+    # its theta (before the step), g and v into the block's buffers and its
+    # tau into the log; the other per-round logs the bound reads are reduced
+    # from the buffers after the block.
     losses = np.empty((n, T))
+    star_losses = np.empty((n, T))
     tau_log = np.empty((n, T))
     g2_step = np.zeros((n, T + 1))  # round t's sum of g^2 in column t
     sqrt_v_sum = np.empty((n, T))
     sqrt_g4_sum = np.empty((n, T))
     G = np.zeros(n)
     g4_past = np.zeros((n, d))
-    for t in range(1, T + 1):
-        losses[:, t - 1] = seq.loss(t - 1, theta)
-        g = seq.grad(t - 1, theta)
-        G = np.maximum(G, np.max(np.abs(g), axis=1))
-        state.step(theta, g, t)
-        theta = weighted_projection(theta, (lo, hi))
-        tau_log[:, t - 1] = state.tau
-        g2_step[:, t] = np.sum(g * g, axis=1)
-        sqrt_v_sum[:, t - 1] = np.sum(np.sqrt(state.v), axis=1)
-        sqrt_g4_sum[:, t - 1] = np.sum(np.sqrt(g4_past), axis=1)
-        g4_past += g**4
+    thetas, gs, vs = (np.empty((n, BLOCK, d)) for _ in range(3))
+    for k0 in range(0, T, BLOCK):
+        k1 = min(k0 + BLOCK, T)
+        for j, t in enumerate(range(k0 + 1, k1 + 1)):
+            thetas[:, j] = theta
+            g = seq.grad(t - 1, theta)
+            state.step(theta, g, t)
+            theta.clip(lo, hi, out=theta)  # weighted_projection on a checked box
+            gs[:, j] = g
+            vs[:, j] = state.v
+            tau_log[:, t - 1] = state.tau
+        b = k1 - k0
+        rounds, g, v = slice(k0, k1), gs[:, :b], vs[:, :b]
+        losses[:, rounds] = seq.loss(rounds, thetas[:, :b])
+        star_losses[:, rounds] = seq.loss(rounds, theta_star[:, None])
+        G = np.maximum(G, np.max(np.abs(g), axis=(1, 2)))
+        g2_step[:, k0 + 1:k1 + 1] = np.sum(g * g, axis=-1)
+        sqrt_v_sum[:, rounds] = np.sum(np.sqrt(v), axis=-1)
+        sqrt_g4_sum[:, rounds], g4_past = _sqrt_past_g4_sums(g, g4_past)
     # The evaluation reads only the logs: free the (n, T, d) draws for its
     # temporaries.
-    del seq, A, C
+    del seq
 
     # Evaluate, a block of rounds at a time, each running quantity carried
     # across the block edges.

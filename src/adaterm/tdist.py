@@ -249,7 +249,7 @@ def diagnostics_arrays(m, v, nu_tilde, g, beta, eps, nu_tilde_min):
     """Batched diagnostics: m, v, g shaped (..., d); nu_tilde shaped (...)."""
     nu_tilde = np.asarray(nu_tilde, dtype=np.float64)
     s = (g - m) ** 2
-    D = np.mean(s / v, axis=-1)
+    D = np.add.reduce(s / v, axis=-1) / s.shape[-1]  # np.mean's reduce and divide
     w_mv, w_mv_bar, w_nu, w_nu_bar = weights(nu_tilde, D)
     tau_mv = interpolation_factor(beta, w_mv, w_mv_bar)
     tau_nu = interpolation_factor(beta, w_nu, w_nu_bar)

@@ -305,6 +305,23 @@ def test_quadratic_hand_values():
     assert star[0, 1] == 0.0
 
 
+def test_block_of_rounds_matches_round_by_round():
+    # A slice of rounds gives, bit for bit, what one call per round gives,
+    # for a theta per round and for one theta broadcast over the rounds.
+    seq = QuadraticSequence(OnlineConvexSpec(dim=10), [make_rng(5), make_rng(6)], 9)
+    thetas = make_rng(7).uniform(-1.0, 1.0, size=(2, 6, 10))
+    star = seq.offline_optimum()
+    rounds = slice(2, 8)
+    losses = seq.loss(rounds, thetas)
+    grads = seq.grad(rounds, thetas)
+    star_losses = seq.loss(rounds, star[:, None])
+    assert losses.shape == star_losses.shape == (2, 6) and grads.shape == (2, 6, 10)
+    for j, t in enumerate(range(2, 8)):
+        assert losses[:, j].tobytes() == seq.loss(t, thetas[:, j]).tobytes()
+        assert grads[:, j].tobytes() == seq.grad(t, thetas[:, j]).tobytes()
+        assert star_losses[:, j].tobytes() == seq.loss(t, star).tobytes()
+
+
 def test_offline_optimum_zero_curvature_guard():
     seq = QuadraticSequence(OnlineConvexSpec(dim=2), [make_rng(2)], 2)
     seq.A[..., 0] = 0.0

@@ -195,16 +195,29 @@ def test_reports_do_not_depend_on_the_batch_across_blocks():
         assert _report_bytes(rep) == _report_bytes(own), seed
 
 
-def test_one_round_past_a_block_replays_exactly():
-    # The last evaluation block holds a single round.
+def _check_replay_at_horizon(T, dim, seed):
+    # The replay asserts every round's loss, tau and regret prefix; G and
+    # the final terms then come from the replayed logs.
     cfg = regret_config()
-    seq = QuadraticSequence(OnlineConvexSpec(dim=2), [make_rng(0)], BLOCK + 1)
+    seq = QuadraticSequence(OnlineConvexSpec(dim=dim), [make_rng(seed)], T)
     [report] = run_regret_experiment(seq, cfg)
     v_log, g_log = replay_logs(seq, cfg, report)
+    assert report.G == np.abs(g_log).max()
     rhs = theorem_rhs(v_log, g_log, report.underline_tau, report.tau_T,
                       cfg.alpha, cfg.beta, cfg.eps, report.D_diam)
     np.testing.assert_allclose(report.bound_terms, rhs, rtol=1e-12)
     assert rhs.sum() == pytest.approx(report.bound_rhs_prefix[-1], rel=1e-9)
+
+
+def test_one_round_past_a_block_replays_exactly():
+    # The last block holds a single round.
+    _check_replay_at_horizon(BLOCK + 1, dim=2, seed=0)
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_horizon_on_a_block_edge_replays_exactly(blocks):
+    # The last block is full: its G and g^4 carries are the run's last.
+    _check_replay_at_horizon(blocks * BLOCK, dim=3, seed=2)
 
 
 def test_first_round_bound_has_no_g4_term():
@@ -266,13 +279,14 @@ def test_prefix_bound_matches_whole_log_evaluation(medium_report, t):
 
 @pytest.fixture(scope="module")
 def long_report():
+    # Eight full blocks and five rounds of a ninth.
     cfg = regret_config()
-    seq = QuadraticSequence(OnlineConvexSpec(dim=2), [make_rng(1)], 2 * BLOCK + 5)
+    seq = QuadraticSequence(OnlineConvexSpec(dim=2), [make_rng(1)], 8 * BLOCK + 5)
     [report] = run_regret_experiment(seq, cfg)
     return report, replay_logs(seq, cfg, report)
 
 
-@pytest.mark.parametrize("t", [BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1, 2 * BLOCK + 5])
+@pytest.mark.parametrize("t", [4 * BLOCK, 4 * BLOCK + 1, 8 * BLOCK, 8 * BLOCK + 1, 8 * BLOCK + 5])
 def test_prefix_bound_matches_across_block_edges(long_report, t):
     report, (v_log, g_log) = long_report
     _check_prefix_bound(report, v_log, g_log, t)
