@@ -5,13 +5,15 @@ Subcommands:
 * ``run <config>`` — execute the experiment described by a YAML config.
 * ``summarize <dir>`` — aggregate an existing results.csv into summary
   statistics (written back as summary.csv and printed).
-* ``surface <kind> [--out FILE]`` — emit one figure grid as CSV.
-* ``verify-gradients [--points N] [--tolerance T] [--seed S]`` — check the
-  density gradients against finite differences.
+
+Every experiment kind, the figure grids (``configs/surfaces.yaml``) and the
+finite-difference gradient check (``configs/verify.yaml``) included, runs
+through ``run``.
 
 Exit codes: 0 success, 1 a cell's worker ended with no result, 2 config
 problems (an output file that cannot be written included), 3 runtime
-numerical failure, 4 verification/invariant failure.
+numerical failure, 4 verification/invariant failure (a ``verify_gradients``
+run with a finite-difference error, NaN included, not below its tolerance).
 """
 
 from __future__ import annotations
@@ -29,11 +31,9 @@ from .harness import (
     load_config,
     read_results_csv,
     run_experiment,
-    run_gradient_verification,
     summarize_rows,
     write_summary_csv,
 )
-from .surfaces import GRID_KINDS, GridSpec, write_grid_csv
 from .tdist import NonFiniteGradientError
 
 EXIT_OK = 0
@@ -54,15 +54,6 @@ def _build_parser():
 
     p_sum = sub.add_parser("summarize", help="summarize a results directory")
     p_sum.add_argument("directory", type=Path)
-
-    p_surf = sub.add_parser("surface", help="emit one figure grid as CSV")
-    p_surf.add_argument("kind", choices=GRID_KINDS)
-    p_surf.add_argument("--out", type=Path, default=None)
-
-    p_ver = sub.add_parser("verify-gradients", help="finite-difference check")
-    p_ver.add_argument("--points", type=int, default=100)
-    p_ver.add_argument("--tolerance", type=float, default=1e-5)
-    p_ver.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -93,39 +84,11 @@ def _cmd_summarize(args):
     return EXIT_OK
 
 
-def _cmd_surface(args):
-    out = args.out if args.out is not None else Path(f"{args.kind}.csv")
-    write_grid_csv(GridSpec(kind=args.kind), out)
-    print(f"wrote {out}")
-    return EXIT_OK
-
-
-def _cmd_verify(args):
-    report, ok = run_gradient_verification(
-        points=args.points, tolerance=args.tolerance, seed=args.seed
-    )
-    print(f"{'gradient':<10} {'d':>4} {'max rel FD error':>18}")
-    for grad_name, d, err in report:
-        print(f"{grad_name:<10} {d:>4} {err:>18.3e}")
-    if not ok:
-        raise VerificationError(
-            f"Finite-difference check exceeded tolerance {args.tolerance:g}"
-        )
-    print("all gradients verified")
-    return EXIT_OK
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    command = _cmd_run if args.command == "run" else _cmd_summarize
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "summarize":
-            return _cmd_summarize(args)
-        if args.command == "surface":
-            return _cmd_surface(args)
-        if args.command == "verify-gradients":
-            return _cmd_verify(args)
+        return command(args)
     except (ConfigError, OutputError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -139,7 +102,6 @@ def main(argv=None) -> int:
     except WorkerError as exc:
         print(f"worker error: {exc}", file=sys.stderr)
         return EXIT_WORKER
-    return EXIT_OK
 
 
 if __name__ == "__main__":  # pragma: no cover

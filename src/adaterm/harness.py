@@ -76,7 +76,6 @@ __all__ = [
     "load_config",
     "run_experiment",
     "grid_paths",
-    "run_gradient_verification",
     "summarize_rows",
     "write_results_csv",
     "read_results_csv",
@@ -651,33 +650,35 @@ def _fd_log_density(g, m, v, nu, which, index, h):
     return (f(x0 + h) - f(x0 - h)) / (2.0 * h)
 
 
-def _check_verification_range(points, tolerance, seed):
-    """A check with no points, or a tolerance nothing can exceed, checks
-    nothing; a negative seed names no generator."""
-    if not (points >= 1 and 0.0 < tolerance < math.inf):
+def _rel_err(fd, exact):
+    """Relative error over max(1, |exact|), so that roots of the gradient
+    do not blow up the ratio."""
+    return abs(fd - exact) / max(1.0, abs(exact))
+
+
+def _parse_verify_gradients(raw, cfg: ExperimentConfig):
+    cfg.dims = tuple(_number_list(raw.get("dims", [1, 2, 5, 8]), int, "dims", 1))
+    # A tolerance nothing can exceed checks nothing.  load_config has refused
+    # points < 1, seed < 0 and a non-finite tolerance already.
+    if not cfg.tolerance > 0.0:
         raise ConfigError(
-            f"Gradient check needs points >= 1 and 0 < tolerance < inf, "
-            f"got points={points}, tolerance={tolerance}"
+            f"Gradient check needs 0 < tolerance < inf, got tolerance={cfg.tolerance}"
         )
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
-def run_gradient_verification(points=100, dims=(1, 2, 5, 8), tolerance=1e-5,
-                              seed=0):
+def _run_verify_gradients_experiment(cfg: ExperimentConfig):
     """Check the three density gradients against central finite differences.
 
-    Returns (report_rows, ok).  Each report row is (gradient, d,
-    max_rel_err).  Relative error uses max(1, |analytic|) in the
-    denominator so roots of the gradient do not blow up the ratio.
+    One row per (gradient, d): the largest relative error (``_rel_err``)
+    over ``points`` random draws.  The running maximum keeps a NaN
+    (``np.maximum``), so a NaN error fails the check, as any error not
+    below the tolerance does.
     """
-    _check_verification_range(points, tolerance, seed)
-    rng = make_rng(seed)
-    report = []
-    ok = True
-    for d in dims:
+    rng = make_rng(cfg.seed)
+    rows = []
+    for d in cfg.dims:
         worst = {"grad_m": 0.0, "grad_v": 0.0, "grad_nu": 0.0}
-        for _ in range(points):
+        for _ in range(cfg.points):
             g = rng.normal(size=d)
             m = rng.normal(size=d)
             v = rng.uniform(0.2, 3.0, size=d)
@@ -689,44 +690,21 @@ def run_gradient_verification(points=100, dims=(1, 2, 5, 8), tolerance=1e-5,
             for i in range(d):
                 h = 1e-6 * max(1.0, abs(m[i]))
                 fd = _fd_log_density(g, m, v, nu, "m", i, h)
-                worst["grad_m"] = max(
-                    worst["grad_m"], abs(fd - gm[i]) / max(1.0, abs(gm[i]))
-                )
+                worst["grad_m"] = np.maximum(worst["grad_m"], _rel_err(fd, gm[i]))
                 h = 1e-6 * max(1.0, abs(v[i]))
                 fd = _fd_log_density(g, m, v, nu, "v", i, h)
-                worst["grad_v"] = max(
-                    worst["grad_v"], abs(fd - gv[i]) / max(1.0, abs(gv[i]))
-                )
+                worst["grad_v"] = np.maximum(worst["grad_v"], _rel_err(fd, gv[i]))
             h = 1e-6 * max(1.0, abs(nu))
             fd = _fd_log_density(g, m, v, nu, "nu", 0, h)
-            worst["grad_nu"] = max(
-                worst["grad_nu"], abs(fd - gn) / max(1.0, abs(gn))
-            )
-        for grad_name, err in worst.items():
-            report.append((grad_name, d, err))
-            if not err < tolerance:
-                ok = False
-    return report, ok
-
-
-def _parse_verify_gradients(raw, cfg: ExperimentConfig):
-    cfg.dims = tuple(_number_list(raw.get("dims", [1, 2, 5, 8]), int, "dims", 1))
-    _check_verification_range(cfg.points, cfg.tolerance, cfg.seed)
-
-
-def _run_verify_gradients_experiment(cfg: ExperimentConfig):
-    report, ok = run_gradient_verification(
-        points=cfg.points, dims=cfg.dims, tolerance=cfg.tolerance, seed=cfg.seed
-    )
-    rows = [
-        ResultRow("verify_gradients", grad_name, cfg.seed, "max_rel_fd_err", d, err)
-        for grad_name, d, err in report
-    ]
-    if not ok:
-        worst = max(report, key=lambda r: r[2])
+            worst["grad_nu"] = np.maximum(worst["grad_nu"], _rel_err(fd, gn))
+        rows += [ResultRow("verify_gradients", grad_name, cfg.seed, "max_rel_fd_err", d, err)
+                 for grad_name, err in worst.items()]
+    # The largest error, a NaN before any number.
+    _, grad_name, _, _, d, err = max(rows, key=lambda r: (math.isnan(r.value), r.value))
+    if not err < cfg.tolerance:
         raise VerificationError(
-            f"Gradient check failed: {worst[0]} at d={worst[1]} "
-            f"has max relative error {worst[2]:.3e} >= {cfg.tolerance:g}"
+            f"Gradient check failed: {grad_name} at d={d} "
+            f"has max relative error {err:.3e}, not below {cfg.tolerance:g}"
         )
     return rows
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adaterm.harness import load_config, run_experiment, run_gradient_verification
+from adaterm.harness import load_config, run_experiment
 from adaterm.optimizers import (
     GroupState,
     OptimizerConfig,
@@ -23,7 +23,7 @@ from adaterm.optimizers import (
     update_bias_accumulator,
 )
 from adaterm.problems import OnlineConvexSpec, QuadraticSequence
-from adaterm.regret import corollary_rhs, run_regret_experiment, theorem_rhs
+from adaterm.regret import run_regret_experiment
 from adaterm.rng import make_rng
 from adaterm.surfaces import GridSpec, emit_grid
 from adaterm.tdist import (
@@ -34,6 +34,7 @@ from adaterm.tdist import (
 )
 
 from _golden import PLATEAU_WINDOW_HIGH, PLATEAU_WINDOW_LOW
+from _reference import corollary_rhs, theorem_rhs
 from _regret_replay import replay_logs
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -102,15 +103,15 @@ def regret_run(tmp_path_factory):
 # --- 1 -----------------------------------------------------------------
 
 
-def test_criterion_01_gradients_match_finite_differences():
+def test_criterion_01_gradients_match_finite_differences(tmp_path):
+    cfg = load_config(CONFIG_DIR / "verify.yaml")
+    cfg.output_dir = tmp_path
     t0 = time.perf_counter()
-    report, ok = run_gradient_verification(
-        points=100, dims=(1, 2, 5, 8), tolerance=1e-5, seed=0
-    )
+    rows = run_experiment(cfg)
     elapsed = time.perf_counter() - t0
-    assert ok
-    for grad_name, d, err in report:
-        assert err < 1e-5, f"{grad_name} at d={d}: {err:.3e}"
+    assert len(rows) == 12
+    for row in rows:
+        assert row.value < 1e-5, f"{row.optimizer} at d={row.step}: {row.value:.3e}"
     assert elapsed < 5.0
 
 

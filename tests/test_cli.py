@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from adaterm import harness
 from adaterm.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_NUMERICAL, EXIT_OK, main
+from adaterm.harness import VerificationError, load_config, run_experiment
 
 SMALL_RUN = """\
 schema_version: 1
@@ -89,32 +91,42 @@ def write_config(tmp_path, template, name="cfg.yaml"):
     return path
 
 
-def test_verify_gradients_ok(capsys):
-    assert main(["verify-gradients", "--points", "5"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "all gradients verified" in out
+def test_verify_gradients_ok(tmp_path, capsys):
+    cfg = write_config(tmp_path, SMALL_VERIFY)
+    assert main(["run", str(cfg)]) == EXIT_OK
+    assert "verify_gradients: wrote 3 result rows" in capsys.readouterr().out
+    results = (tmp_path / "out" / "results.csv").read_text()
     for name in ("grad_m", "grad_v", "grad_nu"):
-        assert name in out
+        assert f"verify_gradients,{name},0,max_rel_fd_err,1," in results
 
 
-def test_verify_gradients_impossible_tolerance(capsys):
-    code = main(["verify-gradients", "--points", "3", "--tolerance", "1e-30"])
-    assert code == EXIT_INVARIANT
-    assert "verification failure" in capsys.readouterr().err
+def test_verify_gradients_impossible_tolerance(tmp_path, capsys):
+    cfg = write_config(tmp_path, SMALL_VERIFY + "tolerance: 1.0e-30\n")
+    assert main(["run", str(cfg)]) == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert err.startswith("verification failure: ") and err.count("\n") == 1
+    assert not (tmp_path / "out" / "results.csv").exists()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["--points", "-3"], ["--points", "0"], ["--tolerance", "inf"],
-     ["--tolerance", "nan"], ["--tolerance", "0"], ["--seed", "-1"]],
-    ids=["negative-points", "zero-points", "infinite-tolerance", "nan-tolerance",
-         "zero-tolerance", "negative-seed"],
-)
-def test_verify_gradients_rejects_vacuous_check(capsys, argv):
-    assert main(["verify-gradients", *argv]) == EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert "all gradients verified" not in captured.out
-    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+def test_verify_gradients_fails_on_nan_gradient(tmp_path, capsys, monkeypatch):
+    """A NaN gradient has a NaN error, which is not below any tolerance."""
+    monkeypatch.setattr(harness, "grad_nu_exact", lambda g, m, v, nu: float("nan"))
+    cfg = write_config(tmp_path, SMALL_VERIFY.replace("dims: [1]", "dims: [1, 2]"))
+    with pytest.raises(VerificationError, match="grad_nu at d=1 has max relative error nan"):
+        run_experiment(load_config(cfg))
+    assert main(["run", str(cfg)]) == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert err.startswith("verification failure: ") and err.count("\n") == 1
+    assert not (tmp_path / "out" / "results.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["surface", "verify-gradients"])
+def test_removed_subcommands_exit_2(capsys, command):
+    """Figure grids and the gradient check run through ``run`` only."""
+    with pytest.raises(SystemExit) as exc:
+        main([command])
+    assert exc.value.code == EXIT_CONFIG
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_run_small_experiment(tmp_path, capsys):
@@ -183,6 +195,8 @@ def test_run_rejects_unused_top_level_key(tmp_path, capsys, template, old, new, 
         (SMALL_VERIFY, "points: 2", "points: 2\ntolerance: .inf",
          "tolerance must be finite"),
         (SMALL_VERIFY, "points: 2", "points: 2\ntolerance: 0", "0 < tolerance < inf"),
+        (SMALL_VERIFY, "points: 2", "points: 2\ntolerance: .nan",
+         "tolerance must be finite"),
         (SMALL_RUN, "alpha: 0.01", "alpha: .inf", "alpha must be finite"),
         (SMALL_RUN, "alpha: 0.01", "alpha: 0.01, eps: .inf", "eps must be finite"),
         (SMALL_RUN, "alpha: 0.01", "alpha: 0.01, nu_tilde_init: .inf",
@@ -220,6 +234,7 @@ def test_run_rejects_unused_top_level_key(tmp_path, capsys, template, old, new, 
          "negative-steps", "negative-record-every", "negative-seed", "negative-points",
          "verify-dims-below-1", "horizon-below-1", "regret-dims-below-1",
          "layer-size-below-1", "zero-points", "infinite-tolerance", "zero-tolerance",
+         "nan-tolerance",
          "infinite-alpha", "infinite-eps", "infinite-nu-tilde-init",
          "bias-correction-string", "adaterm-beta1", "adam-beta", "regret-beta2",
          "fractional-n-pairs", "bool-n-pairs", "fractional-batch-size",
@@ -398,8 +413,9 @@ def test_summarize_rejects_unwritable_summary(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "template, blocked",
-    [(SMALL_RUN, "results.csv"), (SMALL_REGRET, "regret_d2_seed0.csv")],
-    ids=["results", "regret-trace"],
+    [(SMALL_RUN, "results.csv"), (SMALL_REGRET, "regret_d2_seed0.csv"),
+     (SMALL_SURFACES, "TauSurface.csv")],
+    ids=["results", "regret-trace", "surfaces-grid"],
 )
 def test_run_rejects_unwritable_output_file(tmp_path, capsys, template, blocked):
     out_dir = tmp_path / "out"
@@ -413,41 +429,16 @@ def test_run_rejects_unwritable_output_file(tmp_path, capsys, template, blocked)
     assert _no_temp_files(out_dir)
 
 
-@pytest.mark.parametrize("out", ["missing/x.csv", "taken"], ids=["missing-dir", "directory"])
-def test_surface_rejects_unwritable_out(tmp_path, capsys, out):
-    (tmp_path / "taken").mkdir()
-    assert main(["surface", "TauSurface", "--out", str(tmp_path / out)]) == EXIT_CONFIG
-    _one_config_error(capsys, tmp_path / out)
-    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
-    assert list((tmp_path / "taken").iterdir()) == []
-
-
-def test_surface_explicit_out(tmp_path):
-    out = tmp_path / "tau.csv"
-    assert main(["surface", "TauSurface", "--out", str(out)]) == EXIT_OK
-    assert out.read_text().startswith("nu_tilde,D,tau_mv")
-
-
-def test_surface_default_name(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    assert main(["surface", "Fig1"]) == EXIT_OK
-    assert (tmp_path / "Fig1.csv").read_text().startswith("d,w_mv,value")
-
-
-def test_regret_alias_runs(tmp_path):
+def test_module_entry_point(tmp_path):
     cfg = write_config(tmp_path, SMALL_REGRET)
-    assert main(["run", str(cfg)]) == EXIT_OK
-    assert (tmp_path / "out" / "regret_d2_seed0.csv").exists()
-
-
-def test_module_entry_point():
     proc = subprocess.run(
-        [sys.executable, "-m", "adaterm", "verify-gradients", "--points", "3"],
+        [sys.executable, "-m", "adaterm", "run", str(cfg)],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == EXIT_OK
-    assert "all gradients verified" in proc.stdout
+    assert "regret: wrote" in proc.stdout
+    assert (tmp_path / "out" / "regret_d2_seed0.csv").exists()
 
 
 def test_module_entry_rejects_unknown_command():

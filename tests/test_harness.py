@@ -28,7 +28,6 @@ from adaterm.harness import (
     load_config,
     read_results_csv,
     run_experiment,
-    run_gradient_verification,
     summarize_rows,
     write_results_csv,
     write_summary_csv,
@@ -694,19 +693,33 @@ def test_surfaces_experiment_writes_grids(tmp_path):
     assert not (cfg.output_dir / "results.csv").exists()
 
 
-def test_gradient_verification_passes_at_default_tolerance():
-    report, ok = run_gradient_verification(points=20, dims=(1, 3), seed=0)
-    assert ok
-    assert [(g, d) for g, d, _ in report] == [
+def test_shipped_surfaces_config_writes_three_grids(tmp_path):
+    cfg = load_config(CONFIG_DIR / "surfaces.yaml")
+    cfg.output_dir = tmp_path
+    assert run_experiment(cfg) == []
+    headers = {path.name: path.read_text().partition("\n")[0]
+               for path in tmp_path.iterdir()}
+    assert headers == {"Fig1.csv": "d,w_mv,value",
+                       "TauSurface.csv": "nu_tilde,D,tau_mv",
+                       "DofIncrementSurface.csv": "nu_tilde,D,increment"}
+
+
+def test_gradient_verification_passes_at_default_tolerance(tmp_path):
+    cfg = ExperimentConfig(kind="verify_gradients", output_dir=tmp_path / "verify",
+                           points=20, dims=(1, 3), seed=0)
+    rows = run_experiment(cfg)
+    assert [(r.optimizer, r.step) for r in rows] == [
         ("grad_m", 1), ("grad_v", 1), ("grad_nu", 1),
         ("grad_m", 3), ("grad_v", 3), ("grad_nu", 3),
     ]
-    assert all(err < 1e-5 for _, _, err in report)
+    assert all(r.value < 1e-5 for r in rows)
 
 
 def test_gradient_verification_detects_impossible_tolerance(tmp_path):
-    _, ok = run_gradient_verification(points=5, dims=(1,), tolerance=1e-30)
-    assert not ok
+    cfg = ExperimentConfig(kind="verify_gradients", output_dir=tmp_path / "verify",
+                           points=5, dims=(1,), tolerance=1e-30)
+    with pytest.raises(VerificationError):
+        run_experiment(cfg)
     cfg = ExperimentConfig(
         kind="verify_gradients",
         output_dir=tmp_path / "verify",

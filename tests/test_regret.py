@@ -8,15 +8,14 @@ from adaterm.optimizers import OptimizerConfig
 from adaterm.problems import OnlineConvexSpec, QuadraticSequence
 from adaterm.regret import (
     BLOCK,
-    corollary_rhs,
     run_regret_experiment,
     sublinearity_ratio,
-    theorem_rhs,
     weighted_projection,
     write_regret_csv,
 )
 from adaterm.rng import make_rng
 
+from _reference import corollary_rhs, theorem_rhs
 from _regret_replay import replay_logs
 
 
