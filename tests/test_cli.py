@@ -120,6 +120,23 @@ def test_verify_gradients_fails_on_nan_gradient(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out" / "results.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [("points: 2", "points: -3"), ("points: 2", "points: 0"),
+     ("points: 2", "points: 2\ntolerance: .inf"), ("points: 2", "points: 2\ntolerance: .nan"),
+     ("points: 2", "points: 2\ntolerance: 0"), ("points: 2", "points: 2\nseed: -1")],
+    ids=["negative-points", "zero-points", "infinite-tolerance", "nan-tolerance",
+         "zero-tolerance", "negative-seed"],
+)
+def test_verify_gradients_rejects_vacuous_check(tmp_path, capsys, old, new):
+    cfg = write_config(tmp_path, SMALL_VERIFY.replace(old, new))
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "verify_gradients: wrote" not in captured.out
+    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["surface", "verify-gradients"])
 def test_removed_subcommands_exit_2(capsys, command):
     """Figure grids and the gradient check run through ``run`` only."""
@@ -427,6 +444,27 @@ def test_run_rejects_unwritable_output_file(tmp_path, capsys, template, blocked)
     assert (out_dir / blocked).is_dir()
     assert (out_dir / "summary.csv").read_text() == "old summary\n"
     assert _no_temp_files(out_dir)
+
+
+def test_surface_explicit_out(tmp_path):
+    cfg = write_config(tmp_path, SMALL_SURFACES)
+    assert main(["run", str(cfg)]) == EXIT_OK
+    assert (tmp_path / "out" / "TauSurface.csv").read_text().startswith("nu_tilde,D,tau_mv")
+
+
+def test_surface_default_name(tmp_path, monkeypatch):
+    """A relative output_dir resolves against the working directory."""
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("schema_version: 1\nexperiment: surfaces\noutput_dir: .\ngrids: [Fig1]\n")
+    assert main(["run", str(cfg)]) == EXIT_OK
+    assert (tmp_path / "Fig1.csv").read_text().startswith("d,w_mv,value")
+
+
+def test_regret_alias_runs(tmp_path):
+    cfg = write_config(tmp_path, SMALL_REGRET)
+    assert main(["run", str(cfg)]) == EXIT_OK
+    assert (tmp_path / "out" / "regret_d2_seed0.csv").exists()
 
 
 def test_module_entry_point(tmp_path):
