@@ -61,7 +61,7 @@ from .problems import (
 from .regret import _validate_regret_config
 from .regret import run_regret_experiment, sublinearity_ratio, write_regret_csv
 from .rng import make_rng
-from .surfaces import GRID_KINDS, GridSpec, write_grid_csv
+from .surfaces import GRID_KINDS, GridSpec, write_grid_csvs
 from .tdist import NonFiniteGradientError, grad_m, grad_nu_exact, grad_v, log_density
 
 __all__ = [
@@ -123,8 +123,13 @@ class SummaryRow(NamedTuple):
     median: float
 
 
+def _column_kinds(row_type):
+    """The ``files.write_csv`` kinds of a row type's columns: its annotations."""
+    return tuple(get_type_hints(row_type).values())
+
+
 def write_results_csv(rows, path):
-    write_csv(path, ResultRow._fields, rows)
+    write_csv(path, ResultRow._fields, rows, _column_kinds(ResultRow))
 
 
 def read_results_csv(path):
@@ -177,7 +182,7 @@ def summarize_rows(rows):
 
 
 def write_summary_csv(summary, path):
-    write_csv(path, SummaryRow._fields, summary)
+    write_csv(path, SummaryRow._fields, summary, _column_kinds(SummaryRow))
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +421,10 @@ def _run_test_function_experiment(cfg: ExperimentConfig):
     cells = _map_cells(_run_test_function_cell, {
         f"{function} {name}": (function, ratios, opt_cfg, us, deltas, cfg.record_every)
         for name, opt_cfg in cfg.optimizers})
+    # Each (k, n) array as nested lists of plain floats, once per cell.
+    cells = [(norms.tolist(), None if nus is None else nus.tolist(),
+              [(step, vec.tolist()) for step, vec in trails])
+             for norms, nus, trails in cells]
     rows = []
     for j, p in enumerate(ratios):
         exp_id = f"{function}:p={p:g}"
@@ -423,19 +432,14 @@ def _run_test_function_experiment(cfg: ExperimentConfig):
             for i in range(cfg.trials):
                 seed = cfg.seed + i
                 rows.append(
-                    ResultRow(exp_id, name, seed, "final_error_norm",
-                              cfg.steps, float(norms[j, i]))
+                    ResultRow(exp_id, name, seed, "final_error_norm", cfg.steps, norms[j][i])
                 )
                 if nus is not None:
                     rows.append(
-                        ResultRow(exp_id, name, seed, "final_nu_tilde",
-                                  cfg.steps, float(nus[j, i]))
+                        ResultRow(exp_id, name, seed, "final_nu_tilde", cfg.steps, nus[j][i])
                     )
                 for step, vec in trails:
-                    rows.append(
-                        ResultRow(exp_id, name, seed, "error_norm", step,
-                                  float(vec[j, i]))
-                    )
+                    rows.append(ResultRow(exp_id, name, seed, "error_norm", step, vec[j][i]))
     return rows
 
 
@@ -631,8 +635,7 @@ def _parse_surfaces(raw, cfg: ExperimentConfig):
 
 
 def _run_surfaces_experiment(cfg: ExperimentConfig):
-    for spec, path in zip(_grid_specs(cfg), grid_paths(cfg)):
-        write_grid_csv(spec, path)
+    write_grid_csvs(_grid_specs(cfg), grid_paths(cfg))
     return []
 
 

@@ -289,4 +289,5 @@ def write_regret_csv(report: RegretReport, path):
         path,
         ["t", "loss", "regret_prefix", "bound_rhs_prefix", "tau_t"],
         zip(range(1, report.T + 1), *(c.tolist() for c in columns), strict=True),
+        (int, float, float, float, float),
     )

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .files import write_csv
+from .files import write_csvs
 from .tdist import dof_step, grad_nu_surrogate_pre, interpolation_factor, weights
 
-__all__ = ["GRID_KINDS", "GridSpec", "emit_grid", "write_grid_csv"]
+__all__ = ["GRID_KINDS", "GridSpec", "emit_grid", "write_grid_csvs"]
 
 GRID_KINDS = ("Fig1", "TauSurface", "DofIncrementSurface")
 
@@ -112,5 +112,12 @@ def emit_grid(spec: GridSpec):
     return ["nu_tilde", "D", name], table
 
 
-def write_grid_csv(spec: GridSpec, path):
-    write_csv(path, *emit_grid(spec))
+def write_grid_csvs(specs, paths):
+    """Write the grid of each of ``specs`` to the matching path as one
+    output: every grid is emitted first, and no file changes unless all of
+    them are written (``files.write_csvs``)."""
+    tables = []
+    for spec, path in zip(specs, paths):
+        header, table = emit_grid(spec)
+        tables.append((path, header, table.tolist(), (float,) * len(header)))
+    write_csvs(tables)

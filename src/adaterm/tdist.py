@@ -50,7 +50,6 @@ __all__ = [
     "grad_nu_exact",
     "grad_nu_from_deviation",
     "grad_nu_surrogate_pre",
-    "grad_nu_tilde_surrogate",
     "interpolation_factor",
 ]
 
@@ -166,20 +165,6 @@ def grad_nu_surrogate_pre(nu, d, w_mv):
     nu_tilde = nu / d
     w_nu = w - np.log(w)
     out = 0.5 * (-w_nu + 1.0 + (nu_tilde + 2.0) / (nu_tilde + 1.0) / nu)
-    return out if out.ndim else float(out)
-
-
-def grad_nu_tilde_surrogate(nu_tilde, d, w_mv):
-    """The dimension-fixed surrogate gradient g_nu used by the state update:
-
-        w_nu (d/2) { -1 + ((nu_tilde + 2)/(nu_tilde + 1) + nu_tilde)
-                          / (nu_tilde w_nu) }.
-    """
-    nt = np.asarray(nu_tilde, dtype=np.float64)
-    w = np.asarray(w_mv, dtype=np.float64)
-    if np.any(nt <= 0.0) or np.any(w <= 0.0):
-        raise ValueError("nu_tilde and w_mv must be strictly positive")
-    out = _dof_gradient(nt, d, w - np.log(w))
     return out if out.ndim else float(out)
 
 

@@ -1,11 +1,43 @@
-"""Whole-horizon reference forms of the regret bound, for tests that check
-a run's incrementally accumulated bound terms against them."""
+"""Reference forms that only tests call: the whole-horizon regret bound,
+which tests check a run's incrementally accumulated bound terms against;
+the dimension-fixed surrogate dof gradient as a function of w_mv; and the
+per-cell ``csv.writer`` table writer, which ``files.write_csv`` must match
+byte for byte."""
 
+import csv
 import math
 
 import numpy as np
 
+from adaterm.files import atomic_write
 from adaterm.regret import _coeff_term2, _coeff_term4
+from adaterm.tdist import _dof_gradient
+
+
+def reference_write_csv(path, header, rows):
+    """Write ``header`` and ``rows`` to ``path`` through ``atomic_write``:
+    each float (numpy ``float64`` included) as ``f"{x:.17g}"``, which reads
+    back to the same bits, and any other cell as ``csv`` writes it."""
+    with atomic_write(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(
+            [f"{x:.17g}" if isinstance(x, float) else x for x in row] for row in rows
+        )
+
+
+def grad_nu_tilde_surrogate(nu_tilde, d, w_mv):
+    """The dimension-fixed surrogate gradient g_nu used by the state update:
+
+        w_nu (d/2) { -1 + ((nu_tilde + 2)/(nu_tilde + 1) + nu_tilde)
+                          / (nu_tilde w_nu) }.
+    """
+    nt = np.asarray(nu_tilde, dtype=np.float64)
+    w = np.asarray(w_mv, dtype=np.float64)
+    if np.any(nt <= 0.0) or np.any(w <= 0.0):
+        raise ValueError("nu_tilde and w_mv must be strictly positive")
+    out = _dof_gradient(nt, d, w - np.log(w))
+    return out if out.ndim else float(out)
 
 
 def theorem_rhs(v_log, g_log, tau_low, tau_T, alpha, beta, eps, D_diam):

@@ -30,11 +30,10 @@ from adaterm.tdist import (
     ascent_forms,
     grad_nu_from_deviation,
     grad_nu_surrogate_pre,
-    grad_nu_tilde_surrogate,
 )
 
 from _golden import PLATEAU_WINDOW_HIGH, PLATEAU_WINDOW_LOW
-from _reference import corollary_rhs, theorem_rhs
+from _reference import corollary_rhs, grad_nu_tilde_surrogate, theorem_rhs
 from _regret_replay import replay_logs
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"

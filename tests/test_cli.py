@@ -446,6 +446,18 @@ def test_run_rejects_unwritable_output_file(tmp_path, capsys, template, blocked)
     assert _no_temp_files(out_dir)
 
 
+def test_failed_surfaces_run_writes_no_grid(tmp_path, capsys):
+    """Every grid is written to its temp file before any is moved into
+    place, so a grid that cannot be written leaves none of the others."""
+    out_dir = tmp_path / "out"
+    (out_dir / "TauSurface.csv").mkdir(parents=True)
+    cfg = write_config(tmp_path, SMALL_SURFACES)
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    _one_config_error(capsys, out_dir / "TauSurface.csv")
+    assert not (out_dir / "Fig1.csv").exists()
+    assert _no_temp_files(out_dir)
+
+
 def test_surface_explicit_out(tmp_path):
     cfg = write_config(tmp_path, SMALL_SURFACES)
     assert main(["run", str(cfg)]) == EXIT_OK

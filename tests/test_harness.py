@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaterm import harness
+from adaterm.files import write_csv
 from adaterm.harness import (
     ConfigError,
     ExperimentConfig,
@@ -45,7 +46,7 @@ from adaterm.problems import (
 )
 from adaterm.regret import run_regret_experiment, write_regret_csv
 from adaterm.rng import make_rng
-from adaterm.surfaces import GridSpec, write_grid_csv
+from adaterm.surfaces import GridSpec, write_grid_csvs
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -317,12 +318,16 @@ def _write_interrupted_regret(path, monkeypatch):
     write_regret_csv(report, path)
 
 
+def _write_interrupted_table(path, monkeypatch):
+    # Two whole chunks have reached the temp file when the rows stop.
+    write_csv(path, ["v"], _rows_then_interrupt((0.5,), 3000), (float,))
+
+
 def _write_interrupted_grid(path, monkeypatch):
-    monkeypatch.setattr(
-        "adaterm.surfaces.emit_grid",
-        lambda spec: (["a", "b"], _rows_then_interrupt([0.5, 1.5])),
-    )
-    write_grid_csv(GridSpec(kind="Fig1"), path)
+    # A grid table whose rows, as lists, stop with an interruption.
+    table = SimpleNamespace(tolist=lambda: _rows_then_interrupt([0.5, 1.5]))
+    monkeypatch.setattr("adaterm.surfaces.emit_grid", lambda spec: (["a", "b"], table))
+    write_grid_csvs([GridSpec(kind="Fig1")], [path])
 
 
 @pytest.mark.parametrize("old", [None, "old table\n"], ids=["no-old-file", "old-file"])
@@ -333,8 +338,9 @@ def _write_interrupted_grid(path, monkeypatch):
         (_write_interrupted_summary, _Interrupted),
         (_write_interrupted_regret, ValueError),
         (_write_interrupted_grid, _Interrupted),
+        (_write_interrupted_table, _Interrupted),
     ],
-    ids=["results", "summary", "regret-trace", "grid"],
+    ids=["results", "summary", "regret-trace", "grid", "table"],
 )
 def test_interrupted_write_leaves_old_file_or_none(tmp_path, monkeypatch, write, error,
                                                    old):

@@ -15,7 +15,6 @@ from adaterm.tdist import (
     grad_nu_exact,
     grad_nu_from_deviation,
     grad_nu_surrogate_pre,
-    grad_nu_tilde_surrogate,
     grad_v,
     log_density,
 )
@@ -27,6 +26,7 @@ from _golden import (
     LOG_DENSITY_CAUCHY_MODE,
     PRE_SURROGATE_D1E4_W09,
 )
+from _reference import grad_nu_tilde_surrogate
 
 from adaterm.optimizers import GroupState, OptimizerConfig
 from adaterm.rng import make_rng
