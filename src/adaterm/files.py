@@ -7,7 +7,6 @@ a temp file that is moved into place only once the whole table is written.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import errno
 import io
@@ -24,29 +23,6 @@ _CELL_FORMATS = {float: "%.17g", int: "%s", str: "%s"}
 
 class OutputError(OSError):
     """An output file could not be written; the message names its path."""
-
-
-@contextlib.contextmanager
-def atomic_write(path):
-    """Open ``path`` for writing CSV text through a temp file in the same
-    directory, moved into place with ``os.replace`` when the block ends.
-
-    If the block raises, the temp file is removed and ``path`` is left as
-    it was: the old file, or none.  An ``OSError`` (``path`` is a
-    directory, its directory is missing, the disk is full) is raised as an
-    ``OutputError`` that names ``path``.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", newline="") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException as exc:
-        tmp.unlink(missing_ok=True)
-        if isinstance(exc, OSError):
-            raise OutputError(f"Cannot write {path}: {exc.strerror or exc}") from exc
-        raise
 
 
 class _QuotedText(dict):
@@ -88,7 +64,9 @@ def _write_table(fh, header, rows, kinds):
 
 
 def write_csv(path, header, rows, kinds):
-    """Write ``header`` and ``rows`` to ``path`` through ``atomic_write``.
+    """Write ``header`` and ``rows`` to ``path`` through a temp file in the
+    same directory, moved into place with ``os.replace`` once the whole
+    table is written (``write_csvs`` of one table).
 
     ``kinds`` names each column's type, ``float``, ``int`` or ``str``, and
     gives the table its one row format: a ``float`` cell (numpy ``float64``
@@ -97,9 +75,13 @@ def write_csv(path, header, rows, kinds):
     it, worked out once per distinct value.  The bytes are those of
     ``csv.writer``.  Rows are formatted and written ``CHUNK_ROWS`` at a
     time, so a table is never held whole as text.
+
+    If the write raises, the temp file is removed and ``path`` is left as
+    it was: the old file, or none.  An ``OSError`` (``path`` is a
+    directory, its directory is missing, the disk is full) is raised as an
+    ``OutputError`` that names ``path``.
     """
-    with atomic_write(path) as fh:
-        _write_table(fh, header, rows, kinds)
+    write_csvs([(path, header, rows, kinds)])
 
 
 def write_csvs(tables):
@@ -109,22 +91,25 @@ def write_csvs(tables):
     Every table goes to its temp file first, and every path is checked not
     to be a directory; only then is any temp file moved into place.  If a
     table or a check fails, every temp file is removed and no path changes.
-    An ``OSError`` is raised as an ``OutputError`` that names its path.
+    A path listed twice is written once, with its later table, as writing
+    the tables in turn would leave it.  An ``OSError`` is raised as an
+    ``OutputError`` that names its path.
     """
-    staged = []  # (temp file, path)
+    staged = {}  # path -> its temp file
+    path = None
     try:
         for path, header, rows, kinds in tables:
             path = Path(path)
-            staged.append((path.with_name(f".{path.name}.{os.getpid()}.tmp"), path))
-            with open(staged[-1][0], "w", newline="") as fh:
+            staged[path] = tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            with open(tmp, "w", newline="") as fh:
                 _write_table(fh, header, rows, kinds)
-        for _, path in staged:
+        for path in staged:
             if path.is_dir():
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-        for tmp, path in staged:
+        for path, tmp in staged.items():
             os.replace(tmp, path)
     except BaseException as exc:
-        for tmp, _ in staged:
+        for tmp in staged.values():
             tmp.unlink(missing_ok=True)
         if isinstance(exc, OSError):
             raise OutputError(f"Cannot write {path}: {exc.strerror or exc}") from exc

@@ -9,16 +9,15 @@ import math
 
 import numpy as np
 
-from adaterm.files import atomic_write
 from adaterm.regret import _coeff_term2, _coeff_term4
 from adaterm.tdist import _dof_gradient
 
 
 def reference_write_csv(path, header, rows):
-    """Write ``header`` and ``rows`` to ``path`` through ``atomic_write``:
-    each float (numpy ``float64`` included) as ``f"{x:.17g}"``, which reads
-    back to the same bits, and any other cell as ``csv`` writes it."""
-    with atomic_write(path) as fh:
+    """Write ``header`` and ``rows`` to ``path``: each float (numpy
+    ``float64`` included) as ``f"{x:.17g}"``, which reads back to the same
+    bits, and any other cell as ``csv`` writes it."""
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(

@@ -458,6 +458,16 @@ def test_failed_surfaces_run_writes_no_grid(tmp_path, capsys):
     assert _no_temp_files(out_dir)
 
 
+def test_surfaces_run_with_a_repeated_grid(tmp_path):
+    """A grid listed twice is written once, as its last listing leaves it."""
+    cfg = write_config(tmp_path, SMALL_SURFACES.replace("[Fig1, TauSurface]", "[Fig1, Fig1]")
+                       .replace("  TauSurface: {{n_nu: 3, n_D: 4}}", "  Fig1: {{d_list: [1, 2]}}"))
+    assert main(["run", str(cfg)]) == EXIT_OK
+    out_dir = tmp_path / "out"
+    assert sorted(p.name for p in out_dir.iterdir()) == ["Fig1.csv"]
+    assert (out_dir / "Fig1.csv").read_bytes().startswith(b"d,w_mv,value\r\n1,")
+
+
 def test_surface_explicit_out(tmp_path):
     cfg = write_config(tmp_path, SMALL_SURFACES)
     assert main(["run", str(cfg)]) == EXIT_OK

@@ -84,6 +84,13 @@ def test_write_csvs_failing_table_leaves_every_old_file(tmp_path):
     assert first.read_text() == "old first\n"
 
 
+def test_write_csvs_repeated_path_keeps_the_later_table(tmp_path):
+    path = tmp_path / "table.csv"
+    write_csvs([(path, ["v"], [(0.5,)], (float,)), (path, ["w"], [(2,)], (int,))])
+    assert path.read_bytes() == b"w\r\n2\r\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+
+
 def test_only_files_builds_a_csv_writer():
     writers = sorted(
         p.name for p in SRC.glob("*.py")
