@@ -41,7 +41,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional, get_type_hints
 
 import numpy as np
-import yaml
 
 from .files import write_csv
 from .mlp import DEFAULT_LAYER_SIZES, MlpModel, mse_loss, stack_parameters
@@ -145,10 +144,11 @@ def read_results_csv(path):
                 raise ConfigError(f"Not a results file: {path} has no column(s) {missing}")
             e, o, s, m, t, v = (index[c] for c in ResultRow._fields)
             rows = []
+            make, append = ResultRow._make, rows.append
             for rec in filter(None, reader):
                 try:
-                    rows.append(ResultRow(rec[e], rec[o], int(rec[s]), rec[m],
-                                          int(rec[t]), float(rec[v])))
+                    append(make((rec[e], rec[o], int(rec[s]), rec[m], int(rec[t]),
+                                 float(rec[v]))))
                 except (IndexError, ValueError):
                     got = ", ".join(repr(rec[i]) if i < len(rec) else "None" for i in (s, t, v))
                     raise ConfigError(
@@ -163,8 +163,9 @@ def read_results_csv(path):
 def summarize_rows(rows):
     """count/mean/std/median per (experiment, optimizer, metric, step).
 
-    Standard deviation is the population estimator.  Returns
-    ``SummaryRow``s sorted by group key, ready for the summary CSV.
+    Standard deviation is the population estimator.  Each statistic makes
+    the ufunc calls of ``np.mean``, ``np.std`` or ``np.median``, so it has
+    their bits.  Returns ``SummaryRow``s sorted by group key.
     """
     if not rows:
         raise ConfigError("No result rows to summarize")
@@ -174,10 +175,16 @@ def summarize_rows(rows):
             r.value
         )
     out = []
+    add = np.add.reduce
     for key in sorted(groups):
-        vals = np.asarray(groups[key])
-        out.append(SummaryRow(*key, vals.size, float(np.mean(vals)),
-                              float(np.std(vals)), float(np.median(vals))))
+        vals = np.array(groups[key], np.float64)
+        n, half, odd = vals.size, vals.size // 2, vals.size % 2
+        mean = add(vals) / n
+        dev = vals - mean
+        # np.median's partition; a NaN, if any, ends up last and is the median.
+        vals.partition([half, -1] if odd else [half - 1, half, -1])
+        mid = vals[-1] if math.isnan(vals[-1]) else add(vals[half - 1 + odd:half + 1]) / (2 - odd)
+        out.append(SummaryRow(*key, n, float(mean), math.sqrt(add(dev * dev) / n), float(mid)))
     return out
 
 
@@ -289,6 +296,7 @@ def _noise_ratios(problem):
 
 
 def load_config(path) -> ExperimentConfig:
+    import yaml  # here, so that ``summarize`` never pays its import
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)
@@ -594,7 +602,7 @@ def _run_regret_dimension(cfg: ExperimentConfig, spec: OnlineConvexSpec):
                           sublinearity_ratio(rep, min(1000, rep.T), rep.T)),
             ]
         )
-        write_regret_csv(rep, cfg.output_dir / f"regret_d{spec.dim}_seed{seed}.csv")
+    write_regret_csv(reports, [cfg.output_dir / f"regret_d{spec.dim}_seed{s}.csv" for s in seeds])
     return rows
 
 

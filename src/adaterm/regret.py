@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .files import write_csv
+from .files import write_csvs
 from .optimizers import GroupState, OptimizerConfig
 from .problems import QuadraticSequence
 
@@ -282,12 +282,15 @@ def sublinearity_ratio(report: RegretReport, t_low=1000, t_high=5000):
     return float(np.max(norm) / norm[0])
 
 
-def write_regret_csv(report: RegretReport, path):
-    # Columns zipped strictly: an array shorter than T raises, not a short file.
+def _trace_rows(report: RegretReport):
+    # A generator, so only the trace being written is held as Python floats;
+    # zipped strictly, so an array shorter than T raises, not a short file.
     columns = (report.losses, report.regret_prefix, report.bound_rhs_prefix, report.tau)
-    write_csv(
-        path,
-        ["t", "loss", "regret_prefix", "bound_rhs_prefix", "tau_t"],
-        zip(range(1, report.T + 1), *(c.tolist() for c in columns), strict=True),
-        (int, float, float, float, float),
-    )
+    yield from zip(range(1, report.T + 1), *(c.tolist() for c in columns), strict=True)
+
+
+def write_regret_csv(reports, paths):
+    """Each report's trace at its path, as one output (``files.write_csvs``)."""
+    header = ["t", "loss", "regret_prefix", "bound_rhs_prefix", "tau_t"]
+    write_csvs([(path, header, _trace_rows(report), (int,) + (float,) * 4)
+                for report, path in zip(reports, paths, strict=True)])

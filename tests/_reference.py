@@ -1,14 +1,16 @@
 """Reference forms that only tests call: the whole-horizon regret bound,
 which tests check a run's incrementally accumulated bound terms against;
-the dimension-fixed surrogate dof gradient as a function of w_mv; and the
+the dimension-fixed surrogate dof gradient as a function of w_mv; the
 per-cell ``csv.writer`` table writer, which ``files.write_csv`` must match
-byte for byte."""
+byte for byte; and the summary statistics through ``np.mean``, ``np.std``
+and ``np.median``, whose bits ``harness.summarize_rows`` must match."""
 
 import csv
 import math
 
 import numpy as np
 
+from adaterm.harness import ConfigError, SummaryRow
 from adaterm.regret import _coeff_term2, _coeff_term4
 from adaterm.tdist import _dof_gradient
 
@@ -23,6 +25,33 @@ def reference_write_csv(path, header, rows):
         writer.writerows(
             [f"{x:.17g}" if isinstance(x, float) else x for x in row] for row in rows
         )
+
+
+def reference_summarize_rows(rows):
+    """count/mean/std/median per (experiment, optimizer, metric, step).
+
+    Standard deviation is the population estimator.  Returns
+    ``SummaryRow``s sorted by group key, ready for the summary CSV.
+    """
+    if not rows:
+        raise ConfigError("No result rows to summarize")
+    groups = {}
+    for r in rows:
+        groups.setdefault((r.experiment, r.optimizer, r.metric, r.step), []).append(
+            r.value
+        )
+    out = []
+    for key in sorted(groups):
+        vals = np.asarray(groups[key])
+        out.append(SummaryRow(*key, vals.size, float(np.mean(vals)),
+                              float(np.std(vals)), float(np.median(vals))))
+    return out
+
+
+def summary_bits(summary):
+    """Each summary row with its floats as ``float.hex``, so that -0.0 and
+    0.0 differ and a NaN equals a NaN."""
+    return [tuple(x.hex() if isinstance(x, float) else x for x in rec) for rec in summary]
 
 
 def grad_nu_tilde_surrogate(nu_tilde, d, w_mv):

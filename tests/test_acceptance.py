@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adaterm.harness import load_config, run_experiment
+from adaterm.harness import load_config, run_experiment, summarize_rows
 from adaterm.optimizers import (
     GroupState,
     OptimizerConfig,
@@ -33,7 +33,13 @@ from adaterm.tdist import (
 )
 
 from _golden import PLATEAU_WINDOW_HIGH, PLATEAU_WINDOW_LOW
-from _reference import corollary_rhs, grad_nu_tilde_surrogate, theorem_rhs
+from _reference import (
+    corollary_rhs,
+    grad_nu_tilde_surrogate,
+    reference_summarize_rows,
+    summary_bits,
+    theorem_rhs,
+)
 from _regret_replay import replay_logs
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -292,6 +298,14 @@ def test_criterion_07_rosenbrock_robustness(rosenbrock_run):
     assert clean_ada < 0.1
     assert clean_adam < 0.1
     assert elapsed < 300.0
+
+
+def test_rosenbrock_summary_has_the_bits_of_numpy(rosenbrock_run):
+    """The run's ``summary.csv`` statistics are those of ``np.mean``,
+    ``np.std`` and ``np.median`` bit for bit, the medians that criteria 07,
+    08 and 13 take included."""
+    rows, _ = rosenbrock_run
+    assert summary_bits(summarize_rows(rows)) == summary_bits(reference_summarize_rows(rows))
 
 
 # --- 8 -----------------------------------------------------------------

@@ -374,6 +374,18 @@ def test_summarize_rejects_malformed_results(tmp_path, capsys, old, new, fragmen
     assert not (tmp_path / "summary.csv").exists()
 
 
+def test_summarize_imports_neither_yaml_nor_numpy_ma(tmp_path):
+    """``summarize`` reads no config, and its medians need no masked arrays."""
+    (tmp_path / "results.csv").write_text(GOOD_RESULTS)
+    code = ("import sys\n"
+            "from adaterm.cli import main\n"
+            f"status = main(['summarize', {str(tmp_path)!r}])\n"
+            "print(status, sorted({'yaml', 'numpy.ma'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.stdout.splitlines()[-1] == "0 []", proc.stderr
+    assert (tmp_path / "summary.csv").exists()
+
+
 def _one_config_error(capsys, path):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
@@ -455,6 +467,19 @@ def test_failed_surfaces_run_writes_no_grid(tmp_path, capsys):
     assert main(["run", str(cfg)]) == EXIT_CONFIG
     _one_config_error(capsys, out_dir / "TauSurface.csv")
     assert not (out_dir / "Fig1.csv").exists()
+    assert _no_temp_files(out_dir)
+
+
+def test_failed_regret_run_writes_no_trace(tmp_path, capsys):
+    """Every seed's trace of a dimension is written to its temp file before
+    any is moved into place, so a trace that cannot be written leaves none
+    of the others."""
+    out_dir = tmp_path / "out"
+    (out_dir / "regret_d2_seed1.csv").mkdir(parents=True)
+    cfg = write_config(tmp_path, SMALL_REGRET.replace("trials: 1", "trials: 2"))
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    _one_config_error(capsys, out_dir / "regret_d2_seed1.csv")
+    assert not (out_dir / "regret_d2_seed0.csv").exists()
     assert _no_temp_files(out_dir)
 
 

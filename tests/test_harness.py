@@ -5,6 +5,8 @@ split into batches, a single trial (n = 1) included."""
 import ast
 import math
 import os
+import random
+import sys
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -47,6 +49,8 @@ from adaterm.problems import (
 from adaterm.regret import run_regret_experiment, write_regret_csv
 from adaterm.rng import make_rng
 from adaterm.surfaces import GridSpec, write_grid_csvs
+
+from _reference import reference_summarize_rows, summary_bits
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -253,6 +257,23 @@ def test_read_accepts_extra_columns_in_any_order(tmp_path):
     assert read_results_csv(path) == [ResultRow("e", "o", 2, "m", 3, 0.25)]
 
 
+def test_read_error_names_the_line_of_the_file(tmp_path):
+    """A quoted newline and a blank line each count as a line of the file."""
+    path = tmp_path / "results.csv"
+    path.write_text(
+        "experiment,optimizer,seed,metric,step,value\n"
+        'e,"two\nlines",0,m,10,0.5\n'
+        "\n"
+        "e,o,zero,m,10,0.5\n"
+    )
+    with pytest.raises(ConfigError) as info:
+        read_results_csv(path)
+    assert str(info.value) == (
+        f"{path}, line 5: seed and step must be integers and value a number, "
+        "got 'zero', '10', '0.5'"
+    )
+
+
 def test_read_rejects_foreign_csv(tmp_path):
     path = tmp_path / "other.csv"
     path.write_text("a,b,c\n1,2,3\n")
@@ -288,6 +309,41 @@ def test_summarize_empty_raises():
         summarize_rows([])
 
 
+_EDGE_VALUES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                sys.float_info.max, -sys.float_info.max, 1.0, -2.5, 0.1, 1e300, -1e-300]
+
+
+def _edge_group(rng, size):
+    """``size`` values of one of the kinds that test a statistic's bits."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return [math.nan] * size
+    if kind == 1:
+        return [math.inf, -math.inf] + [rng.choice(_EDGE_VALUES) for _ in range(size)]
+    if kind == 2:
+        return [rng.choice([0.0, -0.0]) for _ in range(size)]
+    if kind == 3:
+        return [rng.choice(_EDGE_VALUES) for _ in range(size)]
+    return [rng.choice(_EDGE_VALUES) if rng.random() < 0.1 else rng.lognormvariate(0.0, 3.0)
+            for _ in range(size)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_summarize_rows_has_the_bits_of_numpy(seed):
+    """Mean, population std and median have the bits of ``np.mean``,
+    ``np.std`` and ``np.median``: over singletons, even and odd groups,
+    NaN, +-inf, +-0.0, subnormal and the largest floats, rows shuffled."""
+    rng = random.Random(seed)
+    rows = []
+    for group in range(80):
+        values = _edge_group(rng, rng.choice([1, 1, 2, 3, 4, 5, 8, 9, 16, 17, 64, 101, 130]))
+        rows += [ResultRow(f"e{group % 3}", "o", trial, f"m{group}", group % 4, v)
+                 for trial, v in enumerate(values)]
+    rng.shuffle(rows)
+    with np.errstate(all="ignore"):
+        assert summary_bits(summarize_rows(rows)) == summary_bits(reference_summarize_rows(rows))
+
+
 class _Interrupted(Exception):
     pass
 
@@ -315,7 +371,7 @@ def _write_interrupted_regret(path, monkeypatch):
     short = np.zeros(4000)
     report = SimpleNamespace(T=5000, losses=short, regret_prefix=short,
                              bound_rhs_prefix=short, tau=short)
-    write_regret_csv(report, path)
+    write_regret_csv([report], [path])
 
 
 def _write_interrupted_table(path, monkeypatch):

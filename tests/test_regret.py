@@ -348,7 +348,7 @@ def test_sublinearity_ratio_manual(medium_report):
 def test_regret_csv_layout(medium_report, tmp_path):
     report, _ = medium_report
     path = tmp_path / "regret.csv"
-    write_regret_csv(report, path)
+    write_regret_csv([report], [path])
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t,loss,regret_prefix,bound_rhs_prefix,tau_t"
     assert len(lines) == report.T + 1
