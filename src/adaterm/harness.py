@@ -207,12 +207,12 @@ class ExperimentConfig:
     trials: int = 1
     steps: int = 1000
     record_every: int = 0
-    problem: dict = field(default_factory=dict)
+    problem: object = None  # what the kind's run takes, built by its parse (see _KINDS)
     optimizers: list = field(default_factory=list)  # (name, OptimizerConfig)
     model_sizes: tuple = ()
     horizon: int = 5000
-    dims: tuple = (2,)
-    grids: tuple = ()
+    dims: tuple = (1, 2, 5, 8)
+    noise_ratios: tuple = (0.0,)
     points: int = 100
     tolerance: float = 1e-5
 
@@ -286,13 +286,21 @@ def _optimizer_list(raw, cfg):
         raise ConfigError(f"Duplicate optimizer names: {names}")
 
 
-def _noise_ratios(problem):
-    """Check the problem's ``noise_ratios`` list (default [0.0]) and store it."""
-    ratios = problem.get("noise_ratios", [0.0])
-    problem["noise_ratios"] = _number_list(ratios, float, "noise_ratios")
-    for p in problem["noise_ratios"]:
+def _distinct(values, what, label=str):
+    """``values``, whose labels must differ: two of one label would name one cell."""
+    labels = [label(v) for v in values]
+    if repeated := [key for key in labels if labels.count(key) > 1]:
+        raise ConfigError(f"Duplicate {what}: {repeated[0]} (in {values})")
+    return values
+
+
+def _noise_ratios(problem, cfg):
+    """Check the problem's ``noise_ratios`` (default: the field's) into ``cfg``."""
+    ratios = _number_list(problem.get("noise_ratios", [*cfg.noise_ratios]), float, "noise_ratios")
+    for p in ratios:
         if not 0.0 <= p <= 1.0:
             raise ConfigError(f"noise ratio out of [0, 1]: {p}")
+    cfg.noise_ratios = tuple(_distinct(ratios, "noise_ratios label", lambda p: f"p={p:g}"))
 
 
 def load_config(path) -> ExperimentConfig:
@@ -331,8 +339,7 @@ def load_config(path) -> ExperimentConfig:
     problem = raw.get("problem", {})
     if not isinstance(problem, dict):
         raise ConfigError("problem section must be a mapping")
-    cfg.problem = problem
-    _KINDS[kind].parse(raw, cfg)
+    _KINDS[kind].parse(raw, dict(problem), cfg)
     return cfg
 
 
@@ -407,21 +414,20 @@ def _run_test_function_cell(function, ratios, opt_cfg, us, deltas, record_every=
     return final_norm, final_nu, trails
 
 
-def _parse_test_function(raw, cfg: ExperimentConfig):
+def _parse_test_function(raw, problem, cfg: ExperimentConfig):
     _optimizer_list(raw, cfg)
-    _noise_ratios(cfg.problem)
-    unknown = set(cfg.problem) - {"function", "noise_ratios"}
+    _noise_ratios(problem, cfg)
+    unknown = set(problem) - {"function", "noise_ratios"}
     if unknown:
         raise ConfigError(f"problem: unknown key(s) {sorted(unknown)}")
-    fn = cfg.problem.get("function")
-    if fn not in TEST_FUNCTIONS:
-        raise ConfigError(f"Unknown test function: {fn!r} "
+    cfg.problem = problem.get("function")
+    if cfg.problem not in TEST_FUNCTIONS:
+        raise ConfigError(f"Unknown test function: {cfg.problem!r} "
                           f"(choose from {sorted(TEST_FUNCTIONS)})")
 
 
 def _run_test_function_experiment(cfg: ExperimentConfig):
-    function = cfg.problem["function"]
-    ratios = cfg.problem["noise_ratios"]
+    function, ratios = cfg.problem, cfg.noise_ratios
     us = np.empty((cfg.trials, cfg.steps))
     deltas = np.empty((cfg.trials, cfg.steps, 2))
     for i in range(cfg.trials):
@@ -512,15 +518,9 @@ def _spec(cls, what, values, **fixed):
         raise ConfigError(f"{what}: {exc}") from exc
 
 
-def _regression_spec(cfg: ExperimentConfig):
-    """The stream spec: the problem section less its noise ratios."""
-    values = {k: v for k, v in cfg.problem.items() if k != "noise_ratios"}
-    return _spec(RegressionStreamSpec, "problem section", values)
-
-
-def _parse_regression(raw, cfg: ExperimentConfig):
+def _parse_regression(raw, problem, cfg: ExperimentConfig):
     _optimizer_list(raw, cfg)
-    _noise_ratios(cfg.problem)
+    _noise_ratios(problem, cfg)
     model = raw.get("model", {})
     if not isinstance(model, dict) or set(model) - {"layer_sizes"}:
         raise ConfigError(f"model must map layer_sizes only, got {model!r}")
@@ -529,11 +529,12 @@ def _parse_regression(raw, cfg: ExperimentConfig):
     if len(sizes) < 2:
         raise ConfigError(f"model.layer_sizes must list >= 2 sizes, got {sizes!r}")
     cfg.model_sizes = tuple(sizes)
-    _regression_spec(cfg)
+    cfg.problem = _spec(RegressionStreamSpec, "problem section",
+                        {k: v for k, v in problem.items() if k != "noise_ratios"})
 
 
 def _run_regression_experiment(cfg: ExperimentConfig):
-    spec = _regression_spec(cfg)
+    spec = cfg.problem
     n, n_pairs = cfg.trials, spec.n_pairs
     X, Z, F = (np.empty((n, n_pairs, 1)) for _ in range(3))
     U = np.empty((n, n_pairs))
@@ -545,7 +546,7 @@ def _run_regression_experiment(cfg: ExperimentConfig):
     x_test = np.linspace(0.0, 1.0, TEST_X_POINTS)[:, None]
     n_steps = math.ceil(n_pairs / spec.batch_size)
     cells = {f"regression:p={p:g} {name}": (p, opt_cfg)  # "<experiment id> <optimizer>"
-             for p in cfg.problem["noise_ratios"] for name, opt_cfg in cfg.optimizers}
+             for p in cfg.noise_ratios for name, opt_cfg in cfg.optimizers}
     # Each cell makes its own labels (noise fires where u < p).
     results = _map_cells(lambda p, opt_cfg: _run_regression_cell(
         Ws, Bs, X, apply_coordinate_noise(F, U, Z, p), spec.batch_size, opt_cfg, x_test), cells)
@@ -558,13 +559,7 @@ def _run_regression_experiment(cfg: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 
-def _regret_specs(cfg: ExperimentConfig):
-    """One problem spec per dimension."""
-    return [_spec(OnlineConvexSpec, "problem section", cfg.problem, dim=d)
-            for d in cfg.dims]
-
-
-def _parse_regret(raw, cfg: ExperimentConfig):
+def _parse_regret(raw, problem, cfg: ExperimentConfig):
     section = raw.get("optimizer", {})
     if not isinstance(section, dict):
         raise ConfigError("optimizer section must be a mapping")
@@ -573,8 +568,8 @@ def _parse_regret(raw, cfg: ExperimentConfig):
         _validate_regret_config(cfg.optimizers[0][1])
     except ValueError as exc:
         raise ConfigError(f"optimizer: {exc}") from None
-    cfg.dims = tuple(_number_list(raw.get("dims", [2]), int, "dims", 1))
-    _regret_specs(cfg)
+    dims = _distinct(_number_list(raw.get("dims", [2]), int, "dims", 1), "dims entry")
+    cfg.problem = [_spec(OnlineConvexSpec, "problem section", problem, dim=d) for d in dims]
 
 
 def _run_regret_dimension(cfg: ExperimentConfig, spec: OnlineConvexSpec):
@@ -609,41 +604,33 @@ def _run_regret_dimension(cfg: ExperimentConfig, spec: OnlineConvexSpec):
 def _run_regret_experiment_kind(cfg: ExperimentConfig):
     # A cell per dimension: in one process, its reports are freed when it
     # returns, before the next dimension's draws are made.
-    cells = {f"regret:d={spec.dim}": (cfg, spec) for spec in _regret_specs(cfg)}
+    cells = {f"regret:d={spec.dim}": (cfg, spec) for spec in cfg.problem}
     return [row for rows in _map_cells(_run_regret_dimension, cells) for row in rows]
 
 
 def grid_paths(cfg: ExperimentConfig):
-    """The grid CSVs a surfaces run writes, one per grid kind."""
-    return [cfg.output_dir / f"{kind}.csv" for kind in cfg.grids]
+    """The grid CSVs a surfaces run writes, one per grid spec."""
+    return [cfg.output_dir / f"{spec.kind}.csv" for spec in cfg.problem]
 
 
-def _grid_specs(cfg: ExperimentConfig):
-    """One grid spec per grid kind, in ``grid_paths`` order."""
-    return [
-        _spec(GridSpec, f"grid {kind}", cfg.problem.get(kind, {}), kind=kind)
-        for kind in cfg.grids
-    ]
-
-
-def _parse_surfaces(raw, cfg: ExperimentConfig):
+def _parse_surfaces(raw, problem, cfg: ExperimentConfig):
     grids = raw.get("grids", list(GRID_KINDS))
     if not isinstance(grids, list) or not grids:
         raise ConfigError("grids must be a non-empty list")
-    for g in grids:
-        if g not in GRID_KINDS:
-            raise ConfigError(f"Unknown grid kind: {g!r}")
-        if isinstance(values := cfg.problem.get(g), dict) and "d_list" in values:
-            values["d_list"] = _number_list(values["d_list"], int, f"grid {g}: d_list", 1)
-    cfg.grids = tuple(grids)
-    unknown = set(cfg.problem) - set(grids)
+    cfg.problem = []
+    for g in grids:  # GridSpec refuses a kind that is not a grid's name
+        values = problem.get(g, {}) if isinstance(g, str) else {}
+        if isinstance(values, dict) and "d_list" in values:
+            values = {**values, "d_list": _number_list(values["d_list"], int,
+                                                       f"grid {g}: d_list", 1)}
+        cfg.problem.append(_spec(GridSpec, f"grid {g}", values, kind=g))
+    unknown = set(problem) - set(grids)
     if unknown:
         raise ConfigError(f"problem: key(s) {sorted(unknown)} name no listed grid")
-    _grid_specs(cfg)
 
 
 def _run_surfaces_experiment(cfg: ExperimentConfig):
-    write_grid_csvs(_grid_specs(cfg), grid_paths(cfg))
+    write_grid_csvs(cfg.problem, grid_paths(cfg))
     return []
 
 
@@ -667,8 +654,9 @@ def _rel_err(fd, exact):
     return abs(fd - exact) / max(1.0, abs(exact))
 
 
-def _parse_verify_gradients(raw, cfg: ExperimentConfig):
-    cfg.dims = tuple(_number_list(raw.get("dims", [1, 2, 5, 8]), int, "dims", 1))
+def _parse_verify_gradients(raw, problem, cfg: ExperimentConfig):
+    dims = _number_list(raw.get("dims", [*cfg.dims]), int, "dims", 1)
+    cfg.dims = tuple(_distinct(dims, "dims entry"))
     # A tolerance nothing can exceed checks nothing.  load_config has refused
     # points < 1, seed < 0 and a non-finite tolerance already.
     if not cfg.tolerance > 0.0:
@@ -786,9 +774,9 @@ class _Kind(NamedTuple):
 
 # One entry per experiment kind: ``keys``, the top-level keys its configs
 # read besides schema_version, experiment and output_dir (any other is
-# refused, not silently ignored); ``parse(raw, cfg)``, its checks after
-# ``load_config``'s shared parsing, ending with its problem specs so that a
-# bad problem key exits before the output directory is made; ``run(cfg)``, its rows.
+# refused); ``parse(raw, problem, cfg)``, its checks, which build from a copy
+# of the problem section all that its run reads, so that a bad value exits
+# before the output directory is made; ``run(cfg)``, its rows.
 _KINDS = {
     "test_function": _Kind({"seed", "trials", "steps", "record_every", "problem", "optimizers"},
                            _parse_test_function, _run_test_function_experiment),

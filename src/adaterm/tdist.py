@@ -15,15 +15,15 @@ where tau_mv = (1 - beta) w_mv / w_mv_bar shrinks automatically for
 statistical outliers (small robustness weight w_mv).  Since w_mv <= w_mv_bar,
 tau_mv <= 1 - beta, and likewise tau_nu <= 1 - beta.  Both factors are
 clamped at 1 - beta, so the bounds hold exactly in floating point rather
-than to within a rounding.  ``ascent_forms`` writes the same step in its
-gradient-ascent form, as the reference the interpolations are tested
-against.  The one-shot density and gradient functions exist so the update
-rules can be verified against finite differences and analytic bounds,
-independently of any optimizer.
+than to within a rounding.  The tests' ``_reference.ascent_forms`` writes
+the same step in its gradient-ascent form, as the reference the
+interpolations are tested against.  The one-shot density and gradient
+functions exist so the update rules can be verified against finite
+differences and analytic bounds, independently of any optimizer.
 
 ``weights`` and ``dof_step`` are the one copy of the weight formulas (floor
 and ceiling included) and of the nu_tilde step: the estimator, ``grad_m``,
-``grad_v``, ``ascent_forms`` and the figure grids all call them.
+``grad_v``, the figure grids and the tests' ascent forms all call them.
 
 All array functions accept leading batch axes: shapes (..., d) for vectors
 and (...) for per-group scalars, reducing over the trailing axis only.
@@ -106,7 +106,7 @@ def grad_m(g, m, v, nu_tilde):
     contributes a factor 2 that cancels it.  The published step size kappa_m
     carries a compensating factor 2 (it was calibrated against the
     half-gradient convention), so the resulting update rule is unchanged;
-    see the ascent-form helper below.
+    see ``ascent_forms`` in the tests' ``_reference.py``.
     """
     g, m, v = _check_density_args(g, m, v, nu_tilde)
     s = (g - m) ** 2
@@ -270,31 +270,3 @@ def advance_arrays(m, v, nu_tilde, g, diag):
     v_new = (1.0 - tau) * v + tau * (diag.s + diag.delta_s)
     nu_new = (1.0 - diag.tau_nu) * nu_tilde + diag.tau_nu * diag.lam
     return m_new, v_new, nu_new
-
-
-def ascent_forms(m, v, nu_tilde, g, beta, eps, nu_tilde_min):
-    """The gradient-ascent forms of the three updates: the reference the
-    interpolation updates are tested against.
-
-    Takes the arguments of ``diagnostics_arrays`` and returns
-    ((m, v, nu_tilde), (kappa_m, kappa_v, kappa_dnu)): the next state
-    computed as state + kappa * gradient instead of by interpolation, and
-    the step sizes.  Conventions: kappa_m pairs with the half-gradient
-    grad_m/2 (see grad_m); the v gradient is evaluated with the clipped
-    delta_s in place of the raw correction; the nu_tilde ascent carries the
-    tau_nu * eps floor term that keeps nu_tilde - nu_tilde_min positive.
-    """
-    nu_tilde = np.asarray(nu_tilde, dtype=np.float64)
-    diag = diagnostics_arrays(m, v, nu_tilde, g, beta, eps, nu_tilde_min)
-    d = g.shape[-1]
-    w_mv, nt = diag.w_mv[..., None], nu_tilde[..., None]
-    kappa_m = 2.0 * v * (1.0 - beta) / diag.w_mv_bar[..., None]
-    kappa_v = 2.0 * v * v * (1.0 - beta)
-    kappa_dnu, g_nu = dof_step(nu_tilde, diag.w_nu, diag.w_nu_bar, d, beta, nu_tilde_min)
-    m_asc = m + kappa_m * (w_mv * (g - m) / (2.0 * v))
-    g_v_clipped = (
-        w_mv * nt / (2.0 * v * v * (nt + 1.0)) * ((diag.s + diag.delta_s) - v)
-    )
-    v_asc = v + kappa_v * g_v_clipped
-    nu_asc = nu_tilde + kappa_dnu * g_nu + diag.tau_nu * eps
-    return (m_asc, v_asc, nu_asc), (kappa_m, kappa_v, kappa_dnu)

@@ -1,9 +1,11 @@
 """Reference forms that only tests call: the whole-horizon regret bound,
 which tests check a run's incrementally accumulated bound terms against;
 the dimension-fixed surrogate dof gradient as a function of w_mv; the
-per-cell ``csv.writer`` table writer, which ``files.write_csv`` must match
-byte for byte; and the summary statistics through ``np.mean``, ``np.std``
-and ``np.median``, whose bits ``harness.summarize_rows`` must match."""
+gradient-ascent form of the estimator's step, which its interpolation
+updates must agree with; the per-cell ``csv.writer`` table writer, which
+``files.write_csv`` must match byte for byte; and the summary statistics
+through ``np.mean``, ``np.std`` and ``np.median``, whose bits
+``harness.summarize_rows`` must match."""
 
 import csv
 import math
@@ -12,7 +14,7 @@ import numpy as np
 
 from adaterm.harness import ConfigError, SummaryRow
 from adaterm.regret import _coeff_term2, _coeff_term4
-from adaterm.tdist import _dof_gradient
+from adaterm.tdist import _dof_gradient, diagnostics_arrays, dof_step
 
 
 def reference_write_csv(path, header, rows):
@@ -126,3 +128,31 @@ def corollary_rhs(v_log, g_log, alpha, beta, eps, D_diam):
     else:
         term4 = 0.0
     return np.array([term1, term2, term3, term4])
+
+
+def ascent_forms(m, v, nu_tilde, g, beta, eps, nu_tilde_min):
+    """The gradient-ascent forms of the three updates: the reference the
+    interpolation updates are tested against.
+
+    Takes the arguments of ``diagnostics_arrays`` and returns
+    ((m, v, nu_tilde), (kappa_m, kappa_v, kappa_dnu)): the next state
+    computed as state + kappa * gradient instead of by interpolation, and
+    the step sizes.  Conventions: kappa_m pairs with the half-gradient
+    grad_m/2 (see grad_m); the v gradient is evaluated with the clipped
+    delta_s in place of the raw correction; the nu_tilde ascent carries the
+    tau_nu * eps floor term that keeps nu_tilde - nu_tilde_min positive.
+    """
+    nu_tilde = np.asarray(nu_tilde, dtype=np.float64)
+    diag = diagnostics_arrays(m, v, nu_tilde, g, beta, eps, nu_tilde_min)
+    d = g.shape[-1]
+    w_mv, nt = diag.w_mv[..., None], nu_tilde[..., None]
+    kappa_m = 2.0 * v * (1.0 - beta) / diag.w_mv_bar[..., None]
+    kappa_v = 2.0 * v * v * (1.0 - beta)
+    kappa_dnu, g_nu = dof_step(nu_tilde, diag.w_nu, diag.w_nu_bar, d, beta, nu_tilde_min)
+    m_asc = m + kappa_m * (w_mv * (g - m) / (2.0 * v))
+    g_v_clipped = (
+        w_mv * nt / (2.0 * v * v * (nt + 1.0)) * ((diag.s + diag.delta_s) - v)
+    )
+    v_asc = v + kappa_v * g_v_clipped
+    nu_asc = nu_tilde + kappa_dnu * g_nu + diag.tau_nu * eps
+    return (m_asc, v_asc, nu_asc), (kappa_m, kappa_v, kappa_dnu)

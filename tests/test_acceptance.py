@@ -26,14 +26,11 @@ from adaterm.problems import OnlineConvexSpec, QuadraticSequence
 from adaterm.regret import run_regret_experiment
 from adaterm.rng import make_rng
 from adaterm.surfaces import GridSpec, emit_grid
-from adaterm.tdist import (
-    ascent_forms,
-    grad_nu_from_deviation,
-    grad_nu_surrogate_pre,
-)
+from adaterm.tdist import grad_nu_from_deviation, grad_nu_surrogate_pre
 
 from _golden import PLATEAU_WINDOW_HIGH, PLATEAU_WINDOW_LOW
 from _reference import (
+    ascent_forms,
     corollary_rhs,
     grad_nu_tilde_surrogate,
     reference_summarize_rows,

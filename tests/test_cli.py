@@ -244,6 +244,13 @@ def test_run_rejects_unused_top_level_key(tmp_path, capsys, template, old, new, 
          "grid Fig1: d_list entry must be an integer, got True"),
         (SMALL_SURFACES, "problem:", "problem:\n  Fig1: {{d_list: [.inf]}}",
          "grid Fig1: d_list entry must be an integer, got inf"),
+        # Two ratios of one label, or one dimension twice, would name one cell.
+        (SMALL_RUN, "[0.0]", "[0.1, 0.1000001]", "Duplicate noise_ratios label: p=0.1"),
+        (SMALL_REGRESSION, "[0.0]", "[0.1, 0.1000001]",
+         "Duplicate noise_ratios label: p=0.1"),
+        (SMALL_REGRET, "dims: [2]", "dims: [2, 2]", "Duplicate dims entry: 2"),
+        (SMALL_VERIFY, "dims: [1]", "dims: [1, 1]", "Duplicate dims entry: 1"),
+        (SMALL_SURFACES, "TauSurface]", "[TauSurface]]", "Unknown grid kind: ['TauSurface']"),
     ],
     ids=["tolerance", "testfn-ratio", "regression-ratio", "dims", "layer-sizes",
          "misspelt-noise-ratios", "regret-bias-correction", "regret-algorithm",
@@ -256,7 +263,9 @@ def test_run_rejects_unused_top_level_key(tmp_path, capsys, template, old, new, 
          "bias-correction-string", "adaterm-beta1", "adam-beta", "regret-beta2",
          "fractional-n-pairs", "bool-n-pairs", "fractional-batch-size",
          "fractional-grid-resolution", "infinite-box", "output-dir-list",
-         "grid-not-mapping", "fractional-d-list", "bool-d-list", "infinite-d-list"],
+         "grid-not-mapping", "fractional-d-list", "bool-d-list", "infinite-d-list",
+         "testfn-repeated-ratio-label", "regression-repeated-ratio-label",
+         "regret-repeated-dim", "verify-repeated-dim", "grid-not-a-name"],
 )
 def test_run_rejects_bad_value(tmp_path, capsys, template, old, new, fragment):
     cfg = write_config(tmp_path, template.replace(old, new))

@@ -91,7 +91,7 @@ def test_load_valid_test_function_config(tmp_path):
     assert cfg.record_every == 10
     assert [n for n, _ in cfg.optimizers] == ["AdaTerm", "Adam-small"]
     assert cfg.optimizers[0][1].alpha == 0.01
-    assert cfg.problem["noise_ratios"] == [0.0, 0.1]
+    assert cfg.noise_ratios == (0.0, 0.1)
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.yaml")))
@@ -100,6 +100,21 @@ def test_shipped_configs_parse(name):
     assert cfg.kind in (
         "test_function", "regression", "regret", "surfaces", "verify_gradients"
     )
+    # What each run reads is built at load time.
+    if name == "rosenbrock.yaml":
+        assert cfg.problem == "Rosenbrock"
+        assert cfg.noise_ratios == (0.0, 0.01, 0.025, 0.05, 0.10, 0.15)
+    elif name == "regression.yaml":
+        assert cfg.problem == RegressionStreamSpec(n_pairs=8000, batch_size=10)
+        assert cfg.noise_ratios == (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
+    elif name == "regret.yaml":
+        assert cfg.problem == [OnlineConvexSpec(dim=d, box_halfwidth=1.0, grad_bound=4.0)
+                               for d in (2, 10)]
+    elif name == "surfaces.yaml":
+        assert cfg.problem == [GridSpec(kind=kind)
+                               for kind in ("Fig1", "TauSurface", "DofIncrementSurface")]
+    else:
+        assert name == "verify.yaml" and cfg.dims == (1, 2, 5, 8)
 
 
 def test_missing_file_is_config_error(tmp_path):
@@ -647,7 +662,7 @@ def test_run_experiment_writes_tables_and_fans_out_seeds(tmp_path):
     ]
     assert [r.seed for r in adaterm_rows] == [3, 4, 5]  # base seed + trial index
     # Each trial's row is a one-trial cell on the draws of make_rng(seed) alone.
-    for p in cfg.problem["noise_ratios"]:
+    for p in cfg.noise_ratios:
         for name, opt_cfg in cfg.optimizers:
             got = [r.value for r in rows if r.optimizer == name
                    and r.experiment == f"Rosenbrock:p={p:g}"
@@ -671,7 +686,6 @@ def test_regret_experiment_kind(tmp_path):
         output_dir=tmp_path / "regret",
         trials=2,
         horizon=60,
-        dims=(2,),
         optimizers=[
             (
                 "AdaTerm",
@@ -683,7 +697,7 @@ def test_regret_experiment_kind(tmp_path):
                 ),
             )
         ],
-        problem={"box_halfwidth": 1.0, "grad_bound": 4.0},
+        problem=[OnlineConvexSpec(dim=2, box_halfwidth=1.0, grad_bound=4.0)],
     )
     rows = run_experiment(cfg)
     metrics = {r.metric for r in rows}
@@ -696,7 +710,7 @@ def test_regret_experiment_kind(tmp_path):
     assert (cfg.output_dir / "regret_d2_seed0.csv").exists()
     assert (cfg.output_dir / "regret_d2_seed1.csv").exists()
     # Seed 1's run is a run on the sequence drawn from make_rng(1) alone.
-    seq = QuadraticSequence(OnlineConvexSpec(**cfg.problem), [make_rng(1)], 60)
+    seq = QuadraticSequence(cfg.problem[0], [make_rng(1)], 60)
     [own] = run_regret_experiment(seq, cfg.optimizers[0][1])
     assert [r.value for r in rows if r.metric == "R_T"][1] == own.R_T
 
@@ -719,7 +733,6 @@ def test_regret_experiment_runs_once_per_dimension(tmp_path, monkeypatch):
         seed=4,
         trials=3,
         horizon=20,
-        dims=(2, 5),
         optimizers=[
             (
                 "AdaTerm",
@@ -731,7 +744,7 @@ def test_regret_experiment_runs_once_per_dimension(tmp_path, monkeypatch):
                 ),
             )
         ],
-        problem={"box_halfwidth": 1.0, "grad_bound": 4.0},
+        problem=[OnlineConvexSpec(dim=d, box_halfwidth=1.0, grad_bound=4.0) for d in (2, 5)],
     )
     rows = run_experiment(cfg)
     calls = [ast.literal_eval(p.read_text()) for p in calls_dir.iterdir()]
@@ -746,8 +759,7 @@ def test_surfaces_experiment_writes_grids(tmp_path):
     cfg = ExperimentConfig(
         kind="surfaces",
         output_dir=tmp_path / "grids",
-        grids=("TauSurface",),
-        problem={"TauSurface": {"n_nu": 3, "n_D": 4}},
+        problem=[GridSpec(kind="TauSurface", n_nu=3, n_D=4)],
     )
     rows = run_experiment(cfg)
     assert rows == []
@@ -806,3 +818,10 @@ def test_verify_gradients_experiment_rows(tmp_path):
     assert {r.optimizer for r in rows} == {"grad_m", "grad_v", "grad_nu"}
     assert all(r.metric == "max_rel_fd_err" for r in rows)
     assert (cfg.output_dir / "results.csv").exists()
+    # Without dims, a config built by hand and a loaded one run the same dims.
+    built = ExperimentConfig(kind="verify_gradients", output_dir=tmp_path / "built", points=1)
+    loaded = load_config(write_cfg(tmp_path, "schema_version: 1\n"
+                                   "experiment: verify_gradients\npoints: 1\n"))
+    loaded.output_dir = tmp_path / "loaded"
+    assert ([r.step for r in run_experiment(built)] == [r.step for r in run_experiment(loaded)]
+            == [d for d in (1, 2, 5, 8) for _ in range(3)])

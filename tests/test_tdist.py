@@ -9,7 +9,6 @@ from adaterm.special import W_NU_BAR_CEIL
 from adaterm.tdist import (
     NonFiniteGradientError,
     advance_arrays,
-    ascent_forms,
     diagnostics_arrays,
     grad_m,
     grad_nu_exact,
@@ -26,7 +25,7 @@ from _golden import (
     LOG_DENSITY_CAUCHY_MODE,
     PRE_SURROGATE_D1E4_W09,
 )
-from _reference import grad_nu_tilde_surrogate
+from _reference import ascent_forms, grad_nu_tilde_surrogate
 
 from adaterm.optimizers import GroupState, OptimizerConfig
 from adaterm.rng import make_rng
