@@ -59,11 +59,11 @@ def _build_parser():
 
 def _cmd_run(args):
     cfg = load_config(args.config)
-    rows = run_experiment(cfg)
+    count = run_experiment(cfg)
     if cfg.kind == "surfaces":
         print("surfaces: wrote " + ", ".join(str(p) for p in grid_paths(cfg)))
     else:
-        print(f"{cfg.kind}: wrote {len(rows)} result rows to {cfg.output_dir}")
+        print(f"{cfg.kind}: wrote {count} result rows to {cfg.output_dir}")
     return EXIT_OK
 
 

@@ -27,15 +27,21 @@ that stops part-way leaves the old file or none.
 
 Result files: ``results.csv`` with one row per (experiment id, optimizer,
 seed, metric, step, value), plus ``summary.csv`` with count/mean/std
-(population)/median per (experiment, optimizer, metric, step).
+(population)/median per (experiment, optimizer, metric, step).  Rows
+stream from the cells to ``results.csv``: once every cell has run, a
+test-function run makes its rows one (ratio, optimizer) block at a time
+from the cells' arrays, and ``run_experiment`` keeps only each row's
+value, in its group, for ``summary.csv``, not the rows.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
 import pickle
+from array import array
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, get_type_hints
@@ -160,20 +166,21 @@ def read_results_csv(path):
         raise ConfigError(f"Cannot read results {path}: {exc}") from exc
 
 
-def summarize_rows(rows):
-    """count/mean/std/median per (experiment, optimizer, metric, step).
-
-    Standard deviation is the population estimator.  Each statistic makes
-    the ufunc calls of ``np.mean``, ``np.std`` or ``np.median``, so it has
-    their bits.  Returns ``SummaryRow``s sorted by group key.
-    """
-    if not rows:
-        raise ConfigError("No result rows to summarize")
-    groups = {}
+def _grouped(rows, groups):
+    """``rows``, passed on as each one's value is appended, as a C double,
+    to its (experiment, optimizer, metric, step) group in ``groups``."""
     for r in rows:
-        groups.setdefault((r.experiment, r.optimizer, r.metric, r.step), []).append(
-            r.value
-        )
+        key = (r.experiment, r.optimizer, r.metric, r.step)
+        if (vals := groups.get(key)) is None:
+            vals = groups[key] = array("d")
+        vals.append(r.value)
+        yield r
+
+
+def _group_statistics(groups):
+    """``summarize_rows`` of the rows whose values ``_grouped`` put in ``groups``."""
+    if not groups:
+        raise ConfigError("No result rows to summarize")
     out = []
     add = np.add.reduce
     for key in sorted(groups):
@@ -186,6 +193,19 @@ def summarize_rows(rows):
         mid = vals[-1] if math.isnan(vals[-1]) else add(vals[half - 1 + odd:half + 1]) / (2 - odd)
         out.append(SummaryRow(*key, n, float(mean), math.sqrt(add(dev * dev) / n), float(mid)))
     return out
+
+
+def summarize_rows(rows):
+    """count/mean/std/median per (experiment, optimizer, metric, step).
+
+    Standard deviation is the population estimator.  Each statistic makes
+    the ufunc calls of ``np.mean``, ``np.std`` or ``np.median``, so it has
+    their bits.  Returns ``SummaryRow``s sorted by group key.
+    """
+    groups = {}
+    for _ in _grouped(rows, groups):
+        pass
+    return _group_statistics(groups)
 
 
 def write_summary_csv(summary, path):
@@ -267,7 +287,7 @@ def _parse_optimizer(section, index):
     unknown = set(section) - _SHARED_OPTIMIZER_KEYS - _ALGORITHM_KEYS[algorithm]
     if unknown:
         raise ConfigError(
-            f"optimizers[{index}]: unknown key(s) {sorted(unknown)} for {algorithm}"
+            f"optimizers[{index}]: unknown key(s) {sorted(unknown, key=str)} for {algorithm}"
         )
     cfg = _spec(OptimizerConfig, f"optimizers[{index}]",
                 {k: v for k, v in section.items() if k != "name"})
@@ -320,11 +340,11 @@ def load_config(path) -> ExperimentConfig:
             f"(expected {SCHEMA_VERSION})"
         )
     kind = raw.get("experiment")
-    if kind not in _KINDS:
+    if kind not in EXPERIMENT_KINDS:  # a tuple, so an unhashable kind is just unknown
         raise ConfigError(f"Unknown experiment kind: {kind!r}")
     unknown = set(raw) - {"schema_version", "experiment", "output_dir"} - _KINDS[kind].keys
     if unknown:
-        raise ConfigError(f"{kind} configs do not use key(s) {sorted(unknown)}")
+        raise ConfigError(f"{kind} configs do not use key(s) {sorted(unknown, key=str)}")
 
     if not isinstance(out := raw.get("output_dir", "results"), str):
         raise ConfigError(f"output_dir must be a string, got {out!r}")
@@ -419,11 +439,10 @@ def _parse_test_function(raw, problem, cfg: ExperimentConfig):
     _noise_ratios(problem, cfg)
     unknown = set(problem) - {"function", "noise_ratios"}
     if unknown:
-        raise ConfigError(f"problem: unknown key(s) {sorted(unknown)}")
-    cfg.problem = problem.get("function")
-    if cfg.problem not in TEST_FUNCTIONS:
-        raise ConfigError(f"Unknown test function: {cfg.problem!r} "
-                          f"(choose from {sorted(TEST_FUNCTIONS)})")
+        raise ConfigError(f"problem: unknown key(s) {sorted(unknown, key=str)}")
+    cfg.problem, names = problem.get("function"), sorted(TEST_FUNCTIONS)
+    if cfg.problem not in names:
+        raise ConfigError(f"Unknown test function: {cfg.problem!r} (choose from {names})")
 
 
 def _run_test_function_experiment(cfg: ExperimentConfig):
@@ -435,26 +454,19 @@ def _run_test_function_experiment(cfg: ExperimentConfig):
     cells = _map_cells(_run_test_function_cell, {
         f"{function} {name}": (function, ratios, opt_cfg, us, deltas, cfg.record_every)
         for name, opt_cfg in cfg.optimizers})
-    # Each (k, n) array as nested lists of plain floats, once per cell.
-    cells = [(norms.tolist(), None if nus is None else nus.tolist(),
-              [(step, vec.tolist()) for step, vec in trails])
-             for norms, nus, trails in cells]
-    rows = []
+    seeds = range(cfg.seed, cfg.seed + cfg.trials)
+    # One (ratio, optimizer) block at a time: only its (n,) slices become floats.
     for j, p in enumerate(ratios):
         exp_id = f"{function}:p={p:g}"
         for (name, _), (norms, nus, trails) in zip(cfg.optimizers, cells):
-            for i in range(cfg.trials):
-                seed = cfg.seed + i
-                rows.append(
-                    ResultRow(exp_id, name, seed, "final_error_norm", cfg.steps, norms[j][i])
-                )
+            norms, nus = norms[j].tolist(), None if nus is None else nus[j].tolist()
+            trails = [(step, vec[j].tolist()) for step, vec in trails]
+            for i, seed in enumerate(seeds):
+                yield ResultRow(exp_id, name, seed, "final_error_norm", cfg.steps, norms[i])
                 if nus is not None:
-                    rows.append(
-                        ResultRow(exp_id, name, seed, "final_nu_tilde", cfg.steps, nus[j][i])
-                    )
+                    yield ResultRow(exp_id, name, seed, "final_nu_tilde", cfg.steps, nus[i])
                 for step, vec in trails:
-                    rows.append(ResultRow(exp_id, name, seed, "error_norm", step, vec[j][i]))
-    return rows
+                    yield ResultRow(exp_id, name, seed, "error_norm", step, vec[i])
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +638,7 @@ def _parse_surfaces(raw, problem, cfg: ExperimentConfig):
         cfg.problem.append(_spec(GridSpec, f"grid {g}", values, kind=g))
     unknown = set(problem) - set(grids)
     if unknown:
-        raise ConfigError(f"problem: key(s) {sorted(unknown)} name no listed grid")
+        raise ConfigError(f"problem: key(s) {sorted(unknown, key=str)} name no listed grid")
 
 
 def _run_surfaces_experiment(cfg: ExperimentConfig):
@@ -792,13 +804,18 @@ EXPERIMENT_KINDS = tuple(_KINDS)
 
 
 def run_experiment(cfg: ExperimentConfig):
-    """Execute one experiment; writes results.csv + summary.csv, returns rows."""
+    """Execute one experiment; returns the number of result rows written.  The
+    rows stream to ``results.csv``, and only their values are kept, for
+    ``summary.csv``.  A kind with no rows writes neither table."""
     try:
         cfg.output_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"Cannot make output directory {cfg.output_dir}: {exc}") from exc
-    rows = _KINDS[cfg.kind].run(cfg)
-    if rows:
-        write_results_csv(rows, cfg.output_dir / "results.csv")
-        write_summary_csv(summarize_rows(rows), cfg.output_dir / "summary.csv")
-    return rows
+    rows, groups = iter(_KINDS[cfg.kind].run(cfg)), {}
+    first = next(rows, None)  # every cell has run, and every check passed, by now
+    if first is None:
+        return 0
+    write_results_csv(_grouped(itertools.chain([first], rows), groups),
+                      cfg.output_dir / "results.csv")
+    write_summary_csv(_group_statistics(groups), cfg.output_dir / "summary.csv")
+    return sum(map(len, groups.values()))

@@ -39,11 +39,17 @@ def _rosenbrock(pt):
     return 100.0 * (y - x * x) ** 2 + (x - 1.0) ** 2
 
 
+def _pair(pt):
+    """An empty (..., 2) array for the gradient at the points ``pt``."""
+    return np.empty((*pt.shape[:-1], 2), np.result_type(pt, 1.0))
+
+
 def _rosenbrock_grad(pt):
     x, y = pt[..., 0], pt[..., 1]
-    gx = -400.0 * x * (y - x * x) + 2.0 * (x - 1.0)
-    gy = 200.0 * (y - x * x)
-    return np.stack([gx, gy], axis=-1)
+    g, r = _pair(pt), y - x * x
+    g[..., 0] = -400.0 * x * r + 2.0 * (x - 1.0)
+    g[..., 1] = 200.0 * r
+    return g
 
 
 def _mccormick(pt):
@@ -53,10 +59,10 @@ def _mccormick(pt):
 
 def _mccormick_grad(pt):
     x, y = pt[..., 0], pt[..., 1]
-    c = np.cos(x + y)
-    gx = c + 2.0 * (x - y) - 1.5
-    gy = c - 2.0 * (x - y) + 2.5
-    return np.stack([gx, gy], axis=-1)
+    c, g = np.cos(x + y), _pair(pt)
+    g[..., 0] = c + 2.0 * (x - y) - 1.5
+    g[..., 1] = c - 2.0 * (x - y) + 2.5
+    return g
 
 
 def _michalewicz(pt):
@@ -70,17 +76,18 @@ def _michalewicz(pt):
 
 def _michalewicz_grad(pt):
     x, y = pt[..., 0], pt[..., 1]
+    g = _pair(pt)
     ax = x * x / np.pi
-    gx = -(
+    g[..., 0] = -(
         np.cos(x) * np.sin(ax) ** 20
         + np.sin(x) * 20.0 * np.sin(ax) ** 19 * np.cos(ax) * (2.0 * x / np.pi)
     )
     ay = 2.0 * y * y / np.pi
-    gy = -(
+    g[..., 1] = -(
         np.cos(y) * np.sin(ay) ** 20
         + np.sin(y) * 20.0 * np.sin(ay) ** 19 * np.cos(ay) * (4.0 * y / np.pi)
     )
-    return np.stack([gx, gy], axis=-1)
+    return g
 
 
 @dataclass(frozen=True)

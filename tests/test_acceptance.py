@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adaterm.harness import load_config, run_experiment, summarize_rows
+from adaterm.harness import load_config, read_results_csv, run_experiment, summarize_rows
 from adaterm.optimizers import (
     GroupState,
     OptimizerConfig,
@@ -80,8 +80,9 @@ def rosenbrock_run(tmp_path_factory):
     cfg = load_config(CONFIG_DIR / "rosenbrock.yaml")
     cfg.output_dir = tmp_path_factory.mktemp("rosenbrock")
     t0 = time.perf_counter()
-    rows = run_experiment(cfg)
-    return rows, time.perf_counter() - t0
+    run_experiment(cfg)
+    elapsed = time.perf_counter() - t0
+    return read_results_csv(cfg.output_dir / "results.csv"), elapsed
 
 
 @pytest.fixture(scope="module")
@@ -89,8 +90,9 @@ def regression_run(tmp_path_factory):
     cfg = load_config(CONFIG_DIR / "regression.yaml")
     cfg.output_dir = tmp_path_factory.mktemp("regression")
     t0 = time.perf_counter()
-    rows = run_experiment(cfg)
-    return rows, time.perf_counter() - t0
+    run_experiment(cfg)
+    elapsed = time.perf_counter() - t0
+    return read_results_csv(cfg.output_dir / "results.csv"), elapsed
 
 
 @pytest.fixture(scope="module")
@@ -98,8 +100,9 @@ def regret_run(tmp_path_factory):
     cfg = load_config(CONFIG_DIR / "regret.yaml")
     cfg.output_dir = tmp_path_factory.mktemp("regret")
     t0 = time.perf_counter()
-    rows = run_experiment(cfg)
-    return rows, time.perf_counter() - t0, cfg.optimizers[0][1]
+    run_experiment(cfg)
+    elapsed = time.perf_counter() - t0
+    return read_results_csv(cfg.output_dir / "results.csv"), elapsed, cfg.optimizers[0][1]
 
 
 # --- 1 -----------------------------------------------------------------
@@ -109,9 +112,9 @@ def test_criterion_01_gradients_match_finite_differences(tmp_path):
     cfg = load_config(CONFIG_DIR / "verify.yaml")
     cfg.output_dir = tmp_path
     t0 = time.perf_counter()
-    rows = run_experiment(cfg)
+    assert run_experiment(cfg) == 12
     elapsed = time.perf_counter() - t0
-    assert len(rows) == 12
+    rows = read_results_csv(cfg.output_dir / "results.csv")
     for row in rows:
         assert row.value < 1e-5, f"{row.optimizer} at d={row.step}: {row.value:.3e}"
     assert elapsed < 5.0

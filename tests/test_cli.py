@@ -251,6 +251,18 @@ def test_run_rejects_unused_top_level_key(tmp_path, capsys, template, old, new, 
         (SMALL_REGRET, "dims: [2]", "dims: [2, 2]", "Duplicate dims entry: 2"),
         (SMALL_VERIFY, "dims: [1]", "dims: [1, 1]", "Duplicate dims entry: 1"),
         (SMALL_SURFACES, "TauSurface]", "[TauSurface]]", "Unknown grid kind: ['TauSurface']"),
+        # A name that is not hashable is unknown, and mixed key types still sort.
+        (SMALL_RUN, "experiment: test_function", "experiment: [a]",
+         "Unknown experiment kind: ['a']"),
+        (SMALL_RUN, "function: Rosenbrock", "function: [a]", "Unknown test function: ['a']"),
+        (SMALL_RUN, "trials: 2", "trials: 2\n1: 2\nbogus: 3",
+         "test_function configs do not use key(s) [1, 'bogus']"),
+        (SMALL_RUN, "noise_ratios: [0.0]", "noise_ratios: [0.0]\n  1: 2\n  bogus: 3",
+         "problem: unknown key(s) [1, 'bogus']"),
+        (SMALL_REGRESSION, "{{algorithm: Adam}}", "{{algorithm: Adam, 1: 2, bogus: 3}}",
+         "optimizers[0]: unknown key(s) [1, 'bogus'] for Adam"),
+        (SMALL_SURFACES, "n_D: 4}}", "n_D: 4}}\n  1: 2\n  bogus: 3",
+         "problem: key(s) [1, 'bogus'] name no listed grid"),
     ],
     ids=["tolerance", "testfn-ratio", "regression-ratio", "dims", "layer-sizes",
          "misspelt-noise-ratios", "regret-bias-correction", "regret-algorithm",
@@ -265,7 +277,9 @@ def test_run_rejects_unused_top_level_key(tmp_path, capsys, template, old, new, 
          "fractional-grid-resolution", "infinite-box", "output-dir-list",
          "grid-not-mapping", "fractional-d-list", "bool-d-list", "infinite-d-list",
          "testfn-repeated-ratio-label", "regression-repeated-ratio-label",
-         "regret-repeated-dim", "verify-repeated-dim", "grid-not-a-name"],
+         "regret-repeated-dim", "verify-repeated-dim", "grid-not-a-name",
+         "kind-list", "function-list", "top-level-mixed-keys", "problem-mixed-keys",
+         "optimizer-mixed-keys", "surfaces-problem-mixed-keys"],
 )
 def test_run_rejects_bad_value(tmp_path, capsys, template, old, new, fragment):
     cfg = write_config(tmp_path, template.replace(old, new))

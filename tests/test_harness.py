@@ -3,11 +3,13 @@ harness is built around: a cell's rows do not depend on how its trials are
 split into batches, a single trial (n = 1) included."""
 
 import ast
+import itertools
 import math
 import os
 import random
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -652,8 +654,9 @@ def test_run_experiment_writes_tables_and_fans_out_seeds(tmp_path):
     cfg.trials = 3
     cfg.steps = 40
     cfg.record_every = 0
-    rows = run_experiment(cfg)
-    assert read_results_csv(cfg.output_dir / "results.csv") == rows
+    count = run_experiment(cfg)
+    rows = read_results_csv(cfg.output_dir / "results.csv")
+    assert count == len(rows)
     assert (cfg.output_dir / "summary.csv").exists()
     adaterm_rows = [
         r for r in rows
@@ -673,6 +676,46 @@ def test_run_experiment_writes_tables_and_fans_out_seeds(tmp_path):
             assert got == want
     kinds = {r.metric for r in rows}
     assert kinds == {"final_error_norm", "final_nu_tilde"}
+
+
+def test_run_experiment_streams_its_rows(tmp_path):
+    """A run keeps one value per row, not the rows: its traced peak in this
+    process stays below half of what reading its results.csv back takes."""
+    cfg = load_config(write_cfg(tmp_path, VALID_TEST_FUNCTION))
+    cfg.output_dir = tmp_path / "out"
+    cfg.trials, cfg.steps, cfg.record_every = 20, 300, 1
+    tracemalloc.start()
+    try:
+        count = run_experiment(cfg)
+        run_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        rows = read_results_csv(cfg.output_dir / "results.csv")
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Per ratio, optimizer and trial: 300 error norms and the final one, and
+    # AdaTerm's final nu_tilde.
+    assert count == len(rows) == 2 * 20 * (2 * 301 + 1)
+    assert run_peak < read_peak / 2, (run_peak, read_peak)
+
+
+def test_run_that_fails_while_rows_stream_keeps_the_old_tables(tmp_path, monkeypatch):
+    cfg = load_config(write_cfg(tmp_path, VALID_TEST_FUNCTION))
+    cfg.output_dir = tmp_path / "out"
+    cfg.trials = 30  # 1380 rows: more than one chunk reaches the temp file
+    run_experiment(cfg)
+    before = {p.name: p.read_bytes() for p in cfg.output_dir.iterdir()}
+    kind = harness._KINDS["test_function"]
+
+    def failing(cfg):
+        yield from itertools.islice(kind.run(cfg), 1100)
+        raise RuntimeError("stopped")
+
+    monkeypatch.setitem(harness._KINDS, "test_function", kind._replace(run=failing))
+    cfg.seed = 9
+    with pytest.raises(RuntimeError, match="stopped"):
+        run_experiment(cfg)
+    assert {p.name: p.read_bytes() for p in cfg.output_dir.iterdir()} == before
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +742,8 @@ def test_regret_experiment_kind(tmp_path):
         ],
         problem=[OnlineConvexSpec(dim=2, box_halfwidth=1.0, grad_bound=4.0)],
     )
-    rows = run_experiment(cfg)
+    run_experiment(cfg)
+    rows = read_results_csv(cfg.output_dir / "results.csv")
     metrics = {r.metric for r in rows}
     assert metrics == {
         "R_T", "bound_rhs", "bound_holds_all_prefixes", "tau_low",
@@ -746,7 +790,8 @@ def test_regret_experiment_runs_once_per_dimension(tmp_path, monkeypatch):
         ],
         problem=[OnlineConvexSpec(dim=d, box_halfwidth=1.0, grad_bound=4.0) for d in (2, 5)],
     )
-    rows = run_experiment(cfg)
+    run_experiment(cfg)
+    rows = read_results_csv(cfg.output_dir / "results.csv")
     calls = [ast.literal_eval(p.read_text()) for p in calls_dir.iterdir()]
     assert sorted(calls, key=lambda shape: shape[2]) == [(3, 20, 2), (3, 20, 5)]
     assert [(r.experiment, r.seed) for r in rows if r.metric == "R_T"] == [
@@ -761,8 +806,7 @@ def test_surfaces_experiment_writes_grids(tmp_path):
         output_dir=tmp_path / "grids",
         problem=[GridSpec(kind="TauSurface", n_nu=3, n_D=4)],
     )
-    rows = run_experiment(cfg)
-    assert rows == []
+    assert run_experiment(cfg) == 0
     assert (cfg.output_dir / "TauSurface.csv").exists()
     assert not (cfg.output_dir / "results.csv").exists()
 
@@ -770,7 +814,7 @@ def test_surfaces_experiment_writes_grids(tmp_path):
 def test_shipped_surfaces_config_writes_three_grids(tmp_path):
     cfg = load_config(CONFIG_DIR / "surfaces.yaml")
     cfg.output_dir = tmp_path
-    assert run_experiment(cfg) == []
+    assert run_experiment(cfg) == 0
     headers = {path.name: path.read_text().partition("\n")[0]
                for path in tmp_path.iterdir()}
     assert headers == {"Fig1.csv": "d,w_mv,value",
@@ -781,7 +825,8 @@ def test_shipped_surfaces_config_writes_three_grids(tmp_path):
 def test_gradient_verification_passes_at_default_tolerance(tmp_path):
     cfg = ExperimentConfig(kind="verify_gradients", output_dir=tmp_path / "verify",
                            points=20, dims=(1, 3), seed=0)
-    rows = run_experiment(cfg)
+    run_experiment(cfg)
+    rows = read_results_csv(cfg.output_dir / "results.csv")
     assert [(r.optimizer, r.step) for r in rows] == [
         ("grad_m", 1), ("grad_v", 1), ("grad_nu", 1),
         ("grad_m", 3), ("grad_v", 3), ("grad_nu", 3),
@@ -813,8 +858,8 @@ def test_verify_gradients_experiment_rows(tmp_path):
         dims=(1, 2),
         tolerance=1e-4,
     )
-    rows = run_experiment(cfg)
-    assert len(rows) == 6
+    assert run_experiment(cfg) == 6
+    rows = read_results_csv(cfg.output_dir / "results.csv")
     assert {r.optimizer for r in rows} == {"grad_m", "grad_v", "grad_nu"}
     assert all(r.metric == "max_rel_fd_err" for r in rows)
     assert (cfg.output_dir / "results.csv").exists()
@@ -823,5 +868,8 @@ def test_verify_gradients_experiment_rows(tmp_path):
     loaded = load_config(write_cfg(tmp_path, "schema_version: 1\n"
                                    "experiment: verify_gradients\npoints: 1\n"))
     loaded.output_dir = tmp_path / "loaded"
-    assert ([r.step for r in run_experiment(built)] == [r.step for r in run_experiment(loaded)]
-            == [d for d in (1, 2, 5, 8) for _ in range(3)])
+    steps = []
+    for cfg in (built, loaded):
+        run_experiment(cfg)
+        steps.append([r.step for r in read_results_csv(cfg.output_dir / "results.csv")])
+    assert steps[0] == steps[1] == [d for d in (1, 2, 5, 8) for _ in range(3)]
