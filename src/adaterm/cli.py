@@ -23,18 +23,15 @@ import sys
 from pathlib import Path
 
 from .files import OutputError
-from .harness import (
+from .results import (
     ConfigError,
+    NonFiniteGradientError,
     VerificationError,
     WorkerError,
-    grid_paths,
-    load_config,
     read_results_csv,
-    run_experiment,
     summarize_rows,
     write_summary_csv,
 )
-from .tdist import NonFiniteGradientError
 
 EXIT_OK = 0
 EXIT_WORKER = 1
@@ -58,6 +55,9 @@ def _build_parser():
 
 
 def _cmd_run(args):
+    # Here, so that ``summarize`` loads no numpy.
+    from .harness import grid_paths, load_config, run_experiment
+
     cfg = load_config(args.config)
     count = run_experiment(cfg)
     if cfg.kind == "surfaces":

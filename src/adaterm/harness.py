@@ -1,4 +1,4 @@
-"""Experiment harness: config files, batched seeded trials, result tables.
+"""Experiment harness: config files and batched seeded trials.
 
 One YAML config describes one experiment run.  Trials are independent:
 trial i always uses seed ``base_seed + i`` and its own generator.
@@ -25,10 +25,9 @@ core, which inherit the draws and send back only their results
 Output tables are written to a temp file and moved into place, so a run
 that stops part-way leaves the old file or none.
 
-Result files: ``results.csv`` with one row per (experiment id, optimizer,
-seed, metric, step, value), plus ``summary.csv`` with count/mean/std
-(population)/median per (experiment, optimizer, metric, step).  Rows
-stream from the cells to ``results.csv``: once every cell has run, a
+The result tables, ``results.csv`` and ``summary.csv``, their rows and
+statistics live in ``results`` (no numpy), and are served from here too.
+Rows stream from the cells to ``results.csv``: once every cell has run, a
 test-function run makes its rows one (ratio, optimizer) block at a time
 from the cells' arrays, and ``run_experiment`` keeps only each row's
 value, in its group, for ``summary.csv``, not the rows.
@@ -36,19 +35,16 @@ value, in its group, for ``summary.csv``, not the rows.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import os
 import pickle
-from array import array
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, get_type_hints
 
 import numpy as np
 
-from .files import write_csv
 from .mlp import DEFAULT_LAYER_SIZES, MlpModel, mse_loss, stack_parameters
 # Imported under these names because the benchmark's span tracer wraps them here.
 from .mlp import backward as _batched_backward, forward as _batched_forward
@@ -65,9 +61,12 @@ from .problems import (
 )
 from .regret import _validate_regret_config
 from .regret import run_regret_experiment, sublinearity_ratio, write_regret_csv
+from .results import (ConfigError, NonFiniteGradientError, ResultRow, SummaryRow,
+                      VerificationError, WorkerError, _group_statistics, _grouped,
+                      read_results_csv, summarize_rows, write_results_csv, write_summary_csv)
 from .rng import make_rng
 from .surfaces import GRID_KINDS, GridSpec, write_grid_csvs
-from .tdist import NonFiniteGradientError, grad_m, grad_nu_exact, grad_v, log_density
+from .tdist import grad_m, grad_nu_exact, grad_v, log_density
 
 __all__ = [
     "ConfigError",
@@ -90,126 +89,6 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 TEST_X_POINTS = 1001  # fixed evaluation grid for the regression test loss
-
-
-class ConfigError(Exception):
-    """Config file unreadable, schema-invalid, or referencing unknown names."""
-
-
-class VerificationError(Exception):
-    """A verification experiment observed an invariant violation."""
-
-
-class WorkerError(Exception):
-    """A cell's worker process ended without sending back its result."""
-
-
-class ResultRow(NamedTuple):
-    """One row of ``results.csv``; the fields are its columns."""
-
-    experiment: str
-    optimizer: str
-    seed: int
-    metric: str
-    step: int
-    value: float
-
-
-class SummaryRow(NamedTuple):
-    """One row of ``summary.csv``; the fields are its columns."""
-
-    experiment: str
-    optimizer: str
-    metric: str
-    step: int
-    count: int
-    mean: float
-    std: float
-    median: float
-
-
-def _column_kinds(row_type):
-    """The ``files.write_csv`` kinds of a row type's columns: its annotations."""
-    return tuple(get_type_hints(row_type).values())
-
-
-def write_results_csv(rows, path):
-    write_csv(path, ResultRow._fields, rows, _column_kinds(ResultRow))
-
-
-def read_results_csv(path):
-    """The rows of a ``results.csv``, whose columns may come in any order
-    beside other columns.  Blank lines are skipped."""
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            # The last column of a name wins, as with csv.DictReader.
-            index = {name: i for i, name in enumerate(next(reader, []))}
-            missing = [c for c in ResultRow._fields if c not in index]
-            if missing:
-                raise ConfigError(f"Not a results file: {path} has no column(s) {missing}")
-            e, o, s, m, t, v = (index[c] for c in ResultRow._fields)
-            rows = []
-            make, append = ResultRow._make, rows.append
-            for rec in filter(None, reader):
-                try:
-                    append(make((rec[e], rec[o], int(rec[s]), rec[m], int(rec[t]),
-                                 float(rec[v]))))
-                except (IndexError, ValueError):
-                    got = ", ".join(repr(rec[i]) if i < len(rec) else "None" for i in (s, t, v))
-                    raise ConfigError(
-                        f"{path}, line {reader.line_num}: seed and step must be integers "
-                        f"and value a number, got {got}"
-                    ) from None
-            return rows
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"Cannot read results {path}: {exc}") from exc
-
-
-def _grouped(rows, groups):
-    """``rows``, passed on as each one's value is appended, as a C double,
-    to its (experiment, optimizer, metric, step) group in ``groups``."""
-    for r in rows:
-        key = (r.experiment, r.optimizer, r.metric, r.step)
-        if (vals := groups.get(key)) is None:
-            vals = groups[key] = array("d")
-        vals.append(r.value)
-        yield r
-
-
-def _group_statistics(groups):
-    """``summarize_rows`` of the rows whose values ``_grouped`` put in ``groups``."""
-    if not groups:
-        raise ConfigError("No result rows to summarize")
-    out = []
-    add = np.add.reduce
-    for key in sorted(groups):
-        vals = np.array(groups[key], np.float64)
-        n, half, odd = vals.size, vals.size // 2, vals.size % 2
-        mean = add(vals) / n
-        dev = vals - mean
-        # np.median's partition; a NaN, if any, ends up last and is the median.
-        vals.partition([half, -1] if odd else [half - 1, half, -1])
-        mid = vals[-1] if math.isnan(vals[-1]) else add(vals[half - 1 + odd:half + 1]) / (2 - odd)
-        out.append(SummaryRow(*key, n, float(mean), math.sqrt(add(dev * dev) / n), float(mid)))
-    return out
-
-
-def summarize_rows(rows):
-    """count/mean/std/median per (experiment, optimizer, metric, step).
-
-    Standard deviation is the population estimator.  Each statistic makes
-    the ufunc calls of ``np.mean``, ``np.std`` or ``np.median``, so it has
-    their bits.  Returns ``SummaryRow``s sorted by group key.
-    """
-    groups = {}
-    for _ in _grouped(rows, groups):
-        pass
-    return _group_statistics(groups)
-
-
-def write_summary_csv(summary, path):
-    write_csv(path, SummaryRow._fields, summary, _column_kinds(SummaryRow))
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +170,9 @@ def _parse_optimizer(section, index):
         )
     cfg = _spec(OptimizerConfig, f"optimizers[{index}]",
                 {k: v for k, v in section.items() if k != "name"})
-    name = section.get("name", cfg.algorithm)
-    return str(name), cfg
+    if not isinstance(name := section.get("name", cfg.algorithm), str):
+        raise ConfigError(f"optimizers[{index}]: name must be text, got {name!r}")
+    return name, cfg
 
 
 def _optimizer_list(raw, cfg):
@@ -516,14 +396,17 @@ def _field_value(value, kind, what):
 
 def _spec(cls, what, values, **fixed):
     """``cls(**values, **fixed)``, or a ConfigError naming ``what`` if
-    ``values`` is not a mapping or the class refuses it.  A value whose
+    ``values`` is not a mapping, has a key that names no field of ``cls``,
+    or the class refuses it.  A value whose
     field is declared an int or a float (optional or not) goes through
     ``_number`` as that type first, and one declared a bool must be one."""
     if not isinstance(values, dict):
         raise ConfigError(f"{what} must be a mapping, got {values!r}")
     hints = get_type_hints(cls)
     kinds = {f.name: _FIELD_KINDS.get(hints[f.name]) for f in fields(cls)}
-    values = {k: _field_value(v, kinds.get(k), f"{what}: {k}") for k, v in values.items()}
+    if unknown := set(values) - set(kinds):
+        raise ConfigError(f"{what}: unknown key(s) {sorted(unknown, key=str)}")
+    values = {k: _field_value(v, kinds[k], f"{what}: {k}") for k, v in values.items()}
     try:
         return cls(**values, **fixed)
     except (TypeError, ValueError) as exc:

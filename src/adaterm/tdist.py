@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .results import NonFiniteGradientError
 from .special import EPS_FLOAT32, W_NU_BAR_CEIL, digamma
 
 __all__ = [
@@ -52,14 +53,6 @@ __all__ = [
     "grad_nu_surrogate_pre",
     "interpolation_factor",
 ]
-
-
-class NonFiniteGradientError(FloatingPointError):
-    """Raised when a gradient contains NaN or infinity.
-
-    EMA state poisoned by a non-finite value is unrecoverable, so the step
-    is rejected instead of absorbed.
-    """
 
 
 # ---------------------------------------------------------------------------

@@ -263,6 +263,15 @@ def test_run_rejects_unused_top_level_key(tmp_path, capsys, template, old, new, 
          "optimizers[0]: unknown key(s) [1, 'bogus'] for Adam"),
         (SMALL_SURFACES, "n_D: 4}}", "n_D: 4}}\n  1: 2\n  bogus: 3",
          "problem: key(s) [1, 'bogus'] name no listed grid"),
+        (SMALL_REGRESSION, "n_pairs: 20", "n_pairs: 20\n  1: 2\n  bogus: 3",
+         "problem section: unknown key(s) [1, 'bogus']"),
+        # An optimizer's name labels its rows, so it must be text.
+        (SMALL_RUN, "{{algorithm: AdaTerm", "{{name: [a], algorithm: AdaTerm",
+         "optimizers[0]: name must be text, got ['a']"),
+        (SMALL_RUN, "{{algorithm: AdaTerm", "{{name: null, algorithm: AdaTerm",
+         "optimizers[0]: name must be text, got None"),
+        (SMALL_RUN, "{{algorithm: AdaTerm", "{{name: -0.0, algorithm: AdaTerm",
+         "optimizers[0]: name must be text, got -0.0"),
     ],
     ids=["tolerance", "testfn-ratio", "regression-ratio", "dims", "layer-sizes",
          "misspelt-noise-ratios", "regret-bias-correction", "regret-algorithm",
@@ -279,7 +288,8 @@ def test_run_rejects_unused_top_level_key(tmp_path, capsys, template, old, new, 
          "testfn-repeated-ratio-label", "regression-repeated-ratio-label",
          "regret-repeated-dim", "verify-repeated-dim", "grid-not-a-name",
          "kind-list", "function-list", "top-level-mixed-keys", "problem-mixed-keys",
-         "optimizer-mixed-keys", "surfaces-problem-mixed-keys"],
+         "optimizer-mixed-keys", "surfaces-problem-mixed-keys", "spec-mixed-keys",
+         "name-list", "name-null", "name-number"],
 )
 def test_run_rejects_bad_value(tmp_path, capsys, template, old, new, fragment):
     cfg = write_config(tmp_path, template.replace(old, new))
@@ -407,6 +417,38 @@ def test_summarize_imports_neither_yaml_nor_numpy_ma(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.stdout.splitlines()[-1] == "0 []", proc.stderr
     assert (tmp_path / "summary.csv").exists()
+
+
+def _last_line_in_fresh_python(code):
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def test_summarize_loads_no_numpy(tmp_path):
+    """``summarize`` parses a CSV and computes four statistics: the numpy
+    that ``run`` needs is not loaded, and the table has ``run``'s bytes."""
+    cfg = write_config(tmp_path, SMALL_RUN)
+    assert main(["run", str(cfg)]) == EXIT_OK
+    written = (tmp_path / "out" / "summary.csv").read_bytes()
+    code = ("import sys\n"
+            "import adaterm.cli\n"
+            f"status = adaterm.cli.main(['summarize', {str(tmp_path / 'out')!r}])\n"
+            "print(status, 'numpy' in sys.modules)\n")
+    assert _last_line_in_fresh_python(code) == "0 False"
+    assert (tmp_path / "out" / "summary.csv").read_bytes() == written
+
+
+def test_import_adaterm_loads_no_numpy():
+    code = "import sys\nimport adaterm\nprint('numpy' in sys.modules)\n"
+    assert _last_line_in_fresh_python(code) == "False"
+
+
+def test_package_serves_the_optimizer_names():
+    code = ("from adaterm import GroupState, OptimizerConfig\n"
+            "import adaterm.optimizers as o\n"
+            "print(GroupState is o.GroupState and OptimizerConfig is o.OptimizerConfig)\n")
+    assert _last_line_in_fresh_python(code) == "True"
 
 
 def _one_config_error(capsys, path):

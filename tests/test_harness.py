@@ -345,15 +345,27 @@ def _edge_group(rng, size):
             for _ in range(size)]
 
 
+_PAIRWISE_EDGE_SIZES = [7, 8, 9, 127, 128, 129, 136, 255, 256, 257, 1000, 8200]
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_summarize_rows_has_the_bits_of_numpy(seed):
     """Mean, population std and median have the bits of ``np.mean``,
     ``np.std`` and ``np.median``: over singletons, even and odd groups,
     NaN, +-inf, +-0.0, subnormal and the largest floats, rows shuffled."""
     rng = random.Random(seed)
+    groups = [_edge_group(rng, rng.choice([1, 1, 2, 3, 4, 5, 8, 9, 16, 17, 64, 101, 130]))
+              for _ in range(80)]
+    # numpy sums in blocks of 8 up to 128 values, and splits larger arrays in
+    # two: each size next to those edges, as an edge group, as finite values
+    # of both signs, whose sums round at every addition, and as -0.0 only,
+    # whose sum numpy gives as +0.0.
+    for size in _PAIRWISE_EDGE_SIZES:
+        groups += [_edge_group(rng, size),
+                   [rng.choice([-1.0, 1.0]) * rng.lognormvariate(0.0, 3.0) for _ in range(size)],
+                   [-0.0] * size]
     rows = []
-    for group in range(80):
-        values = _edge_group(rng, rng.choice([1, 1, 2, 3, 4, 5, 8, 9, 16, 17, 64, 101, 130]))
+    for group, values in enumerate(groups):
         rows += [ResultRow(f"e{group % 3}", "o", trial, f"m{group}", group % 4, v)
                  for trial, v in enumerate(values)]
     rng.shuffle(rows)
