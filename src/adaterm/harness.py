@@ -1,36 +1,19 @@
-"""Experiment harness: config files and batched seeded trials.
+"""Experiment harness: config files, dispatch, and cells in forked workers.
 
-One YAML config describes one experiment run.  Trials are independent:
-trial i always uses seed ``base_seed + i`` and its own generator.
-
-An experiment draws each trial's randomness once, from
-``make_rng(base_seed + i)`` through the draw helpers below (which document
-the canonical per-trial draw order), and hands the arrays to every
-optimizer's cell; a cell only computes from what it is handed.  The cell
-advances all of its trials as one batched array computation (trial axis
-leading) through ``optimizers.GroupState``, the same state a regret run
-steps with one dimension's seeds on the trial axis; a single model is the
-case n = 1.  A test-function cell is one optimizer's pass: its k noise
-ratios are stacked on the trial axis (k * n rows, ratio outer) over the
-same (n, steps) noise.  A regression experiment draws each trial's model
-and stream once, into arrays with the trial axis leading; a regression
-cell runs one ratio and makes its labels from those draws.  A single
-trial is a cell run on that trial's draws alone (a row slice), and rows
-do not depend on how ratios or trials are grouped: any split of the
-trials into contiguous batches, and any grouping of the ratios, gives
-byte-identical rows.  The cells run in forked workers, one per usable
-core, which inherit the draws and send back only their results
+One YAML config describes one experiment run.  ``load_config`` parses and
+checks it into an ``ExperimentConfig`` of the specs (``specs``) that its
+run reads.  This module imports no numpy, so a bad config exits before any
+numerical module loads or the output directory is made.
+``run_experiment`` then imports ``experiments`` and calls the kind's run
+that ``_KINDS`` names there.  The cells run in forked workers, one per
+usable core, which inherit the draws and send back only their results
 (``_map_cells``); with one usable core they run in this process.
-
-Output tables are written to a temp file and moved into place, so a run
-that stops part-way leaves the old file or none.
 
 The result tables, ``results.csv`` and ``summary.csv``, their rows and
 statistics live in ``results`` (no numpy), and are served from here too.
-Rows stream from the cells to ``results.csv``: once every cell has run, a
-test-function run makes its rows one (ratio, optimizer) block at a time
-from the cells' arrays, and ``run_experiment`` keeps only each row's
-value, in its group, for ``summary.csv``, not the rows.
+``run_experiment`` streams the rows to ``results.csv`` through a temp file
+that is moved into place, so a run that stops part-way leaves the old file
+or none, and keeps only each row's value, in its group, for ``summary.csv``.
 """
 
 from __future__ import annotations
@@ -38,35 +21,16 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import pickle
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, get_type_hints
 
-import numpy as np
-
-from .mlp import DEFAULT_LAYER_SIZES, MlpModel, mse_loss, stack_parameters
-# Imported under these names because the benchmark's span tracer wraps them here.
-from .mlp import backward as _batched_backward, forward as _batched_forward
-from .optimizers import ALGORITHMS, GroupState, OptimizerConfig
-from .problems import (
-    TEST_FUNCTIONS,
-    NOISE_HALF_RANGE,
-    RegressionStreamSpec,
-    OnlineConvexSpec,
-    QuadraticSequence,
-    apply_coordinate_noise,
-    generate_regression_stream,
-    true_regression_fn,
-)
-from .regret import _validate_regret_config
-from .regret import run_regret_experiment, sublinearity_ratio, write_regret_csv
 from .results import (ConfigError, NonFiniteGradientError, ResultRow, SummaryRow,
                       VerificationError, WorkerError, _group_statistics, _grouped,
                       read_results_csv, summarize_rows, write_results_csv, write_summary_csv)
-from .rng import make_rng
-from .surfaces import GRID_KINDS, GridSpec, write_grid_csvs
-from .tdist import grad_m, grad_nu_exact, grad_v, log_density
+from .specs import (ALGORITHMS, DEFAULT_LAYER_SIZES, GRID_KINDS, TEST_FUNCTION_NAMES, GridSpec,
+                    OnlineConvexSpec, OptimizerConfig, RegressionStreamSpec,
+                    _validate_regret_config)
 
 __all__ = [
     "ConfigError",
@@ -87,8 +51,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-
-TEST_X_POINTS = 1001  # fixed evaluation grid for the regression test loss
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +176,9 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"Config parse error in {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"Config root must be a mapping: {path}")
-    if raw.get("schema_version") != SCHEMA_VERSION:
+    if type(version := raw.get("schema_version")) is not int or version != SCHEMA_VERSION:
         raise ConfigError(
-            f"Unsupported schema_version {raw.get('schema_version')!r} "
+            f"Unsupported schema_version {version!r} "
             f"(expected {SCHEMA_VERSION})"
         )
     kind = raw.get("experiment")
@@ -241,146 +203,6 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError("problem section must be a mapping")
     _KINDS[kind].parse(raw, dict(problem), cfg)
     return cfg
-
-
-# ---------------------------------------------------------------------------
-# Canonical per-trial draws
-# ---------------------------------------------------------------------------
-
-
-def draw_test_function_noise(rng, steps):
-    """Canonical per-trial draw order for test-function noise.
-
-    One trigger uniform per step, then one (steps, 2) block of coordinate
-    perturbations.  A trial's trajectory depends only on its own draws, so
-    it is the same in any batch of trials.
-    """
-    us = rng.random(steps)
-    deltas = rng.uniform(-NOISE_HALF_RANGE, NOISE_HALF_RANGE, size=(steps, 2))
-    return us, deltas
-
-
-def draw_regression_trial(spec: RegressionStreamSpec, sizes, rng):
-    """Canonical per-trial draws for regression: model init, then stream.
-    Returns the model and the stream's ratio-free (x, u, zeta, f), each
-    batch joined in order: u (n_pairs,), the others (n_pairs, 1)."""
-    model = MlpModel(sizes, rng)
-    return (model, *map(np.concatenate, zip(*generate_regression_stream(spec, rng))))
-
-
-# ---------------------------------------------------------------------------
-# Test-function experiment
-# ---------------------------------------------------------------------------
-
-
-def _error_norm(diff):
-    """Euclidean norm over the trailing axis, as a plain sum-reduce.
-
-    Each trial's norm is reduced over its own row only, so it has the same
-    bits in a cell of any size.  ``np.linalg.norm`` is not used: its 1-D
-    path goes through a BLAS dot product, which may fuse multiply-adds.
-    """
-    return np.sqrt(np.add.reduce(diff * diff, axis=-1))
-
-
-def _run_test_function_cell(function, ratios, opt_cfg, us, deltas, record_every=0):
-    """One (function, optimizer) cell at every noise ratio in ``ratios``,
-    as a single batched run of k * n rows, ratio outer, on the n trials'
-    noise draws ``us`` (n, steps) and ``deltas`` (n, steps, 2); a single
-    ratio is k = 1 and a single trial is a row slice of the draws.  Every
-    ratio shares the draws, since they do not depend on the ratio.
-
-    Returns (final error norms (k, n), final nu_tilde (k, n) or None,
-    [(step, error norms (k, n))]).
-    """
-    for p in ratios:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"Invalid noise probability: {p}")
-    tf = TEST_FUNCTIONS[function]
-    k, (n, steps) = len(ratios), us.shape
-    probs = np.asarray(ratios, dtype=np.float64)[:, None]  # (k, 1): one per row block
-    theta = np.tile(np.asarray(tf.start, dtype=np.float64), (k * n, 1))
-    grid = theta.reshape(k, n, 2)  # a view: the step updates theta in place
-    state = GroupState(opt_cfg, k * n, 2)
-    opt_pt = np.asarray(tf.optimum)
-    trails = []
-    for t in range(1, steps + 1):
-        noisy = apply_coordinate_noise(grid, us[:, t - 1], deltas[:, t - 1], probs)
-        state.step(theta, tf.grad(noisy).reshape(k * n, 2), t)
-        if record_every and t % record_every == 0:
-            trails.append((t, _error_norm(grid - opt_pt)))
-    final_norm = _error_norm(grid - opt_pt)
-    final_nu = state.nu.reshape(k, n) if opt_cfg.algorithm == "AdaTerm" else None
-    return final_norm, final_nu, trails
-
-
-def _parse_test_function(raw, problem, cfg: ExperimentConfig):
-    _optimizer_list(raw, cfg)
-    _noise_ratios(problem, cfg)
-    unknown = set(problem) - {"function", "noise_ratios"}
-    if unknown:
-        raise ConfigError(f"problem: unknown key(s) {sorted(unknown, key=str)}")
-    cfg.problem, names = problem.get("function"), sorted(TEST_FUNCTIONS)
-    if cfg.problem not in names:
-        raise ConfigError(f"Unknown test function: {cfg.problem!r} (choose from {names})")
-
-
-def _run_test_function_experiment(cfg: ExperimentConfig):
-    function, ratios = cfg.problem, cfg.noise_ratios
-    us = np.empty((cfg.trials, cfg.steps))
-    deltas = np.empty((cfg.trials, cfg.steps, 2))
-    for i in range(cfg.trials):
-        us[i], deltas[i] = draw_test_function_noise(make_rng(cfg.seed + i), cfg.steps)
-    cells = _map_cells(_run_test_function_cell, {
-        f"{function} {name}": (function, ratios, opt_cfg, us, deltas, cfg.record_every)
-        for name, opt_cfg in cfg.optimizers})
-    seeds = range(cfg.seed, cfg.seed + cfg.trials)
-    # One (ratio, optimizer) block at a time: only its (n,) slices become floats.
-    for j, p in enumerate(ratios):
-        exp_id = f"{function}:p={p:g}"
-        for (name, _), (norms, nus, trails) in zip(cfg.optimizers, cells):
-            norms, nus = norms[j].tolist(), None if nus is None else nus[j].tolist()
-            trails = [(step, vec[j].tolist()) for step, vec in trails]
-            for i, seed in enumerate(seeds):
-                yield ResultRow(exp_id, name, seed, "final_error_norm", cfg.steps, norms[i])
-                if nus is not None:
-                    yield ResultRow(exp_id, name, seed, "final_nu_tilde", cfg.steps, nus[i])
-                for step, vec in trails:
-                    yield ResultRow(exp_id, name, seed, "error_norm", step, vec[i])
-
-
-# ---------------------------------------------------------------------------
-# Regression experiment
-# ---------------------------------------------------------------------------
-
-
-def _run_regression_cell(Ws, Bs, X, Y, batch_size, opt_cfg, x_test):
-    """One (ratio, optimizer) cell as a single batched run of n trials from
-    the stacked parameters ``Ws`` / ``Bs`` on inputs ``X`` and labels ``Y``
-    (n, n_pairs, 1), ``batch_size`` pairs per step (the last batch may be
-    short); a single trial is a row slice.  The parameters are copied, not
-    trained in place, so every optimizer can be handed the same draws.
-    Returns each trial's final test MSE against the clean target on
-    ``x_test``, evaluated one trial at a time: the forward pass keeps every
-    layer's activations on the whole test grid."""
-    Ws, Bs = [W.copy() for W in Ws], [B.copy() for B in Bs]
-    n, n_pairs = X.shape[:2]
-    states = [GroupState(opt_cfg, n, P[0].size) for P in Ws + Bs]
-    for t, lo in enumerate(range(0, n_pairs, batch_size), start=1):
-        y_hat, inputs, masks = _batched_forward(Ws, Bs, X[:, lo:lo + batch_size])
-        _, delta = mse_loss(y_hat, Y[:, lo:lo + batch_size])
-        if not np.all(np.isfinite(delta)):
-            raise NonFiniteGradientError(f"Non-finite loss gradient at batch {t}")
-        gWs, gBs = _batched_backward(Ws, inputs, masks, delta)
-        for state, P, g in zip(states, Ws + Bs, gWs + gBs):
-            state.step(P, g.reshape(n, -1), t)
-
-    f = true_regression_fn(x_test[:, 0])[None, :, None]
-    mses = np.empty(n)
-    for i in range(n):
-        W, B = [W[i:i + 1] for W in Ws], [B[i:i + 1] for B in Bs]
-        mses[i] = mse_loss(_batched_forward(W, B, x_test[None])[0], f)[0][0]
-    return mses
 
 
 # The declared field types ``_spec`` checks a config value against; a
@@ -413,6 +235,17 @@ def _spec(cls, what, values, **fixed):
         raise ConfigError(f"{what}: {exc}") from exc
 
 
+def _parse_test_function(raw, problem, cfg: ExperimentConfig):
+    _optimizer_list(raw, cfg)
+    _noise_ratios(problem, cfg)
+    unknown = set(problem) - {"function", "noise_ratios"}
+    if unknown:
+        raise ConfigError(f"problem: unknown key(s) {sorted(unknown, key=str)}")
+    cfg.problem, names = problem.get("function"), sorted(TEST_FUNCTION_NAMES)
+    if cfg.problem not in names:
+        raise ConfigError(f"Unknown test function: {cfg.problem!r} (choose from {names})")
+
+
 def _parse_regression(raw, problem, cfg: ExperimentConfig):
     _optimizer_list(raw, cfg)
     _noise_ratios(problem, cfg)
@@ -423,35 +256,11 @@ def _parse_regression(raw, problem, cfg: ExperimentConfig):
     sizes = _number_list(sizes, int, "model.layer_sizes", 1)
     if len(sizes) < 2:
         raise ConfigError(f"model.layer_sizes must list >= 2 sizes, got {sizes!r}")
+    if sizes[0] != 1 or sizes[-1] != 1:  # one input x, one output y
+        raise ConfigError(f"model.layer_sizes must start and end with 1, got {sizes!r}")
     cfg.model_sizes = tuple(sizes)
     cfg.problem = _spec(RegressionStreamSpec, "problem section",
                         {k: v for k, v in problem.items() if k != "noise_ratios"})
-
-
-def _run_regression_experiment(cfg: ExperimentConfig):
-    spec = cfg.problem
-    n, n_pairs = cfg.trials, spec.n_pairs
-    X, Z, F = (np.empty((n, n_pairs, 1)) for _ in range(3))
-    U = np.empty((n, n_pairs))
-    models = [None] * n
-    for i in range(n):  # written into row i, so no list of draws is kept
-        models[i], X[i], U[i], Z[i], F[i] = draw_regression_trial(
-            spec, cfg.model_sizes, make_rng(cfg.seed + i))
-    Ws, Bs = stack_parameters(models)
-    x_test = np.linspace(0.0, 1.0, TEST_X_POINTS)[:, None]
-    n_steps = math.ceil(n_pairs / spec.batch_size)
-    cells = {f"regression:p={p:g} {name}": (p, opt_cfg)  # "<experiment id> <optimizer>"
-             for p in cfg.noise_ratios for name, opt_cfg in cfg.optimizers}
-    # Each cell makes its own labels (noise fires where u < p).
-    results = _map_cells(lambda p, opt_cfg: _run_regression_cell(
-        Ws, Bs, X, apply_coordinate_noise(F, U, Z, p), spec.batch_size, opt_cfg, x_test), cells)
-    return [ResultRow(*cell.split(" ", 1), cfg.seed + i, "test_mse", n_steps, float(mses[i]))
-            for cell, mses in zip(cells, results) for i in range(n)]
-
-
-# ---------------------------------------------------------------------------
-# Regret, surfaces, gradient verification
-# ---------------------------------------------------------------------------
 
 
 def _parse_regret(raw, problem, cfg: ExperimentConfig):
@@ -465,42 +274,6 @@ def _parse_regret(raw, problem, cfg: ExperimentConfig):
         raise ConfigError(f"optimizer: {exc}") from None
     dims = _distinct(_number_list(raw.get("dims", [2]), int, "dims", 1), "dims entry")
     cfg.problem = [_spec(OnlineConvexSpec, "problem section", problem, dim=d) for d in dims]
-
-
-def _run_regret_dimension(cfg: ExperimentConfig, spec: OnlineConvexSpec):
-    """One dimension's rows and trace files: every seed in one run."""
-    name, opt_cfg = cfg.optimizers[0]
-    exp_id = f"regret:d={spec.dim}"
-    seeds = range(cfg.seed, cfg.seed + cfg.trials)
-    # Passed inline, so the run can free the draws once every round is played.
-    reports = run_regret_experiment(
-        QuadraticSequence(spec, [make_rng(seed) for seed in seeds], cfg.horizon),
-        opt_cfg,
-    )
-    rows = []
-    for seed, rep in zip(seeds, reports):
-        ok = bool(np.all(rep.regret_prefix <= rep.bound_rhs_prefix))
-        rows.extend(
-            [
-                ResultRow(exp_id, name, seed, "R_T", rep.T, rep.R_T),
-                ResultRow(exp_id, name, seed, "bound_rhs", rep.T,
-                          float(rep.bound_rhs_prefix[-1])),
-                ResultRow(exp_id, name, seed, "bound_holds_all_prefixes", rep.T,
-                          float(ok)),
-                ResultRow(exp_id, name, seed, "tau_low", rep.T, rep.underline_tau),
-                ResultRow(exp_id, name, seed, "sublinearity_ratio", rep.T,
-                          sublinearity_ratio(rep, min(1000, rep.T), rep.T)),
-            ]
-        )
-    write_regret_csv(reports, [cfg.output_dir / f"regret_d{spec.dim}_seed{s}.csv" for s in seeds])
-    return rows
-
-
-def _run_regret_experiment_kind(cfg: ExperimentConfig):
-    # A cell per dimension: in one process, its reports are freed when it
-    # returns, before the next dimension's draws are made.
-    cells = {f"regret:d={spec.dim}": (cfg, spec) for spec in cfg.problem}
-    return [row for rows in _map_cells(_run_regret_dimension, cells) for row in rows]
 
 
 def grid_paths(cfg: ExperimentConfig):
@@ -524,31 +297,6 @@ def _parse_surfaces(raw, problem, cfg: ExperimentConfig):
         raise ConfigError(f"problem: key(s) {sorted(unknown, key=str)} name no listed grid")
 
 
-def _run_surfaces_experiment(cfg: ExperimentConfig):
-    write_grid_csvs(cfg.problem, grid_paths(cfg))
-    return []
-
-
-def _fd_log_density(g, m, v, nu, which, index, h):
-    def f(x):
-        if which == "m":
-            m2 = m.copy(); m2[index] = x
-            return log_density(g, m2, v, nu)
-        if which == "v":
-            v2 = v.copy(); v2[index] = x
-            return log_density(g, m, v2, nu)
-        return log_density(g, m, v, x)
-
-    x0 = {"m": m[index], "v": v[index], "nu": nu}[which]
-    return (f(x0 + h) - f(x0 - h)) / (2.0 * h)
-
-
-def _rel_err(fd, exact):
-    """Relative error over max(1, |exact|), so that roots of the gradient
-    do not blow up the ratio."""
-    return abs(fd - exact) / max(1.0, abs(exact))
-
-
 def _parse_verify_gradients(raw, problem, cfg: ExperimentConfig):
     dims = _number_list(raw.get("dims", [*cfg.dims]), int, "dims", 1)
     cfg.dims = tuple(_distinct(dims, "dims entry"))
@@ -558,49 +306,6 @@ def _parse_verify_gradients(raw, problem, cfg: ExperimentConfig):
         raise ConfigError(
             f"Gradient check needs 0 < tolerance < inf, got tolerance={cfg.tolerance}"
         )
-
-
-def _run_verify_gradients_experiment(cfg: ExperimentConfig):
-    """Check the three density gradients against central finite differences.
-
-    One row per (gradient, d): the largest relative error (``_rel_err``)
-    over ``points`` random draws.  The running maximum keeps a NaN
-    (``np.maximum``), so a NaN error fails the check, as any error not
-    below the tolerance does.
-    """
-    rng = make_rng(cfg.seed)
-    rows = []
-    for d in cfg.dims:
-        worst = {"grad_m": 0.0, "grad_v": 0.0, "grad_nu": 0.0}
-        for _ in range(cfg.points):
-            g = rng.normal(size=d)
-            m = rng.normal(size=d)
-            v = rng.uniform(0.2, 3.0, size=d)
-            nu = rng.uniform(0.6, 30.0)
-            nu_tilde = nu / d
-            gm = grad_m(g, m, v, nu_tilde)
-            gv = grad_v(g, m, v, nu_tilde)
-            gn = grad_nu_exact(g, m, v, nu)
-            for i in range(d):
-                h = 1e-6 * max(1.0, abs(m[i]))
-                fd = _fd_log_density(g, m, v, nu, "m", i, h)
-                worst["grad_m"] = np.maximum(worst["grad_m"], _rel_err(fd, gm[i]))
-                h = 1e-6 * max(1.0, abs(v[i]))
-                fd = _fd_log_density(g, m, v, nu, "v", i, h)
-                worst["grad_v"] = np.maximum(worst["grad_v"], _rel_err(fd, gv[i]))
-            h = 1e-6 * max(1.0, abs(nu))
-            fd = _fd_log_density(g, m, v, nu, "nu", 0, h)
-            worst["grad_nu"] = np.maximum(worst["grad_nu"], _rel_err(fd, gn))
-        rows += [ResultRow("verify_gradients", grad_name, cfg.seed, "max_rel_fd_err", d, err)
-                 for grad_name, err in worst.items()]
-    # The largest error, a NaN before any number.
-    _, grad_name, _, _, d, err = max(rows, key=lambda r: (math.isnan(r.value), r.value))
-    if not err < cfg.tolerance:
-        raise VerificationError(
-            f"Gradient check failed: {grad_name} at d={d} "
-            f"has max relative error {err:.3e}, not below {cfg.tolerance:g}"
-        )
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +323,7 @@ def _map_cells(fn, calls):
     workers = min(len(calls), cores if hasattr(os, "fork") else 1)
     if workers <= 1:
         return [fn(*args) for args in calls.values()]
+    import pickle
     import select
     import signal
 
@@ -664,24 +370,25 @@ def _map_cells(fn, calls):
 class _Kind(NamedTuple):
     keys: set
     parse: Callable
-    run: Callable
+    run: str
 
 
 # One entry per experiment kind: ``keys``, the top-level keys its configs
 # read besides schema_version, experiment and output_dir (any other is
 # refused); ``parse(raw, problem, cfg)``, its checks, which build from a copy
 # of the problem section all that its run reads, so that a bad value exits
-# before the output directory is made; ``run(cfg)``, its rows.
+# before the output directory is made; ``run``, the name in ``experiments``
+# of its ``run(cfg)``, which makes its rows.
 _KINDS = {
     "test_function": _Kind({"seed", "trials", "steps", "record_every", "problem", "optimizers"},
-                           _parse_test_function, _run_test_function_experiment),
+                           _parse_test_function, "_run_test_function_experiment"),
     "regression": _Kind({"seed", "trials", "problem", "model", "optimizers"},
-                        _parse_regression, _run_regression_experiment),
+                        _parse_regression, "_run_regression_experiment"),
     "regret": _Kind({"seed", "trials", "horizon", "dims", "problem", "optimizer"},
-                    _parse_regret, _run_regret_experiment_kind),
-    "surfaces": _Kind({"problem", "grids"}, _parse_surfaces, _run_surfaces_experiment),
+                    _parse_regret, "_run_regret_experiment_kind"),
+    "surfaces": _Kind({"problem", "grids"}, _parse_surfaces, "_run_surfaces_experiment"),
     "verify_gradients": _Kind({"seed", "points", "dims", "tolerance"},
-                              _parse_verify_gradients, _run_verify_gradients_experiment),
+                              _parse_verify_gradients, "_run_verify_gradients_experiment"),
 }
 EXPERIMENT_KINDS = tuple(_KINDS)
 
@@ -694,7 +401,9 @@ def run_experiment(cfg: ExperimentConfig):
         cfg.output_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"Cannot make output directory {cfg.output_dir}: {exc}") from exc
-    rows, groups = iter(_KINDS[cfg.kind].run(cfg)), {}
+    from . import experiments  # here, so that a config is checked without numpy
+
+    rows, groups = iter(getattr(experiments, _KINDS[cfg.kind].run)(cfg)), {}
     first = next(rows, None)  # every cell has run, and every check passed, by now
     if first is None:
         return 0
@@ -702,3 +411,12 @@ def run_experiment(cfg: ExperimentConfig):
                       cfg.output_dir / "results.csv")
     write_summary_csv(_group_statistics(groups), cfg.output_dir / "summary.csv")
     return sum(map(len, groups.values()))
+
+
+def __getattr__(name):  # the benchmark's span tracer looks these four up here
+    if name in ("draw_test_function_noise", "draw_regression_trial", "_batched_forward",
+                "_batched_backward"):
+        from . import experiments
+
+        return getattr(experiments, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["MlpModel", "stack_parameters", "forward", "backward", "mse_loss"]
+from .specs import DEFAULT_LAYER_SIZES
 
-DEFAULT_LAYER_SIZES = (1, 50, 50, 50, 50, 50, 1)
+__all__ = ["MlpModel", "stack_parameters", "forward", "backward", "mse_loss"]
 
 
 class MlpModel:

@@ -17,12 +17,9 @@ case n = 1.  ``GroupState`` is the package's one state layout.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
+from .specs import ABLATIONS, ALGORITHMS, LR_SCHEDULES, VARIANTS, OptimizerConfig
 from .tdist import NonFiniteGradientError, advance_arrays, diagnostics_arrays
 
 __all__ = [
@@ -33,84 +30,6 @@ __all__ = [
     "OptimizerConfig",
     "GroupState",
 ]
-
-ALGORITHMS = ("AdaTerm", "Adam", "AdaBelief", "TAdam")
-VARIANTS = ("Default", "Uncentered", "AdaBias", "UncenteredAdaBias", "AdaTerm2")
-ABLATIONS = ("None", "NoAdaptiveness", "NoRobustness")
-LR_SCHEDULES = ("Constant", "InverseSqrt")
-
-_DEFAULT_EPS = {"AdaTerm": 1e-5, "Adam": 1e-8, "AdaBelief": 1e-8, "TAdam": 1e-8}
-
-
-@dataclass
-class OptimizerConfig:
-    """Hyper-parameters for any optimizer in the suite.
-
-    Args:
-        algorithm: one of AdaTerm, Adam, AdaBelief, TAdam.
-        alpha: learning rate (default 1e-3).
-        beta: AdaTerm's single smoothness in (0, 1), default 0.9.
-        beta1, beta2: Adam-family moment factors, defaults 0.9 / 0.999.
-        eps: numerical floor; defaults to 1e-5 for AdaTerm and 1e-8 for the
-            Adam family when left as None.
-        nu_tilde_min: lower bound of the normalized degrees of freedom.
-        nu_tilde_init: initial nu_tilde; defaults to nu_tilde_min + eps
-            (the large-init ablation sets 100).
-        variant: AdaTerm update-direction variant.
-        ablation: NoAdaptiveness freezes nu_tilde at its initial value;
-            NoRobustness forces the exact Gaussian limit (tau = 1 - beta,
-            delta_s = eps^2).
-        lr_schedule: Constant, or InverseSqrt (alpha_t = alpha / sqrt(t)).
-        bias_correction: divide the moments by their warm-up corrections
-            (disabled for regret runs).
-    """
-
-    algorithm: str = "AdaTerm"
-    alpha: float = 1e-3
-    beta: float = 0.9
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: Optional[float] = None
-    nu_tilde_min: float = 1.0
-    nu_tilde_init: Optional[float] = None
-    variant: str = "Default"
-    ablation: str = "None"
-    lr_schedule: str = "Constant"
-    bias_correction: bool = True
-
-    def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"Unknown algorithm: {self.algorithm!r}")
-        if not self.alpha > 0.0:
-            raise ValueError(f"Invalid learning rate: {self.alpha}")
-        for name in ("beta", "beta1", "beta2"):
-            b = getattr(self, name)
-            if not 0.0 < b < 1.0:
-                raise ValueError(f"Invalid {name} (must be in (0, 1)): {b}")
-        if self.eps is None:
-            self.eps = _DEFAULT_EPS[self.algorithm]
-        if not self.eps > 0.0:
-            raise ValueError(f"Invalid eps: {self.eps}")
-        if not self.nu_tilde_min > 0.0:
-            raise ValueError(f"Invalid nu_tilde_min: {self.nu_tilde_min}")
-        if self.nu_tilde_init is None:
-            self.nu_tilde_init = self.nu_tilde_min + self.eps
-        if not self.nu_tilde_init > self.nu_tilde_min:
-            raise ValueError(
-                f"Invalid nu_tilde_init (must exceed nu_tilde_min): {self.nu_tilde_init}"
-            )
-        if self.variant not in VARIANTS:
-            raise ValueError(f"Unknown variant: {self.variant!r}")
-        if self.ablation not in ABLATIONS:
-            raise ValueError(f"Unknown ablation: {self.ablation!r}")
-        if self.lr_schedule not in LR_SCHEDULES:
-            raise ValueError(f"Unknown lr_schedule: {self.lr_schedule!r}")
-
-    def learning_rate(self, t: int) -> float:
-        if self.lr_schedule == "InverseSqrt":
-            return self.alpha / math.sqrt(t)
-        return self.alpha
-
 
 # ---------------------------------------------------------------------------
 # Pure batched update rules

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import sample_student_t
+from .specs import OnlineConvexSpec, RegressionStreamSpec
 
 __all__ = [
     "TEST_FUNCTIONS",
@@ -107,6 +108,7 @@ class TestFunction:
     optimum_value: float
 
 
+# Keyed by ``specs.TEST_FUNCTION_NAMES``, the names a config may give.
 TEST_FUNCTIONS = {
     "Rosenbrock": TestFunction(
         "Rosenbrock", _rosenbrock, _rosenbrock_grad,
@@ -149,37 +151,6 @@ def true_regression_fn(x):
     return x * x + np.log1p(x) + np.sin(2.0 * np.pi * x) * np.cos(2.0 * np.pi * x)
 
 
-@dataclass(frozen=True)
-class RegressionStreamSpec:
-    """Sampling plan for the scalar regression task.
-
-    At noise ratio p the labels are y = f(x) + zeta * [u < p], u uniform on
-    [0, 1) and zeta a Student's t with one degree of freedom (Cauchy),
-    location 0 and scale 0.05.  No draw depends on p, so the plan holds no
-    ratio and one stream serves every ratio.  x is uniform on [x_low,
-    x_high]; x_low must exceed -1 so ln(x + 1) stays defined.
-    """
-
-    n_pairs: int = 40000
-    batch_size: int = 10
-    x_low: float = 0.0
-    x_high: float = 1.0
-    noise_nu: float = 1.0
-    noise_scale: float = 0.05
-
-    def __post_init__(self):
-        if self.n_pairs < 1 or self.batch_size < 1:
-            raise ValueError(
-                f"Invalid stream sizes: n_pairs={self.n_pairs}, batch_size={self.batch_size}"
-            )
-        if self.x_low <= -1.0:
-            raise ValueError(
-                f"x_low must exceed -1 to keep ln(x + 1) defined: {self.x_low}"
-            )
-        if self.x_high <= self.x_low:
-            raise ValueError(f"Empty input domain: [{self.x_low}, {self.x_high}]")
-
-
 def generate_regression_stream(spec: RegressionStreamSpec, rng):
     """Yield each batch's ratio-free draws (x, u, zeta, f): the trigger
     uniforms u shaped (batch,), x, zeta and the clean f(x) shaped (batch,
@@ -202,42 +173,6 @@ def generate_regression_stream(spec: RegressionStreamSpec, rng):
 # ---------------------------------------------------------------------------
 # Online convex quadratics
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OnlineConvexSpec:
-    """Random per-step quadratics on a box domain [-B, B]^d.
-
-    Curvatures are clipped so that gradients stay within grad_bound over the
-    whole box (|grad_i| <= a_i * 2B).
-    """
-
-    dim: int = 2
-    box_halfwidth: float = 1.0
-    grad_bound: float = 4.0
-    curvature_low: float = 0.5
-    curvature_high: float = 2.0
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"Invalid dimension: {self.dim}")
-        for name in ("box_halfwidth", "grad_bound", "curvature_low", "curvature_high"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"Invalid {name}: {getattr(self, name)}")
-        if self.curvature_high < self.curvature_low:
-            raise ValueError("curvature_high must be >= curvature_low")
-
-    @property
-    def box(self):
-        b = self.box_halfwidth
-        lo = np.full(self.dim, -b)
-        hi = np.full(self.dim, b)
-        return lo, hi
-
-    @property
-    def diameter(self) -> float:
-        """Sup-norm diameter of the box."""
-        return 2.0 * self.box_halfwidth
 
 
 class QuadraticSequence:

@@ -46,6 +46,7 @@ import numpy as np
 from .files import write_csvs
 from .optimizers import GroupState, OptimizerConfig
 from .problems import QuadraticSequence
+from .specs import _validate_regret_config
 
 __all__ = [
     "RegretReport",
@@ -123,18 +124,6 @@ def _coeff_term2(tau_low, beta):
 def _coeff_term4(tau_low, beta, alpha, eps):
     lead = (tau_low * (1.0 - tau_low) + (1.0 - beta)) / (2.0 * tau_low * tau_low)
     return lead * (1.0 - beta) ** 2 * alpha / (eps * tau_low * tau_low)
-
-
-def _validate_regret_config(cfg: OptimizerConfig):
-    if cfg.algorithm != "AdaTerm" or cfg.variant != "Default":
-        raise ValueError(
-            "Regret runs cover the default AdaTerm update only "
-            f"(got algorithm={cfg.algorithm!r}, variant={cfg.variant!r})"
-        )
-    if cfg.lr_schedule != "InverseSqrt":
-        raise ValueError("Regret runs require the InverseSqrt step-size schedule")
-    if cfg.bias_correction:
-        raise ValueError("Regret runs require bias_correction=False")
 
 
 def _geometric_sums(g2, lows, k0, total):

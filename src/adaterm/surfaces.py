@@ -19,66 +19,13 @@ The surfaces restate no formula: they call ``tdist.weights`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .files import write_csvs
+from .specs import GRID_KINDS, GridSpec
 from .tdist import dof_step, grad_nu_surrogate_pre, interpolation_factor, weights
 
 __all__ = ["GRID_KINDS", "GridSpec", "emit_grid", "write_grid_csvs"]
-
-GRID_KINDS = ("Fig1", "TauSurface", "DofIncrementSurface")
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Axis layout for one grid kind.
-
-    The w axis is log-spaced (small w_mv is where the interesting sign
-    structure lives), the nu_tilde axis likewise; the D axis is linear so
-    it can start at zero.
-    """
-
-    kind: str = "Fig1"
-    w_low: float = 1e-6
-    w_high: float = 2.0
-    n_w: int = 201
-    d_list: tuple = (1, 10, 100, 1000, 10000)
-    nu_low: float = 1.0
-    nu_high: float = 100.0
-    n_nu: int = 101
-    D_low: float = 0.0
-    D_high: float = 100.0
-    n_D: int = 101
-    beta: float = 0.9
-    nu_tilde_min: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in GRID_KINDS:
-            raise ValueError(f"Unknown grid kind: {self.kind!r}")
-        for n in (self.n_w, self.n_nu, self.n_D):
-            if n < 2:
-                raise ValueError(f"Grid resolution must be >= 2, got {n}")
-        if not 0.0 < self.w_low < self.w_high:
-            raise ValueError(f"Invalid w range: [{self.w_low}, {self.w_high}]")
-        if not 0.0 < self.nu_low < self.nu_high:
-            raise ValueError(f"Invalid nu range: [{self.nu_low}, {self.nu_high}]")
-        if not 0.0 <= self.D_low < self.D_high:
-            raise ValueError(f"Invalid D range: [{self.D_low}, {self.D_high}]")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError(f"Invalid beta: {self.beta}")
-        if len(self.d_list) == 0 or any(d < 1 for d in self.d_list):
-            raise ValueError(f"Invalid dimension list: {self.d_list}")
-
-    def w_axis(self):
-        return np.geomspace(self.w_low, self.w_high, self.n_w)
-
-    def nu_axis(self):
-        return np.geomspace(self.nu_low, self.nu_high, self.n_nu)
-
-    def D_axis(self):
-        return np.linspace(self.D_low, self.D_high, self.n_D)
 
 
 def emit_grid(spec: GridSpec):

@@ -2,12 +2,15 @@
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from adaterm import harness
+from adaterm import experiments
 from adaterm.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_NUMERICAL, EXIT_OK, main
-from adaterm.harness import VerificationError, load_config, run_experiment
+from adaterm.harness import EXPERIMENT_KINDS, VerificationError, load_config, run_experiment
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 SMALL_RUN = """\
 schema_version: 1
@@ -110,7 +113,7 @@ def test_verify_gradients_impossible_tolerance(tmp_path, capsys):
 
 def test_verify_gradients_fails_on_nan_gradient(tmp_path, capsys, monkeypatch):
     """A NaN gradient has a NaN error, which is not below any tolerance."""
-    monkeypatch.setattr(harness, "grad_nu_exact", lambda g, m, v, nu: float("nan"))
+    monkeypatch.setattr(experiments, "grad_nu_exact", lambda g, m, v, nu: float("nan"))
     cfg = write_config(tmp_path, SMALL_VERIFY.replace("dims: [1]", "dims: [1, 2]"))
     with pytest.raises(VerificationError, match="grad_nu at d=1 has max relative error nan"):
         run_experiment(load_config(cfg))
@@ -272,6 +275,18 @@ def test_run_rejects_unused_top_level_key(tmp_path, capsys, template, old, new, 
          "optimizers[0]: name must be text, got None"),
         (SMALL_RUN, "{{algorithm: AdaTerm", "{{name: -0.0, algorithm: AdaTerm",
          "optimizers[0]: name must be text, got -0.0"),
+        # The stream's Student's t needs positive degrees of freedom and scale.
+        (SMALL_REGRESSION, "n_pairs: 20", "n_pairs: 20\n  noise_nu: 0",
+         "problem section: Invalid noise_nu (must be > 0): 0.0"),
+        (SMALL_REGRESSION, "n_pairs: 20", "n_pairs: 20\n  noise_nu: -1",
+         "problem section: Invalid noise_nu (must be > 0): -1.0"),
+        (SMALL_REGRESSION, "n_pairs: 20", "n_pairs: 20\n  noise_scale: -0.05",
+         "problem section: Invalid noise_scale (must be > 0): -0.05"),
+        # The regression task has one input and one output.
+        (SMALL_REGRESSION, "[1, 4, 1]", "[2, 3, 1]",
+         "model.layer_sizes must start and end with 1, got [2, 3, 1]"),
+        (SMALL_REGRESSION, "[1, 4, 1]", "[1, 3, 2]",
+         "model.layer_sizes must start and end with 1, got [1, 3, 2]"),
     ],
     ids=["tolerance", "testfn-ratio", "regression-ratio", "dims", "layer-sizes",
          "misspelt-noise-ratios", "regret-bias-correction", "regret-algorithm",
@@ -289,7 +304,8 @@ def test_run_rejects_unused_top_level_key(tmp_path, capsys, template, old, new, 
          "regret-repeated-dim", "verify-repeated-dim", "grid-not-a-name",
          "kind-list", "function-list", "top-level-mixed-keys", "problem-mixed-keys",
          "optimizer-mixed-keys", "surfaces-problem-mixed-keys", "spec-mixed-keys",
-         "name-list", "name-null", "name-number"],
+         "name-list", "name-null", "name-number", "zero-noise-nu", "negative-noise-nu",
+         "negative-noise-scale", "layer-sizes-input-2", "layer-sizes-output-2"],
 )
 def test_run_rejects_bad_value(tmp_path, capsys, template, old, new, fragment):
     cfg = write_config(tmp_path, template.replace(old, new))
@@ -442,6 +458,35 @@ def test_summarize_loads_no_numpy(tmp_path):
 def test_import_adaterm_loads_no_numpy():
     code = "import sys\nimport adaterm\nprint('numpy' in sys.modules)\n"
     assert _last_line_in_fresh_python(code) == "False"
+
+
+def test_load_config_loads_no_numpy():
+    """A config is parsed and checked before any numerical module loads."""
+    code = ("import sys\n"
+            "from pathlib import Path\n"
+            "import adaterm.harness as harness\n"
+            f"paths = sorted(Path({str(CONFIG_DIR)!r}).glob('*.yaml'))\n"
+            "kinds = sorted({harness.load_config(path).kind for path in paths})\n"
+            "print(kinds, 'numpy' in sys.modules)\n")
+    # The shipped configs cover every kind.
+    assert _last_line_in_fresh_python(code) == f"{sorted(EXPERIMENT_KINDS)} False"
+
+
+def test_bad_config_exits_2_without_loading_numpy(tmp_path):
+    """A bad config of every kind exits 2 before numpy loads."""
+    bad = [(SMALL_RUN, "steps: 30", "steps: -5"),
+           (SMALL_REGRESSION, "[1, 4, 1]", "[1, 0, 1]"),
+           (SMALL_REGRET, "horizon: 60", "horizon: 0"),
+           (SMALL_SURFACES, "n_D: 4", "n_D: 1"),
+           (SMALL_VERIFY, "points: 2", "points: 0")]
+    paths = [str(write_config(tmp_path, template.replace(old, new), f"bad{i}.yaml"))
+             for i, (template, old, new) in enumerate(bad)]
+    code = ("import sys\n"
+            "import adaterm.cli\n"
+            f"statuses = [adaterm.cli.main(['run', path]) for path in {paths!r}]\n"
+            "print(statuses, 'numpy' in sys.modules)\n")
+    assert _last_line_in_fresh_python(code) == f"{[EXIT_CONFIG] * len(bad)} False"
+    assert not (tmp_path / "out").exists()
 
 
 def test_package_serves_the_optimizer_names():

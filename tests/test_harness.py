@@ -18,18 +18,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaterm import harness
+from adaterm import experiments, harness
+from adaterm.experiments import (
+    TEST_X_POINTS,
+    _run_regression_cell,
+    _run_test_function_cell,
+    draw_regression_trial,
+    draw_test_function_noise,
+)
 from adaterm.files import write_csv
 from adaterm.harness import (
     ConfigError,
     ExperimentConfig,
     ResultRow,
-    TEST_X_POINTS,
     VerificationError,
-    _run_regression_cell,
-    _run_test_function_cell,
-    draw_regression_trial,
-    draw_test_function_noise,
     load_config,
     read_results_csv,
     run_experiment,
@@ -134,8 +136,10 @@ def test_non_mapping_root(tmp_path):
         load_config(write_cfg(tmp_path, "- just\n- a list\n"))
 
 
-def test_wrong_schema_version(tmp_path):
-    text = VALID_TEST_FUNCTION.replace("schema_version: 1", "schema_version: 2")
+# A bool and a float equal 1 in Python, but only the int 1 is version 1.
+@pytest.mark.parametrize("version", ["2", "true", "1.0"])
+def test_wrong_schema_version(tmp_path, version):
+    text = VALID_TEST_FUNCTION.replace("schema_version: 1", f"schema_version: {version}")
     with pytest.raises(ConfigError, match="Unsupported schema_version"):
         load_config(write_cfg(tmp_path, text))
 
@@ -717,13 +721,14 @@ def test_run_that_fails_while_rows_stream_keeps_the_old_tables(tmp_path, monkeyp
     cfg.trials = 30  # 1380 rows: more than one chunk reaches the temp file
     run_experiment(cfg)
     before = {p.name: p.read_bytes() for p in cfg.output_dir.iterdir()}
-    kind = harness._KINDS["test_function"]
+    name = harness._KINDS["test_function"].run
+    run = getattr(experiments, name)
 
     def failing(cfg):
-        yield from itertools.islice(kind.run(cfg), 1100)
+        yield from itertools.islice(run(cfg), 1100)
         raise RuntimeError("stopped")
 
-    monkeypatch.setitem(harness._KINDS, "test_function", kind._replace(run=failing))
+    monkeypatch.setattr(experiments, name, failing)
     cfg.seed = 9
     with pytest.raises(RuntimeError, match="stopped"):
         run_experiment(cfg)
@@ -782,7 +787,7 @@ def test_regret_experiment_runs_once_per_dimension(tmp_path, monkeypatch):
         (calls_dir / f"{os.getpid()}-{time.perf_counter_ns()}").write_text(repr(seq.A.shape))
         return run_regret_experiment(seq, opt_cfg)
 
-    monkeypatch.setattr(harness, "run_regret_experiment", counted)
+    monkeypatch.setattr(experiments, "run_regret_experiment", counted)
     cfg = ExperimentConfig(
         kind="regret",
         output_dir=tmp_path / "regret",

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from adaterm.harness import _run_test_function_cell, draw_test_function_noise
+from adaterm.experiments import _run_test_function_cell, draw_test_function_noise
 from adaterm.optimizers import OptimizerConfig
 from adaterm.problems import (
     NOISE_HALF_RANGE,
@@ -18,6 +18,7 @@ from adaterm.problems import (
     generate_regression_stream,
     true_regression_fn,
 )
+from adaterm.specs import TEST_FUNCTION_NAMES
 from adaterm.rng import make_rng
 
 from _golden import (
@@ -33,6 +34,11 @@ NO_NOISE = (np.ones((1, 1)), np.zeros((1, 1, 2)))
 # ---------------------------------------------------------------------------
 # Test functions
 # ---------------------------------------------------------------------------
+
+
+def test_table_is_keyed_by_the_names_a_config_may_give():
+    # ``load_config`` checks a function's name against the numpy-free list.
+    assert tuple(TEST_FUNCTIONS) == TEST_FUNCTION_NAMES
 
 
 def test_rosenbrock_basics():

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from adaterm import harness
+from adaterm import experiments
 from adaterm.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_WORKER, main
 from adaterm.harness import WorkerError, _map_cells
 
@@ -193,14 +193,14 @@ def test_trace_path_that_is_a_directory_exits_2(tmp_path, monkeypatch, capsys):
 
 def test_killed_child_is_one_line_error(tmp_path, monkeypatch, capsys):
     _cores(monkeypatch, 2)
-    parent, run_cell = os.getpid(), harness._run_regression_cell
+    parent, run_cell = os.getpid(), experiments._run_regression_cell
 
     def adam_killed(Ws, Bs, X, Y, batch_size, opt_cfg, x_test):
         if os.getpid() != parent and opt_cfg.algorithm == "Adam":
             os.kill(os.getpid(), signal.SIGKILL)
         return run_cell(Ws, Bs, X, Y, batch_size, opt_cfg, x_test)
 
-    monkeypatch.setattr(harness, "_run_regression_cell", adam_killed)
+    monkeypatch.setattr(experiments, "_run_regression_cell", adam_killed)
     assert _run(tmp_path, REGRESSION) == EXIT_WORKER
     kill = int(signal.SIGKILL)
     assert re.fullmatch(rf"worker error: cell regression:p=(0|0\.5) Adam ended with no result "
