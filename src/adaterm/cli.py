@@ -61,7 +61,7 @@ def _cmd_run(args):
     cfg = load_config(args.config)
     count = run_experiment(cfg)
     if cfg.kind == "surfaces":
-        print("surfaces: wrote " + ", ".join(str(p) for p in grid_paths(cfg)))
+        print("surfaces: wrote " + ", ".join(map(str, grid_paths(cfg.output_dir, **cfg.args))))
     else:
         print(f"{cfg.kind}: wrote {count} result rows to {cfg.output_dir}")
     return EXIT_OK

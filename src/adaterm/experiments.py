@@ -114,28 +114,28 @@ def _run_test_function_cell(function, ratios, opt_cfg, us, deltas, record_every=
     return final_norm, final_nu, trails
 
 
-def _run_test_function_experiment(cfg: ExperimentConfig):
-    function, ratios = cfg.problem, cfg.noise_ratios
-    us = np.empty((cfg.trials, cfg.steps))
-    deltas = np.empty((cfg.trials, cfg.steps, 2))
-    for i in range(cfg.trials):
-        us[i], deltas[i] = draw_test_function_noise(make_rng(cfg.seed + i), cfg.steps)
+def _run_test_function_experiment(output_dir, *, function, noise_ratios, optimizers, seed,
+                                  trials, steps, record_every):
+    us = np.empty((trials, steps))
+    deltas = np.empty((trials, steps, 2))
+    for i in range(trials):
+        us[i], deltas[i] = draw_test_function_noise(make_rng(seed + i), steps)
     cells = _map_cells(_run_test_function_cell, {
-        f"{function} {name}": (function, ratios, opt_cfg, us, deltas, cfg.record_every)
-        for name, opt_cfg in cfg.optimizers})
-    seeds = range(cfg.seed, cfg.seed + cfg.trials)
+        f"{function} {name}": (function, noise_ratios, opt_cfg, us, deltas, record_every)
+        for name, opt_cfg in optimizers})
+    seeds = range(seed, seed + trials)
     # One (ratio, optimizer) block at a time: only its (n,) slices become floats.
-    for j, p in enumerate(ratios):
+    for j, p in enumerate(noise_ratios):
         exp_id = f"{function}:p={p:g}"
-        for (name, _), (norms, nus, trails) in zip(cfg.optimizers, cells):
+        for (name, _), (norms, nus, trails) in zip(optimizers, cells):
             norms, nus = norms[j].tolist(), None if nus is None else nus[j].tolist()
             trails = [(step, vec[j].tolist()) for step, vec in trails]
-            for i, seed in enumerate(seeds):
-                yield ResultRow(exp_id, name, seed, "final_error_norm", cfg.steps, norms[i])
+            for i, s in enumerate(seeds):
+                yield ResultRow(exp_id, name, s, "final_error_norm", steps, norms[i])
                 if nus is not None:
-                    yield ResultRow(exp_id, name, seed, "final_nu_tilde", cfg.steps, nus[i])
+                    yield ResultRow(exp_id, name, s, "final_nu_tilde", steps, nus[i])
                 for step, vec in trails:
-                    yield ResultRow(exp_id, name, seed, "error_norm", step, vec[i])
+                    yield ResultRow(exp_id, name, s, "error_norm", step, vec[i])
 
 
 # ---------------------------------------------------------------------------
@@ -172,24 +172,24 @@ def _run_regression_cell(Ws, Bs, X, Y, batch_size, opt_cfg, x_test):
     return mses
 
 
-def _run_regression_experiment(cfg: ExperimentConfig):
-    spec = cfg.problem
-    n, n_pairs = cfg.trials, spec.n_pairs
+def _run_regression_experiment(output_dir, *, stream, model_sizes, noise_ratios, optimizers,
+                               seed, trials):
+    n, n_pairs = trials, stream.n_pairs
     X, Z, F = (np.empty((n, n_pairs, 1)) for _ in range(3))
     U = np.empty((n, n_pairs))
     models = [None] * n
     for i in range(n):  # written into row i, so no list of draws is kept
         models[i], X[i], U[i], Z[i], F[i] = draw_regression_trial(
-            spec, cfg.model_sizes, make_rng(cfg.seed + i))
+            stream, model_sizes, make_rng(seed + i))
     Ws, Bs = stack_parameters(models)
     x_test = np.linspace(0.0, 1.0, TEST_X_POINTS)[:, None]
-    n_steps = math.ceil(n_pairs / spec.batch_size)
+    n_steps = math.ceil(n_pairs / stream.batch_size)
     cells = {f"regression:p={p:g} {name}": (p, opt_cfg)  # "<experiment id> <optimizer>"
-             for p in cfg.noise_ratios for name, opt_cfg in cfg.optimizers}
+             for p in noise_ratios for name, opt_cfg in optimizers}
     # Each cell makes its own labels (noise fires where u < p).
     results = _map_cells(lambda p, opt_cfg: _run_regression_cell(
-        Ws, Bs, X, apply_coordinate_noise(F, U, Z, p), spec.batch_size, opt_cfg, x_test), cells)
-    return [ResultRow(*cell.split(" ", 1), cfg.seed + i, "test_mse", n_steps, float(mses[i]))
+        Ws, Bs, X, apply_coordinate_noise(F, U, Z, p), stream.batch_size, opt_cfg, x_test), cells)
+    return [ResultRow(*cell.split(" ", 1), seed + i, "test_mse", n_steps, float(mses[i]))
             for cell, mses in zip(cells, results) for i in range(n)]
 
 
@@ -198,14 +198,13 @@ def _run_regression_experiment(cfg: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 
-def _run_regret_dimension(cfg: ExperimentConfig, spec: OnlineConvexSpec):
+def _run_regret_dimension(spec, optimizer, seeds, horizon, output_dir):
     """One dimension's rows and trace files: every seed in one run."""
-    name, opt_cfg = cfg.optimizers[0]
+    name, opt_cfg = optimizer
     exp_id = f"regret:d={spec.dim}"
-    seeds = range(cfg.seed, cfg.seed + cfg.trials)
     # Passed inline, so the run can free the draws once every round is played.
     reports = run_regret_experiment(
-        QuadraticSequence(spec, [make_rng(seed) for seed in seeds], cfg.horizon),
+        QuadraticSequence(spec, [make_rng(seed) for seed in seeds], horizon),
         opt_cfg,
     )
     rows = []
@@ -223,19 +222,21 @@ def _run_regret_dimension(cfg: ExperimentConfig, spec: OnlineConvexSpec):
                           sublinearity_ratio(rep, min(1000, rep.T), rep.T)),
             ]
         )
-    write_regret_csv(reports, [cfg.output_dir / f"regret_d{spec.dim}_seed{s}.csv" for s in seeds])
+    write_regret_csv(reports, [output_dir / f"regret_d{spec.dim}_seed{s}.csv" for s in seeds])
     return rows
 
 
-def _run_regret_experiment_kind(cfg: ExperimentConfig):
+def _run_regret_experiment_kind(output_dir, *, problems, optimizer, seed, trials, horizon):
     # A cell per dimension: in one process, its reports are freed when it
     # returns, before the next dimension's draws are made.
-    cells = {f"regret:d={spec.dim}": (cfg, spec) for spec in cfg.problem}
+    seeds = range(seed, seed + trials)
+    cells = {f"regret:d={spec.dim}": (spec, optimizer, seeds, horizon, output_dir)
+             for spec in problems}
     return [row for rows in _map_cells(_run_regret_dimension, cells) for row in rows]
 
 
-def _run_surfaces_experiment(cfg: ExperimentConfig):
-    write_grid_csvs(cfg.problem, grid_paths(cfg))
+def _run_surfaces_experiment(output_dir, *, grids):
+    write_grid_csvs(grids, grid_paths(output_dir, grids))
     return []
 
 
@@ -259,7 +260,7 @@ def _rel_err(fd, exact):
     return abs(fd - exact) / max(1.0, abs(exact))
 
 
-def _run_verify_gradients_experiment(cfg: ExperimentConfig):
+def _run_verify_gradients_experiment(output_dir, *, seed, points, dims, tolerance):
     """Check the three density gradients against central finite differences.
 
     One row per (gradient, d): the largest relative error (``_rel_err``)
@@ -267,11 +268,11 @@ def _run_verify_gradients_experiment(cfg: ExperimentConfig):
     (``np.maximum``), so a NaN error fails the check, as any error not
     below the tolerance does.
     """
-    rng = make_rng(cfg.seed)
+    rng = make_rng(seed)
     rows = []
-    for d in cfg.dims:
+    for d in dims:
         worst = {"grad_m": 0.0, "grad_v": 0.0, "grad_nu": 0.0}
-        for _ in range(cfg.points):
+        for _ in range(points):
             g = rng.normal(size=d)
             m = rng.normal(size=d)
             v = rng.uniform(0.2, 3.0, size=d)
@@ -290,13 +291,13 @@ def _run_verify_gradients_experiment(cfg: ExperimentConfig):
             h = 1e-6 * max(1.0, abs(nu))
             fd = _fd_log_density(g, m, v, nu, "nu", 0, h)
             worst["grad_nu"] = np.maximum(worst["grad_nu"], _rel_err(fd, gn))
-        rows += [ResultRow("verify_gradients", grad_name, cfg.seed, "max_rel_fd_err", d, err)
+        rows += [ResultRow("verify_gradients", grad_name, seed, "max_rel_fd_err", d, err)
                  for grad_name, err in worst.items()]
     # The largest error, a NaN before any number.
     _, grad_name, _, _, d, err = max(rows, key=lambda r: (math.isnan(r.value), r.value))
-    if not err < cfg.tolerance:
+    if not err < tolerance:
         raise VerificationError(
             f"Gradient check failed: {grad_name} at d={d} "
-            f"has max relative error {err:.3e}, not below {cfg.tolerance:g}"
+            f"has max relative error {err:.3e}, not below {tolerance:g}"
         )
     return rows

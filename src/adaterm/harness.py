@@ -1,13 +1,15 @@
 """Experiment harness: config files, dispatch, and cells in forked workers.
 
 One YAML config describes one experiment run.  ``load_config`` parses and
-checks it into an ``ExperimentConfig`` of the specs (``specs``) that its
-run reads.  This module imports no numpy, so a bad config exits before any
-numerical module loads or the output directory is made.
-``run_experiment`` then imports ``experiments`` and calls the kind's run
-that ``_KINDS`` names there.  The cells run in forked workers, one per
-usable core, which inherit the draws and send back only their results
-(``_map_cells``); with one usable core they run in this process.
+checks it into an ``ExperimentConfig`` whose ``args`` are the keyword
+arguments of the kind's run in ``experiments``: the run's signature states
+what a kind reads, its parse (``_KINDS``) builds exactly that, and a key no
+parse reads is refused.  This module imports no numpy, so a bad config exits
+before any numerical module loads or the output directory is made.
+``run_experiment`` then imports ``experiments`` and calls the kind's run.
+The cells run in forked workers, one per usable core, which inherit the
+draws and send back only their results (``_map_cells``); with one usable
+core they run in this process.
 
 The result tables, ``results.csv`` and ``summary.csv``, their rows and
 statistics live in ``results`` (no numpy), and are served from here too.
@@ -21,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, get_type_hints
 
@@ -58,24 +60,13 @@ SCHEMA_VERSION = 1
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class ExperimentConfig:
-    """Validated form of one config file."""
+    """Validated form of one config file: its kind's ``run(output_dir, **args)``."""
 
     kind: str
     output_dir: Path
-    seed: int = 0
-    trials: int = 1
-    steps: int = 1000
-    record_every: int = 0
-    problem: object = None  # what the kind's run takes, built by its parse (see _KINDS)
-    optimizers: list = field(default_factory=list)  # (name, OptimizerConfig)
-    model_sizes: tuple = ()
-    horizon: int = 5000
-    dims: tuple = (1, 2, 5, 8)
-    noise_ratios: tuple = (0.0,)
-    points: int = 100
-    tolerance: float = 1e-5
+    args: dict
 
 
 # The optimizer keys every algorithm reads, and those each one reads on
@@ -119,6 +110,23 @@ def _number_list(value, kind, what, low=None):
     return [_number(x, kind, f"{what} entry", low) for x in value]
 
 
+def _int(raw, key, default, low):
+    """The top-level ``key``, popped from ``raw``: an int of at least ``low``."""
+    return _number(raw.pop(key, default), int, key, low)
+
+
+def _seeds(raw):
+    """``seed`` and ``trials``: trial i draws from seed + i."""
+    return {"seed": _int(raw, "seed", 0, 0), "trials": _int(raw, "trials", 1, 1)}
+
+
+def _problem(raw):
+    """A copy of the ``problem`` section, popped from ``raw``."""
+    if not isinstance(problem := raw.pop("problem", {}), dict):
+        raise ConfigError("problem section must be a mapping")
+    return dict(problem)
+
+
 def _parse_optimizer(section, index):
     if not isinstance(section, dict):
         raise ConfigError(f"optimizers[{index}] must be a mapping")
@@ -137,15 +145,16 @@ def _parse_optimizer(section, index):
     return name, cfg
 
 
-def _optimizer_list(raw, cfg):
-    """Parse the ``optimizers:`` list into ``cfg.optimizers``; names must differ."""
-    sections = raw.get("optimizers")
+def _optimizer_list(raw, kind):
+    """The ``optimizers:`` list, popped, as (name, OptimizerConfig) pairs; names differ."""
+    sections = raw.pop("optimizers", None)
     if not isinstance(sections, list) or not sections:
-        raise ConfigError(f"{cfg.kind} experiments need a non-empty optimizers list")
-    cfg.optimizers = [_parse_optimizer(s, i) for i, s in enumerate(sections)]
-    names = [n for n, _ in cfg.optimizers]
+        raise ConfigError(f"{kind} experiments need a non-empty optimizers list")
+    optimizers = [_parse_optimizer(s, i) for i, s in enumerate(sections)]
+    names = [n for n, _ in optimizers]
     if len(set(names)) != len(names):
         raise ConfigError(f"Duplicate optimizer names: {names}")
+    return optimizers
 
 
 def _distinct(values, what, label=str):
@@ -156,13 +165,13 @@ def _distinct(values, what, label=str):
     return values
 
 
-def _noise_ratios(problem, cfg):
-    """Check the problem's ``noise_ratios`` (default: the field's) into ``cfg``."""
-    ratios = _number_list(problem.get("noise_ratios", [*cfg.noise_ratios]), float, "noise_ratios")
+def _noise_ratios(problem):
+    """The problem's ``noise_ratios``, popped (default: noise-free only)."""
+    ratios = _number_list(problem.pop("noise_ratios", [0.0]), float, "noise_ratios")
     for p in ratios:
         if not 0.0 <= p <= 1.0:
             raise ConfigError(f"noise ratio out of [0, 1]: {p}")
-    cfg.noise_ratios = tuple(_distinct(ratios, "noise_ratios label", lambda p: f"p={p:g}"))
+    return tuple(_distinct(ratios, "noise_ratios label", lambda p: f"p={p:g}"))
 
 
 def load_config(path) -> ExperimentConfig:
@@ -176,33 +185,21 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"Config parse error in {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"Config root must be a mapping: {path}")
-    if type(version := raw.get("schema_version")) is not int or version != SCHEMA_VERSION:
+    raw = dict(raw)  # each key read is popped: what is left, no kind reads
+    if type(version := raw.pop("schema_version", None)) is not int or version != SCHEMA_VERSION:
         raise ConfigError(
             f"Unsupported schema_version {version!r} "
             f"(expected {SCHEMA_VERSION})"
         )
-    kind = raw.get("experiment")
+    kind = raw.pop("experiment", None)
     if kind not in EXPERIMENT_KINDS:  # a tuple, so an unhashable kind is just unknown
         raise ConfigError(f"Unknown experiment kind: {kind!r}")
-    unknown = set(raw) - {"schema_version", "experiment", "output_dir"} - _KINDS[kind].keys
-    if unknown:
-        raise ConfigError(f"{kind} configs do not use key(s) {sorted(unknown, key=str)}")
-
-    if not isinstance(out := raw.get("output_dir", "results"), str):
+    if not isinstance(out := raw.pop("output_dir", "results"), str):
         raise ConfigError(f"output_dir must be a string, got {out!r}")
-    cfg = ExperimentConfig(kind=kind, output_dir=Path(out))
-    for key, low in (("seed", 0), ("trials", 1), ("steps", 0), ("record_every", 0),
-                     ("horizon", 1), ("points", 1)):
-        if key in raw:
-            setattr(cfg, key, _number(raw[key], int, key, low))
-    if "tolerance" in raw:
-        cfg.tolerance = _number(raw["tolerance"], float, "tolerance")
-
-    problem = raw.get("problem", {})
-    if not isinstance(problem, dict):
-        raise ConfigError("problem section must be a mapping")
-    _KINDS[kind].parse(raw, dict(problem), cfg)
-    return cfg
+    args = _KINDS[kind].parse(raw)
+    if raw:
+        raise ConfigError(f"{kind} configs do not use key(s) {sorted(raw, key=str)}")
+    return ExperimentConfig(kind, Path(out), args)
 
 
 # The declared field types ``_spec`` checks a config value against; a
@@ -218,15 +215,15 @@ def _field_value(value, kind, what):
 
 def _spec(cls, what, values, **fixed):
     """``cls(**values, **fixed)``, or a ConfigError naming ``what`` if
-    ``values`` is not a mapping, has a key that names no field of ``cls``,
-    or the class refuses it.  A value whose
+    ``values`` is not a mapping, has a key that names no field of ``cls``
+    or one that ``fixed`` sets, or the class refuses it.  A value whose
     field is declared an int or a float (optional or not) goes through
     ``_number`` as that type first, and one declared a bool must be one."""
     if not isinstance(values, dict):
         raise ConfigError(f"{what} must be a mapping, got {values!r}")
     hints = get_type_hints(cls)
     kinds = {f.name: _FIELD_KINDS.get(hints[f.name]) for f in fields(cls)}
-    if unknown := set(values) - set(kinds):
+    if unknown := set(values) - set(kinds).difference(fixed):
         raise ConfigError(f"{what}: unknown key(s) {sorted(unknown, key=str)}")
     values = {k: _field_value(v, kinds[k], f"{what}: {k}") for k, v in values.items()}
     try:
@@ -235,21 +232,23 @@ def _spec(cls, what, values, **fixed):
         raise ConfigError(f"{what}: {exc}") from exc
 
 
-def _parse_test_function(raw, problem, cfg: ExperimentConfig):
-    _optimizer_list(raw, cfg)
-    _noise_ratios(problem, cfg)
-    unknown = set(problem) - {"function", "noise_ratios"}
-    if unknown:
-        raise ConfigError(f"problem: unknown key(s) {sorted(unknown, key=str)}")
-    cfg.problem, names = problem.get("function"), sorted(TEST_FUNCTION_NAMES)
-    if cfg.problem not in names:
-        raise ConfigError(f"Unknown test function: {cfg.problem!r} (choose from {names})")
+def _parse_test_function(raw):
+    seeds, steps = _seeds(raw), _int(raw, "steps", 1000, 0)
+    record_every, problem = _int(raw, "record_every", 0, 0), _problem(raw)
+    optimizers, ratios = _optimizer_list(raw, "test_function"), _noise_ratios(problem)
+    function, names = problem.pop("function", None), sorted(TEST_FUNCTION_NAMES)
+    if problem:
+        raise ConfigError(f"problem: unknown key(s) {sorted(problem, key=str)}")
+    if function not in names:
+        raise ConfigError(f"Unknown test function: {function!r} (choose from {names})")
+    return dict(seeds, steps=steps, record_every=record_every, function=function,
+                noise_ratios=ratios, optimizers=optimizers)
 
 
-def _parse_regression(raw, problem, cfg: ExperimentConfig):
-    _optimizer_list(raw, cfg)
-    _noise_ratios(problem, cfg)
-    model = raw.get("model", {})
+def _parse_regression(raw):
+    seeds, problem = _seeds(raw), _problem(raw)
+    optimizers, ratios = _optimizer_list(raw, "regression"), _noise_ratios(problem)
+    model = raw.pop("model", {})
     if not isinstance(model, dict) or set(model) - {"layer_sizes"}:
         raise ConfigError(f"model must map layer_sizes only, got {model!r}")
     sizes = model.get("layer_sizes", list(DEFAULT_LAYER_SIZES))
@@ -258,54 +257,53 @@ def _parse_regression(raw, problem, cfg: ExperimentConfig):
         raise ConfigError(f"model.layer_sizes must list >= 2 sizes, got {sizes!r}")
     if sizes[0] != 1 or sizes[-1] != 1:  # one input x, one output y
         raise ConfigError(f"model.layer_sizes must start and end with 1, got {sizes!r}")
-    cfg.model_sizes = tuple(sizes)
-    cfg.problem = _spec(RegressionStreamSpec, "problem section",
-                        {k: v for k, v in problem.items() if k != "noise_ratios"})
+    return dict(seeds, optimizers=optimizers, noise_ratios=ratios, model_sizes=tuple(sizes),
+                stream=_spec(RegressionStreamSpec, "problem section", problem))
 
 
-def _parse_regret(raw, problem, cfg: ExperimentConfig):
-    section = raw.get("optimizer", {})
-    if not isinstance(section, dict):
+def _parse_regret(raw):
+    seeds, horizon, problem = _seeds(raw), _int(raw, "horizon", 5000, 1), _problem(raw)
+    if not isinstance(section := raw.pop("optimizer", {}), dict):
         raise ConfigError("optimizer section must be a mapping")
-    cfg.optimizers = [_parse_optimizer(section, 0)]
+    optimizer = _parse_optimizer(section, 0)
     try:
-        _validate_regret_config(cfg.optimizers[0][1])
+        _validate_regret_config(optimizer[1])
     except ValueError as exc:
         raise ConfigError(f"optimizer: {exc}") from None
-    dims = _distinct(_number_list(raw.get("dims", [2]), int, "dims", 1), "dims entry")
-    cfg.problem = [_spec(OnlineConvexSpec, "problem section", problem, dim=d) for d in dims]
+    dims = _distinct(_number_list(raw.pop("dims", [2]), int, "dims", 1), "dims entry")
+    return dict(seeds, horizon=horizon, optimizer=optimizer,
+                problems=[_spec(OnlineConvexSpec, "problem section", problem, dim=d)
+                          for d in dims])
 
 
-def grid_paths(cfg: ExperimentConfig):
+def grid_paths(output_dir, grids):
     """The grid CSVs a surfaces run writes, one per grid spec."""
-    return [cfg.output_dir / f"{spec.kind}.csv" for spec in cfg.problem]
+    return [output_dir / f"{spec.kind}.csv" for spec in grids]
 
 
-def _parse_surfaces(raw, problem, cfg: ExperimentConfig):
-    grids = raw.get("grids", list(GRID_KINDS))
+def _parse_surfaces(raw):
+    problem, grids = _problem(raw), raw.pop("grids", list(GRID_KINDS))
     if not isinstance(grids, list) or not grids:
         raise ConfigError("grids must be a non-empty list")
-    cfg.problem = []
+    specs = []
     for g in grids:  # GridSpec refuses a kind that is not a grid's name
         values = problem.get(g, {}) if isinstance(g, str) else {}
         if isinstance(values, dict) and "d_list" in values:
             values = {**values, "d_list": _number_list(values["d_list"], int,
                                                        f"grid {g}: d_list", 1)}
-        cfg.problem.append(_spec(GridSpec, f"grid {g}", values, kind=g))
-    unknown = set(problem) - set(grids)
-    if unknown:
+        specs.append(_spec(GridSpec, f"grid {g}", values, kind=g))
+    if unknown := set(problem) - set(grids):
         raise ConfigError(f"problem: key(s) {sorted(unknown, key=str)} name no listed grid")
+    return {"grids": specs}
 
 
-def _parse_verify_gradients(raw, problem, cfg: ExperimentConfig):
-    dims = _number_list(raw.get("dims", [*cfg.dims]), int, "dims", 1)
-    cfg.dims = tuple(_distinct(dims, "dims entry"))
-    # A tolerance nothing can exceed checks nothing.  load_config has refused
-    # points < 1, seed < 0 and a non-finite tolerance already.
-    if not cfg.tolerance > 0.0:
-        raise ConfigError(
-            f"Gradient check needs 0 < tolerance < inf, got tolerance={cfg.tolerance}"
-        )
+def _parse_verify_gradients(raw):
+    seed, points = _int(raw, "seed", 0, 0), _int(raw, "points", 100, 1)
+    tolerance = _number(raw.pop("tolerance", 1e-5), float, "tolerance")
+    dims = _distinct(_number_list(raw.pop("dims", [1, 2, 5, 8]), int, "dims", 1), "dims entry")
+    if not tolerance > 0.0:  # a tolerance nothing can exceed checks nothing
+        raise ConfigError(f"Gradient check needs 0 < tolerance < inf, got tolerance={tolerance}")
+    return dict(seed=seed, points=points, dims=tuple(dims), tolerance=tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -368,27 +366,21 @@ def _map_cells(fn, calls):
 
 
 class _Kind(NamedTuple):
-    keys: set
     parse: Callable
     run: str
 
 
-# One entry per experiment kind: ``keys``, the top-level keys its configs
-# read besides schema_version, experiment and output_dir (any other is
-# refused); ``parse(raw, problem, cfg)``, its checks, which build from a copy
-# of the problem section all that its run reads, so that a bad value exits
-# before the output directory is made; ``run``, the name in ``experiments``
-# of its ``run(cfg)``, which makes its rows.
+# One entry per experiment kind: ``parse(raw)``, its checks, which pop every
+# top-level key the kind reads from load_config's copy of the config and
+# return its run's keyword arguments, so that a bad value exits before the
+# output directory is made; ``run``, the name in ``experiments`` of its
+# ``run(output_dir, **args)``, which makes its rows.
 _KINDS = {
-    "test_function": _Kind({"seed", "trials", "steps", "record_every", "problem", "optimizers"},
-                           _parse_test_function, "_run_test_function_experiment"),
-    "regression": _Kind({"seed", "trials", "problem", "model", "optimizers"},
-                        _parse_regression, "_run_regression_experiment"),
-    "regret": _Kind({"seed", "trials", "horizon", "dims", "problem", "optimizer"},
-                    _parse_regret, "_run_regret_experiment_kind"),
-    "surfaces": _Kind({"problem", "grids"}, _parse_surfaces, "_run_surfaces_experiment"),
-    "verify_gradients": _Kind({"seed", "points", "dims", "tolerance"},
-                              _parse_verify_gradients, "_run_verify_gradients_experiment"),
+    "test_function": _Kind(_parse_test_function, "_run_test_function_experiment"),
+    "regression": _Kind(_parse_regression, "_run_regression_experiment"),
+    "regret": _Kind(_parse_regret, "_run_regret_experiment_kind"),
+    "surfaces": _Kind(_parse_surfaces, "_run_surfaces_experiment"),
+    "verify_gradients": _Kind(_parse_verify_gradients, "_run_verify_gradients_experiment"),
 }
 EXPERIMENT_KINDS = tuple(_KINDS)
 
@@ -403,7 +395,8 @@ def run_experiment(cfg: ExperimentConfig):
         raise ConfigError(f"Cannot make output directory {cfg.output_dir}: {exc}") from exc
     from . import experiments  # here, so that a config is checked without numpy
 
-    rows, groups = iter(getattr(experiments, _KINDS[cfg.kind].run)(cfg)), {}
+    run = getattr(experiments, _KINDS[cfg.kind].run)
+    rows, groups = iter(run(cfg.output_dir, **cfg.args)), {}
     first = next(rows, None)  # every cell has run, and every check passed, by now
     if first is None:
         return 0

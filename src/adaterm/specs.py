@@ -84,6 +84,9 @@ class OptimizerConfig:
             raise ValueError(f"Invalid nu_tilde_min: {self.nu_tilde_min}")
         if self.nu_tilde_init is None:
             self.nu_tilde_init = self.nu_tilde_min + self.eps
+            if not self.nu_tilde_init > self.nu_tilde_min:  # the default, so say what made it
+                raise ValueError("nu_tilde_min + eps rounds to nu_tilde_min: "
+                                 f"nu_tilde_min={self.nu_tilde_min}, eps={self.eps}")
         if not self.nu_tilde_init > self.nu_tilde_min:
             raise ValueError(
                 f"Invalid nu_tilde_init (must exceed nu_tilde_min): {self.nu_tilde_init}"

@@ -102,7 +102,7 @@ def regret_run(tmp_path_factory):
     t0 = time.perf_counter()
     run_experiment(cfg)
     elapsed = time.perf_counter() - t0
-    return read_results_csv(cfg.output_dir / "results.csv"), elapsed, cfg.optimizers[0][1]
+    return read_results_csv(cfg.output_dir / "results.csv"), elapsed, cfg.args["optimizer"][1]
 
 
 # --- 1 -----------------------------------------------------------------

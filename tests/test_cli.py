@@ -287,6 +287,16 @@ def test_run_rejects_unused_top_level_key(tmp_path, capsys, template, old, new, 
          "model.layer_sizes must start and end with 1, got [2, 3, 1]"),
         (SMALL_REGRESSION, "[1, 4, 1]", "[1, 3, 2]",
          "model.layer_sizes must start and end with 1, got [1, 3, 2]"),
+        # A key that the parse sets itself is not the config's to set.
+        (SMALL_REGRET, "grad_bound: 4.0", "grad_bound: 4.0\n  dim: 3",
+         "problem section: unknown key(s) ['dim']"),
+        (SMALL_SURFACES, "problem:", "problem:\n  Fig1: {{kind: TauSurface}}",
+         "grid Fig1: unknown key(s) ['kind']"),
+        # The default nu_tilde_init, nu_tilde_min + eps, must exceed nu_tilde_min.
+        (SMALL_RUN, "alpha: 0.01", "eps: 1.0e-300",
+         "nu_tilde_min + eps rounds to nu_tilde_min: nu_tilde_min=1.0, eps=1e-300"),
+        (SMALL_RUN, "alpha: 0.01", "nu_tilde_min: 1.0e+17",
+         "nu_tilde_min + eps rounds to nu_tilde_min: nu_tilde_min=1e+17, eps=1e-05"),
     ],
     ids=["tolerance", "testfn-ratio", "regression-ratio", "dims", "layer-sizes",
          "misspelt-noise-ratios", "regret-bias-correction", "regret-algorithm",
@@ -305,7 +315,8 @@ def test_run_rejects_unused_top_level_key(tmp_path, capsys, template, old, new, 
          "kind-list", "function-list", "top-level-mixed-keys", "problem-mixed-keys",
          "optimizer-mixed-keys", "surfaces-problem-mixed-keys", "spec-mixed-keys",
          "name-list", "name-null", "name-number", "zero-noise-nu", "negative-noise-nu",
-         "negative-noise-scale", "layer-sizes-input-2", "layer-sizes-output-2"],
+         "negative-noise-scale", "layer-sizes-input-2", "layer-sizes-output-2",
+         "regret-problem-dim", "grid-kind", "tiny-eps", "huge-nu-tilde-min"],
 )
 def test_run_rejects_bad_value(tmp_path, capsys, template, old, new, fragment):
     cfg = write_config(tmp_path, template.replace(old, new))

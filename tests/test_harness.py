@@ -3,6 +3,8 @@ harness is built around: a cell's rows do not depend on how its trials are
 split into batches, a single trial (n = 1) included."""
 
 import ast
+import copy
+import inspect
 import itertools
 import math
 import os
@@ -15,6 +17,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -91,11 +94,12 @@ def test_load_valid_test_function_config(tmp_path):
     cfg = load_config(write_cfg(tmp_path, VALID_TEST_FUNCTION))
     assert cfg.kind == "test_function"
     assert cfg.output_dir == Path("out")
-    assert (cfg.seed, cfg.trials, cfg.steps) == (3, 4, 100)
-    assert cfg.record_every == 10
-    assert [n for n, _ in cfg.optimizers] == ["AdaTerm", "Adam-small"]
-    assert cfg.optimizers[0][1].alpha == 0.01
-    assert cfg.noise_ratios == (0.0, 0.1)
+    args = cfg.args
+    assert (args["seed"], args["trials"], args["steps"]) == (3, 4, 100)
+    assert args["record_every"] == 10
+    assert [n for n, _ in args["optimizers"]] == ["AdaTerm", "Adam-small"]
+    assert args["optimizers"][0][1].alpha == 0.01
+    assert args["noise_ratios"] == (0.0, 0.1)
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.yaml")))
@@ -106,19 +110,87 @@ def test_shipped_configs_parse(name):
     )
     # What each run reads is built at load time.
     if name == "rosenbrock.yaml":
-        assert cfg.problem == "Rosenbrock"
-        assert cfg.noise_ratios == (0.0, 0.01, 0.025, 0.05, 0.10, 0.15)
+        assert cfg.args["function"] == "Rosenbrock"
+        assert cfg.args["noise_ratios"] == (0.0, 0.01, 0.025, 0.05, 0.10, 0.15)
     elif name == "regression.yaml":
-        assert cfg.problem == RegressionStreamSpec(n_pairs=8000, batch_size=10)
-        assert cfg.noise_ratios == (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
+        assert cfg.args["stream"] == RegressionStreamSpec(n_pairs=8000, batch_size=10)
+        assert cfg.args["noise_ratios"] == (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
     elif name == "regret.yaml":
-        assert cfg.problem == [OnlineConvexSpec(dim=d, box_halfwidth=1.0, grad_bound=4.0)
-                               for d in (2, 10)]
+        assert cfg.args["problems"] == [
+            OnlineConvexSpec(dim=d, box_halfwidth=1.0, grad_bound=4.0) for d in (2, 10)]
     elif name == "surfaces.yaml":
-        assert cfg.problem == [GridSpec(kind=kind)
-                               for kind in ("Fig1", "TauSurface", "DofIncrementSurface")]
+        assert cfg.args["grids"] == [GridSpec(kind=kind)
+                                     for kind in ("Fig1", "TauSurface", "DofIncrementSurface")]
     else:
-        assert name == "verify.yaml" and cfg.dims == (1, 2, 5, 8)
+        assert name == "verify.yaml" and cfg.args["dims"] == (1, 2, 5, 8)
+
+
+# The keys each kind needs, every optional one left out.
+MINIMAL_CONFIGS = {
+    "test_function": "problem: {function: Rosenbrock}\noptimizers: [{algorithm: Adam}]\n",
+    "regression": "optimizers: [{algorithm: Adam}]\n",
+    "regret": "optimizer: {lr_schedule: InverseSqrt, bias_correction: false}\n",
+    "surfaces": "",
+    "verify_gradients": "",
+}
+
+
+@pytest.mark.parametrize(
+    "source", [*sorted(p.name for p in CONFIG_DIR.glob("*.yaml")), *MINIMAL_CONFIGS])
+def test_each_parse_builds_exactly_its_runs_arguments(tmp_path, source):
+    """A kind's run states what it reads as keyword-only parameters with no
+    defaults, and its parse builds exactly those, so drift shows here and
+    not once a run has made its output directory."""
+    assert set(MINIMAL_CONFIGS) == set(harness.EXPERIMENT_KINDS)
+    path = CONFIG_DIR / source if source.endswith(".yaml") else write_cfg(
+        tmp_path, f"schema_version: 1\nexperiment: {source}\n{MINIMAL_CONFIGS[source]}")
+    cfg = load_config(path)
+    output_dir, *params = inspect.signature(
+        getattr(experiments, harness._KINDS[cfg.kind].run)).parameters.values()
+    assert output_dir.name == "output_dir" and output_dir.kind is output_dir.POSITIONAL_OR_KEYWORD
+    assert all(p.kind is p.KEYWORD_ONLY and p.default is p.empty for p in params)
+    assert set(cfg.args) == {p.name for p in params}
+    with pytest.raises(AttributeError):  # a stale field is refused, not quietly added
+        cfg.trials = 3
+
+
+# Each value of a shipped config, at any depth, is replaced by each of these
+# in turn (``float("nan")`` is YAML's ``.nan``; ``"1e-5"`` is how YAML reads
+# an unquoted 1e-5).
+BAD_VALUES = [None, "x", [], {}, -1, 0, 1.5, True, 1e300, -1e300, [None], [0], ["x"],
+              {"a": 1}, float("nan"), 2**70, "1e-5", [1, 1]]
+
+
+def _value_paths(node, path=()):
+    """The key path of every value under ``node``, containers included."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield (*path, key)
+        yield from _value_paths(value, (*path, key))
+
+
+def test_parsing_fails_only_with_config_error(tmp_path):
+    """Any one bad value in a shipped config loads or raises ConfigError,
+    never another exception."""
+    dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)  # libyaml's, if there: quicker
+    path = tmp_path / "mutated.yaml"
+    for shipped in sorted(CONFIG_DIR.glob("*.yaml")):
+        doc = yaml.safe_load(shipped.read_text())
+        for where in _value_paths(doc):
+            for bad in BAD_VALUES:
+                mutated = copy.deepcopy(doc)
+                node = mutated
+                for key in where[:-1]:
+                    node = node[key]
+                node[where[-1]] = bad
+                path.write_text(yaml.dump(mutated, Dumper=dumper))
+                try:
+                    load_config(path)
+                except ConfigError:
+                    pass
+                except Exception as exc:
+                    pytest.fail(f"{shipped.name} {where} = {bad!r}: {exc!r}")
 
 
 def test_missing_file_is_config_error(tmp_path):
@@ -653,8 +725,7 @@ def test_rerun_is_byte_identical(tmp_path):
     for sub in ("a", "b"):
         cfg = load_config(write_cfg(tmp_path, VALID_TEST_FUNCTION))
         cfg.output_dir = tmp_path / sub
-        cfg.trials = 3
-        cfg.steps = 40
+        cfg.args.update(trials=3, steps=40)
         run_experiment(cfg)
     assert (tmp_path / "a" / "results.csv").read_bytes() == (
         tmp_path / "b" / "results.csv"
@@ -667,9 +738,7 @@ def test_rerun_is_byte_identical(tmp_path):
 def test_run_experiment_writes_tables_and_fans_out_seeds(tmp_path):
     cfg = load_config(write_cfg(tmp_path, VALID_TEST_FUNCTION))
     cfg.output_dir = tmp_path / "out"
-    cfg.trials = 3
-    cfg.steps = 40
-    cfg.record_every = 0
+    cfg.args.update(trials=3, steps=40, record_every=0)
     count = run_experiment(cfg)
     rows = read_results_csv(cfg.output_dir / "results.csv")
     assert count == len(rows)
@@ -681,13 +750,13 @@ def test_run_experiment_writes_tables_and_fans_out_seeds(tmp_path):
     ]
     assert [r.seed for r in adaterm_rows] == [3, 4, 5]  # base seed + trial index
     # Each trial's row is a one-trial cell on the draws of make_rng(seed) alone.
-    for p in cfg.noise_ratios:
-        for name, opt_cfg in cfg.optimizers:
+    for p in cfg.args["noise_ratios"]:
+        for name, opt_cfg in cfg.args["optimizers"]:
             got = [r.value for r in rows if r.optimizer == name
                    and r.experiment == f"Rosenbrock:p={p:g}"
                    and r.metric == "final_error_norm"]
             want = [float(_run_test_function_cell("Rosenbrock", [p], opt_cfg,
-                                                  *noise(seed, 1, cfg.steps))[0][0, 0])
+                                                  *noise(seed, 1, cfg.args["steps"]))[0][0, 0])
                     for seed in (3, 4, 5)]
             assert got == want
     kinds = {r.metric for r in rows}
@@ -699,7 +768,7 @@ def test_run_experiment_streams_its_rows(tmp_path):
     process stays below half of what reading its results.csv back takes."""
     cfg = load_config(write_cfg(tmp_path, VALID_TEST_FUNCTION))
     cfg.output_dir = tmp_path / "out"
-    cfg.trials, cfg.steps, cfg.record_every = 20, 300, 1
+    cfg.args.update(trials=20, steps=300, record_every=1)
     tracemalloc.start()
     try:
         count = run_experiment(cfg)
@@ -718,18 +787,18 @@ def test_run_experiment_streams_its_rows(tmp_path):
 def test_run_that_fails_while_rows_stream_keeps_the_old_tables(tmp_path, monkeypatch):
     cfg = load_config(write_cfg(tmp_path, VALID_TEST_FUNCTION))
     cfg.output_dir = tmp_path / "out"
-    cfg.trials = 30  # 1380 rows: more than one chunk reaches the temp file
+    cfg.args["trials"] = 30  # 1380 rows: more than one chunk reaches the temp file
     run_experiment(cfg)
     before = {p.name: p.read_bytes() for p in cfg.output_dir.iterdir()}
     name = harness._KINDS["test_function"].run
     run = getattr(experiments, name)
 
-    def failing(cfg):
-        yield from itertools.islice(run(cfg), 1100)
+    def failing(output_dir, **args):
+        yield from itertools.islice(run(output_dir, **args), 1100)
         raise RuntimeError("stopped")
 
     monkeypatch.setattr(experiments, name, failing)
-    cfg.seed = 9
+    cfg.args["seed"] = 9
     with pytest.raises(RuntimeError, match="stopped"):
         run_experiment(cfg)
     assert {p.name: p.read_bytes() for p in cfg.output_dir.iterdir()} == before
@@ -741,24 +810,21 @@ def test_run_that_fails_while_rows_stream_keeps_the_old_tables(tmp_path, monkeyp
 
 
 def test_regret_experiment_kind(tmp_path):
-    cfg = ExperimentConfig(
-        kind="regret",
-        output_dir=tmp_path / "regret",
+    cfg = ExperimentConfig(kind="regret", output_dir=tmp_path / "regret", args=dict(
+        seed=0,
         trials=2,
         horizon=60,
-        optimizers=[
-            (
-                "AdaTerm",
-                OptimizerConfig(
-                    algorithm="AdaTerm",
-                    alpha=0.1,
-                    lr_schedule="InverseSqrt",
-                    bias_correction=False,
-                ),
-            )
-        ],
-        problem=[OnlineConvexSpec(dim=2, box_halfwidth=1.0, grad_bound=4.0)],
-    )
+        optimizer=(
+            "AdaTerm",
+            OptimizerConfig(
+                algorithm="AdaTerm",
+                alpha=0.1,
+                lr_schedule="InverseSqrt",
+                bias_correction=False,
+            ),
+        ),
+        problems=[OnlineConvexSpec(dim=2, box_halfwidth=1.0, grad_bound=4.0)],
+    ))
     run_experiment(cfg)
     rows = read_results_csv(cfg.output_dir / "results.csv")
     metrics = {r.metric for r in rows}
@@ -771,8 +837,8 @@ def test_regret_experiment_kind(tmp_path):
     assert (cfg.output_dir / "regret_d2_seed0.csv").exists()
     assert (cfg.output_dir / "regret_d2_seed1.csv").exists()
     # Seed 1's run is a run on the sequence drawn from make_rng(1) alone.
-    seq = QuadraticSequence(cfg.problem[0], [make_rng(1)], 60)
-    [own] = run_regret_experiment(seq, cfg.optimizers[0][1])
+    seq = QuadraticSequence(cfg.args["problems"][0], [make_rng(1)], 60)
+    [own] = run_regret_experiment(seq, cfg.args["optimizer"][1])
     assert [r.value for r in rows if r.metric == "R_T"][1] == own.R_T
 
 
@@ -788,25 +854,21 @@ def test_regret_experiment_runs_once_per_dimension(tmp_path, monkeypatch):
         return run_regret_experiment(seq, opt_cfg)
 
     monkeypatch.setattr(experiments, "run_regret_experiment", counted)
-    cfg = ExperimentConfig(
-        kind="regret",
-        output_dir=tmp_path / "regret",
+    cfg = ExperimentConfig(kind="regret", output_dir=tmp_path / "regret", args=dict(
         seed=4,
         trials=3,
         horizon=20,
-        optimizers=[
-            (
-                "AdaTerm",
-                OptimizerConfig(
-                    algorithm="AdaTerm",
-                    alpha=0.1,
-                    lr_schedule="InverseSqrt",
-                    bias_correction=False,
-                ),
-            )
-        ],
-        problem=[OnlineConvexSpec(dim=d, box_halfwidth=1.0, grad_bound=4.0) for d in (2, 5)],
-    )
+        optimizer=(
+            "AdaTerm",
+            OptimizerConfig(
+                algorithm="AdaTerm",
+                alpha=0.1,
+                lr_schedule="InverseSqrt",
+                bias_correction=False,
+            ),
+        ),
+        problems=[OnlineConvexSpec(dim=d, box_halfwidth=1.0, grad_bound=4.0) for d in (2, 5)],
+    ))
     run_experiment(cfg)
     rows = read_results_csv(cfg.output_dir / "results.csv")
     calls = [ast.literal_eval(p.read_text()) for p in calls_dir.iterdir()]
@@ -821,7 +883,7 @@ def test_surfaces_experiment_writes_grids(tmp_path):
     cfg = ExperimentConfig(
         kind="surfaces",
         output_dir=tmp_path / "grids",
-        problem=[GridSpec(kind="TauSurface", n_nu=3, n_D=4)],
+        args={"grids": [GridSpec(kind="TauSurface", n_nu=3, n_D=4)]},
     )
     assert run_experiment(cfg) == 0
     assert (cfg.output_dir / "TauSurface.csv").exists()
@@ -841,7 +903,7 @@ def test_shipped_surfaces_config_writes_three_grids(tmp_path):
 
 def test_gradient_verification_passes_at_default_tolerance(tmp_path):
     cfg = ExperimentConfig(kind="verify_gradients", output_dir=tmp_path / "verify",
-                           points=20, dims=(1, 3), seed=0)
+                           args=dict(points=20, dims=(1, 3), seed=0, tolerance=1e-5))
     run_experiment(cfg)
     rows = read_results_csv(cfg.output_dir / "results.csv")
     assert [(r.optimizer, r.step) for r in rows] == [
@@ -853,15 +915,13 @@ def test_gradient_verification_passes_at_default_tolerance(tmp_path):
 
 def test_gradient_verification_detects_impossible_tolerance(tmp_path):
     cfg = ExperimentConfig(kind="verify_gradients", output_dir=tmp_path / "verify",
-                           points=5, dims=(1,), tolerance=1e-30)
+                           args=dict(seed=0, points=5, dims=(1,), tolerance=1e-30))
     with pytest.raises(VerificationError):
         run_experiment(cfg)
     cfg = ExperimentConfig(
         kind="verify_gradients",
         output_dir=tmp_path / "verify",
-        points=5,
-        dims=(1, 2),
-        tolerance=1e-30,
+        args=dict(seed=0, points=5, dims=(1, 2), tolerance=1e-30),
     )
     with pytest.raises(VerificationError, match="max relative error"):
         run_experiment(cfg)
@@ -871,22 +931,18 @@ def test_verify_gradients_experiment_rows(tmp_path):
     cfg = ExperimentConfig(
         kind="verify_gradients",
         output_dir=tmp_path / "verify",
-        points=10,
-        dims=(1, 2),
-        tolerance=1e-4,
+        args=dict(seed=0, points=10, dims=(1, 2), tolerance=1e-4),
     )
     assert run_experiment(cfg) == 6
     rows = read_results_csv(cfg.output_dir / "results.csv")
     assert {r.optimizer for r in rows} == {"grad_m", "grad_v", "grad_nu"}
     assert all(r.metric == "max_rel_fd_err" for r in rows)
     assert (cfg.output_dir / "results.csv").exists()
-    # Without dims, a config built by hand and a loaded one run the same dims.
-    built = ExperimentConfig(kind="verify_gradients", output_dir=tmp_path / "built", points=1)
+    # A loaded config without dims runs the default dims, which only its
+    # parse states: a config built by hand states its own.
     loaded = load_config(write_cfg(tmp_path, "schema_version: 1\n"
                                    "experiment: verify_gradients\npoints: 1\n"))
     loaded.output_dir = tmp_path / "loaded"
-    steps = []
-    for cfg in (built, loaded):
-        run_experiment(cfg)
-        steps.append([r.step for r in read_results_csv(cfg.output_dir / "results.csv")])
-    assert steps[0] == steps[1] == [d for d in (1, 2, 5, 8) for _ in range(3)]
+    run_experiment(loaded)
+    steps = [r.step for r in read_results_csv(loaded.output_dir / "results.csv")]
+    assert steps == [d for d in (1, 2, 5, 8) for _ in range(3)]
