@@ -37,6 +37,7 @@ from .problems import (TEST_FUNCTIONS, NOISE_HALF_RANGE, QuadraticSequence,
 from .regret import run_regret_experiment, sublinearity_ratio, write_regret_csv
 from .results import NonFiniteGradientError, ResultRow, VerificationError
 from .rng import make_rng
+from .specs import RegressionStreamSpec
 from .surfaces import write_grid_csvs
 from .tdist import grad_m, grad_nu_exact, grad_v, log_density
 
@@ -202,7 +203,6 @@ def _run_regret_dimension(spec, optimizer, seeds, horizon, output_dir):
     """One dimension's rows and trace files: every seed in one run."""
     name, opt_cfg = optimizer
     exp_id = f"regret:d={spec.dim}"
-    # Passed inline, so the run can free the draws once every round is played.
     reports = run_regret_experiment(
         QuadraticSequence(spec, [make_rng(seed) for seed in seeds], horizon),
         opt_cfg,

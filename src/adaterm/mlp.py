@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .specs import DEFAULT_LAYER_SIZES
-
 __all__ = ["MlpModel", "stack_parameters", "forward", "backward", "mse_loss"]
 
 

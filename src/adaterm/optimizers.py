@@ -19,17 +19,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .specs import ABLATIONS, ALGORITHMS, LR_SCHEDULES, VARIANTS, OptimizerConfig
-from .tdist import NonFiniteGradientError, advance_arrays, diagnostics_arrays
+from .results import NonFiniteGradientError
+from .specs import OptimizerConfig
+from .tdist import advance_arrays, diagnostics_arrays
 
-__all__ = [
-    "ALGORITHMS",
-    "VARIANTS",
-    "ABLATIONS",
-    "LR_SCHEDULES",
-    "OptimizerConfig",
-    "GroupState",
-]
+__all__ = ["GroupState"]
 
 # ---------------------------------------------------------------------------
 # Pure batched update rules
@@ -53,19 +47,14 @@ def adaterm_moments(m, v, nu_tilde, g, cfg: OptimizerConfig):
         return m_new, v_new, nu_tilde, tau
 
     diag = diagnostics_arrays(m, v, nu_tilde, g, beta, eps, cfg.nu_tilde_min)
+    m_new, v_new, nu_new = advance_arrays(m, v, nu_tilde, g, diag)
     if cfg.variant == "AdaTerm2":
         # Alternative scale rule: the clipped correction is replaced by an
-        # always-positive target w_mv * s + eps^2.
+        # always-positive target w_mv * s + eps^2; m and nu step as Default's.
         tau_v = (1.0 - beta) / diag.w_mv_bar
-        m_new = (
-            (1.0 - diag.tau_mv[..., None]) * m + diag.tau_mv[..., None] * g
-        )
         v_new = (1.0 - tau_v[..., None]) * v + tau_v[..., None] * (
             diag.w_mv[..., None] * diag.s + eps * eps
         )
-        nu_new = (1.0 - diag.tau_nu) * nu_tilde + diag.tau_nu * diag.lam
-    else:
-        m_new, v_new, nu_new = advance_arrays(m, v, nu_tilde, g, diag)
     if cfg.ablation == "NoAdaptiveness":
         nu_new = nu_tilde
     return m_new, v_new, nu_new, diag.tau_mv

@@ -20,10 +20,8 @@ __all__ = [
     "TEST_FUNCTIONS",
     "TestFunction",
     "apply_coordinate_noise",
-    "RegressionStreamSpec",
     "true_regression_fn",
     "generate_regression_stream",
-    "OnlineConvexSpec",
     "QuadraticSequence",
 ]
 

@@ -5,20 +5,20 @@ A run is handed a ``problems.QuadraticSequence`` with one generator per
 trial and plays all of its rounds, so the horizon T is the sequence's
 length.  It steps the noise-robust optimizer for every trial at once
 through one ``optimizers.GroupState`` (no bias correction, step size
-alpha/sqrt(t)), then clamps onto the box.  It plays in blocks of
+alpha/sqrt(t)), then clamps onto the box.  It makes one pass, in blocks of
 ``BLOCK`` = 256 rounds: a round only takes the gradient, steps, clamps and
 writes theta, g and v into the block's (trials, BLOCK, d) buffers, and
-after each block the buffers are reduced into (trials, T) logs of the
-loss, the comparator's loss, tau_t and the per-round sums over the
-coordinates of g_t^2, v_t^{1/2} and (sum_{s<t} g_s^4)^{1/2}.  Then it
-frees the draws and, in blocks of the same size, evaluates the regret
-against the offline optimum and every term of the bound at every prefix,
-from observed quantities only.  Each running quantity (the largest
-gradient, the past g^4, the minima and sums of the bound) is a sequential
-scan carried across the block edges, so every prefix has the bits of a
-round-by-round accumulation; and every quantity is computed row by row,
-so a trial's report does not depend on which trials share its run.  The
-bound must dominate the regret at every prefix.
+after each block the buffers are reduced and the block's loss, regret
+against the offline optimum and every term of the bound are evaluated at
+each of its prefixes, from observed quantities only.  Every quantity is
+causal: each running one (the regret, tau_low, the largest gradient, the
+past v and g^4, the geometric sums) is a sequential scan carried across
+the block edge, so every prefix has the bits of a round-by-round
+accumulation; and every quantity is computed row by row, so a trial's
+report does not depend on which trials share its run.  The (trials, T)
+logs are the loss, the regret and the bound prefixes and tau_t, with the
+per-round sum of g_t^2 in T + 1 columns.  The bound must dominate the
+regret at every prefix.
 
 Bound structure (four terms, evaluated at horizon T):
 
@@ -44,9 +44,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .files import write_csvs
-from .optimizers import GroupState, OptimizerConfig
+from .optimizers import GroupState
 from .problems import QuadraticSequence
-from .specs import _validate_regret_config
+from .specs import OptimizerConfig, _validate_regret_config
 
 __all__ = [
     "RegretReport",
@@ -56,8 +56,7 @@ __all__ = [
     "write_regret_csv",
 ]
 
-# Rounds per block of play, of the comparator's losses and of the bound's
-# evaluation.
+# Rounds per block: each block is played, then its regret and bound evaluated.
 BLOCK = 256
 
 
@@ -155,8 +154,8 @@ def _sqrt_past_g4_sums(g, g4_past):
 
 
 def run_regret_experiment(seq: QuadraticSequence, cfg: OptimizerConfig):
-    """Play every round of ``seq`` for all of its trials at once, then
-    evaluate each trial's bound at every prefix.
+    """Play every round of ``seq`` for all of its trials at once, evaluating
+    each trial's bound at every prefix as each block of rounds is played.
 
     Returns one ``RegretReport`` per trial, in the order of the sequence's
     generators.  The horizon T is ``len(seq)``.  The comparator is the
@@ -176,19 +175,17 @@ def run_regret_experiment(seq: QuadraticSequence, cfg: OptimizerConfig):
     # float array even for an integer box_halfwidth.
     theta = np.tile(hi, (n, 1))
     state = GroupState(cfg, n, d)
+    alpha, beta, eps = cfg.alpha, cfg.beta, cfg.eps
 
     # Play a block of rounds at a time.  A round only steps, clamps, writes
     # its theta (before the step), g and v into the block's buffers and its
-    # tau into the log; the other per-round logs the bound reads are reduced
-    # from the buffers after the block.
-    losses = np.empty((n, T))
-    star_losses = np.empty((n, T))
-    tau_log = np.empty((n, T))
+    # tau into the log.  After the block, the buffers are reduced and the
+    # block's regret and bound evaluated, each running quantity (the regret,
+    # tau_low, the past v-sum, the geometric sums, the past g^4) carried
+    # across the block edge.
+    losses, regret_prefix, bound_rhs_prefix, tau_log = (np.empty((n, T)) for _ in range(4))
     g2_step = np.zeros((n, T + 1))  # round t's sum of g^2 in column t
-    sqrt_v_sum = np.empty((n, T))
-    sqrt_g4_sum = np.empty((n, T))
-    G = np.zeros(n)
-    g4_past = np.zeros((n, d))
+    G, g4_past, sv_carry, geo = np.zeros(n), np.zeros((n, d)), np.zeros(n), [0.0] * n
     thetas, gs, vs = (np.empty((n, BLOCK, d)) for _ in range(3))
     for k0 in range(0, T, BLOCK):
         k1 = min(k0 + BLOCK, T)
@@ -201,50 +198,40 @@ def run_regret_experiment(seq: QuadraticSequence, cfg: OptimizerConfig):
             vs[:, j] = state.v
             tau_log[:, t - 1] = state.tau
         b = k1 - k0
-        rounds, g, v = slice(k0, k1), gs[:, :b], vs[:, :b]
+        rounds, g, v, tau = slice(k0, k1), gs[:, :b], vs[:, :b], tau_log[:, k0:k1]
         losses[:, rounds] = seq.loss(rounds, thetas[:, :b])
-        star_losses[:, rounds] = seq.loss(rounds, theta_star[:, None])
+        regret = np.subtract(losses[:, rounds], seq.loss(rounds, theta_star[:, None]),
+                             out=regret_prefix[:, rounds])
+        if k0:  # carried in before the scan, so each prefix is a round-by-round sum
+            regret[:, 0] += regret_prefix[:, k0 - 1]
+        np.cumsum(regret, axis=1, out=regret)
         G = np.maximum(G, np.max(np.abs(g), axis=(1, 2)))
         g2_step[:, k0 + 1:k1 + 1] = np.sum(g * g, axis=-1)
-        sqrt_v_sum[:, rounds] = np.sum(np.sqrt(v), axis=-1)
-        sqrt_g4_sum[:, rounds], g4_past = _sqrt_past_g4_sums(g, g4_past)
-    # The evaluation reads only the logs: free the (n, T, d) draws for its
-    # temporaries.
-    del seq
+        sqrt_v_sum = np.sum(np.sqrt(v), axis=-1)
+        sqrt_g4_sum, g4_past = _sqrt_past_g4_sums(g, g4_past)
 
-    # Evaluate, a block of rounds at a time, each running quantity carried
-    # across the block edges.
-    regret_prefix = np.subtract(losses, star_losses, out=star_losses)
-    np.cumsum(regret_prefix, axis=1, out=regret_prefix)
-    # A block of the g^4 log is read only by its own terms: the bound overwrites it.
-    bound_rhs_prefix = sqrt_g4_sum
-    alpha, beta, eps = cfg.alpha, cfg.beta, cfg.eps
-    # tau_1 stands for tau_low before round 1: it leaves the minima unchanged
-    # and, with g2 zero there, gives the empty sum 0 at round 1.
-    low_carry, sv_carry, geo = tau_log[:, 0], np.zeros(n), [0.0] * n
-    for k0 in range(0, T, BLOCK):
-        k1 = min(k0 + BLOCK, T)
         # Scalars from math: np.log and math.log can differ in the last bit.
         sqrt_t = np.array([math.sqrt(t) for t in range(k0 + 1, k1 + 1)])
         log_t = np.array([math.sqrt(1.0 + math.log(t - 1)) if t > 1 else 0.0
                           for t in range(k0 + 1, k1 + 1)])
-        tau = tau_log[:, k0:k1]
-        lows = np.concatenate([low_carry[:, None], tau], axis=1)
+        # tau_1 stands for tau_low before round 1: it leaves the minima unchanged
+        # and, with g2 zero there, gives the empty sum 0 at round 1.
+        lows = np.concatenate([(low_carry if k0 else tau[:, 0])[:, None], tau], axis=1)
         np.minimum.accumulate(lows, axis=1, out=lows)
         tau_low = lows[:, 1:]
-        y = sqrt_t * sqrt_v_sum[:, k0:k1]
+        y = sqrt_t * sqrt_v_sum
         sv_past = np.concatenate([sv_carry[:, None], y[:, :-1]], axis=1)
         np.cumsum(sv_past, axis=1, out=sv_past)
         geo_block = np.empty_like(tau)  # filled row by row: one trial's float list at a time
         for i, total in enumerate(geo):
             geo_block[i] = _geometric_sums(g2_step[i], lows[i].tolist(), k0, total)
-        term1 = D_diam**2 * sqrt_t / (4.0 * tau * alpha) * sqrt_v_sum[:, k0:k1]
+        term1 = D_diam**2 * sqrt_t / (4.0 * tau * alpha) * sqrt_v_sum
         term2 = _coeff_term2(tau_low, beta) * D_diam**2 / alpha * sv_past
         term3 = (1.0 - beta) ** 2 * alpha / (eps * tau_low**2 * sqrt_t) * geo_block
-        term4 = _coeff_term4(tau_low, beta, alpha, eps) * log_t * sqrt_g4_sum[:, k0:k1]
+        term4 = _coeff_term4(tau_low, beta, alpha, eps) * log_t * sqrt_g4_sum
         if k0 == 0:
             term4[:, 0] = 0.0  # the sum over rounds before round 1 is empty
-        bound = np.add(term1, term2, out=bound_rhs_prefix[:, k0:k1])
+        bound = np.add(term1, term2, out=bound_rhs_prefix[:, rounds])
         bound += term3
         bound += term4
         low_carry, sv_carry = lows[:, -1], sv_past[:, -1] + y[:, -1]

@@ -1,8 +1,8 @@
 """The specs a config is parsed into, and the names they may take: the
 optimizer's hyper-parameters, the regression stream, the online convex
 problem and the figure grids.  This module imports no numpy, so a config is
-parsed and checked before any numerical module loads.  ``optimizers``,
-``problems``, ``surfaces``, ``mlp`` and ``regret`` serve these names too.
+parsed and checked before any numerical module loads.  These names live here
+only: the numerical modules import what they use of them from this module.
 The methods that return arrays import numpy when they are called.
 """
 

@@ -22,10 +22,10 @@ from __future__ import annotations
 import numpy as np
 
 from .files import write_csvs
-from .specs import GRID_KINDS, GridSpec
+from .specs import GridSpec
 from .tdist import dof_step, grad_nu_surrogate_pre, interpolation_factor, weights
 
-__all__ = ["GRID_KINDS", "GridSpec", "emit_grid", "write_grid_csvs"]
+__all__ = ["emit_grid", "write_grid_csvs"]
 
 
 def emit_grid(spec: GridSpec):

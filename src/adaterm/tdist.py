@@ -39,11 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .results import NonFiniteGradientError
 from .special import EPS_FLOAT32, W_NU_BAR_CEIL, digamma
 
 __all__ = [
-    "NonFiniteGradientError",
     "StepDiagnostics",
     "log_density",
     "grad_m",

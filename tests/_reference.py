@@ -5,14 +5,14 @@ gradient-ascent form of the estimator's step, which its interpolation
 updates must agree with; the per-cell ``csv.writer`` table writer, which
 ``files.write_csv`` must match byte for byte; and the summary statistics
 through ``np.mean``, ``np.std`` and ``np.median``, whose bits
-``harness.summarize_rows`` must match."""
+``results.summarize_rows`` must match."""
 
 import csv
 import math
 
 import numpy as np
 
-from adaterm.harness import ConfigError, SummaryRow
+from adaterm.results import ConfigError, SummaryRow
 from adaterm.regret import _coeff_term2, _coeff_term4
 from adaterm.tdist import _dof_gradient, diagnostics_arrays, dof_step
 

@@ -12,20 +12,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adaterm.harness import load_config, read_results_csv, run_experiment, summarize_rows
+from adaterm.harness import load_config, run_experiment
 from adaterm.optimizers import (
     GroupState,
-    OptimizerConfig,
     adam_moments,
     adaterm_eta,
     adaterm_moments,
     tadam_moments,
     update_bias_accumulator,
 )
-from adaterm.problems import OnlineConvexSpec, QuadraticSequence
+from adaterm.problems import QuadraticSequence
 from adaterm.regret import run_regret_experiment
+from adaterm.results import read_results_csv, summarize_rows
 from adaterm.rng import make_rng
-from adaterm.surfaces import GridSpec, emit_grid
+from adaterm.specs import GridSpec, OnlineConvexSpec, OptimizerConfig
+from adaterm.surfaces import emit_grid
 from adaterm.tdist import grad_nu_from_deviation, grad_nu_surrogate_pre
 
 from _golden import PLATEAU_WINDOW_HIGH, PLATEAU_WINDOW_LOW

@@ -8,7 +8,8 @@ import pytest
 
 from adaterm import experiments
 from adaterm.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_NUMERICAL, EXIT_OK, main
-from adaterm.harness import EXPERIMENT_KINDS, VerificationError, load_config, run_experiment
+from adaterm.harness import EXPERIMENT_KINDS, load_config, run_experiment
+from adaterm.results import VerificationError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -297,6 +298,16 @@ def test_run_rejects_unused_top_level_key(tmp_path, capsys, template, old, new, 
          "nu_tilde_min + eps rounds to nu_tilde_min: nu_tilde_min=1.0, eps=1e-300"),
         (SMALL_RUN, "alpha: 0.01", "nu_tilde_min: 1.0e+17",
          "nu_tilde_min + eps rounds to nu_tilde_min: nu_tilde_min=1e+17, eps=1e-05"),
+        # Values YAML cannot build (a bad tag, an int past Python's digit
+        # limit), written as text: yaml.dump cannot write them.
+        (SMALL_RUN, "trials: 2", "trials: !!int x", "Config parse error in "),
+        (SMALL_RUN, "alpha: 0.01", "alpha: !!float x", "Config parse error in "),
+        (SMALL_RUN, "trials: 2", "trials: 1" + "0" * 4999, "Config parse error in "),
+        # An int too large for a float, where a float is read.
+        (SMALL_RUN, "alpha: 0.01", "alpha: 1" + "0" * 399,
+         "alpha is out of range: an integer of 1326 bits"),
+        (SMALL_REGRESSION, "n_pairs: 20", "n_pairs: 20\n  x_high: 1" + "0" * 399,
+         "problem section: x_high is out of range"),
     ],
     ids=["tolerance", "testfn-ratio", "regression-ratio", "dims", "layer-sizes",
          "misspelt-noise-ratios", "regret-bias-correction", "regret-algorithm",
@@ -316,7 +327,8 @@ def test_run_rejects_unused_top_level_key(tmp_path, capsys, template, old, new, 
          "optimizer-mixed-keys", "surfaces-problem-mixed-keys", "spec-mixed-keys",
          "name-list", "name-null", "name-number", "zero-noise-nu", "negative-noise-nu",
          "negative-noise-scale", "layer-sizes-input-2", "layer-sizes-output-2",
-         "regret-problem-dim", "grid-kind", "tiny-eps", "huge-nu-tilde-min"],
+         "regret-problem-dim", "grid-kind", "tiny-eps", "huge-nu-tilde-min",
+         "int-tag", "float-tag", "5000-digit-trials", "400-digit-alpha", "400-digit-x-high"],
 )
 def test_run_rejects_bad_value(tmp_path, capsys, template, old, new, fragment):
     cfg = write_config(tmp_path, template.replace(old, new))

@@ -30,32 +30,30 @@ from adaterm.experiments import (
     draw_test_function_noise,
 )
 from adaterm.files import write_csv
-from adaterm.harness import (
-    ConfigError,
-    ExperimentConfig,
-    ResultRow,
-    VerificationError,
-    load_config,
-    read_results_csv,
-    run_experiment,
-    summarize_rows,
-    write_results_csv,
-    write_summary_csv,
-)
+from adaterm.harness import ExperimentConfig, load_config, run_experiment
 from adaterm.mlp import MlpModel, backward, forward, mse_loss, stack_parameters
-from adaterm.optimizers import ALGORITHMS, GroupState, OptimizerConfig
+from adaterm.optimizers import GroupState
 from adaterm.problems import (
     NOISE_HALF_RANGE,
-    OnlineConvexSpec,
     QuadraticSequence,
-    RegressionStreamSpec,
     apply_coordinate_noise,
     generate_regression_stream,
     true_regression_fn,
 )
 from adaterm.regret import run_regret_experiment, write_regret_csv
+from adaterm.results import (
+    ConfigError,
+    ResultRow,
+    VerificationError,
+    read_results_csv,
+    summarize_rows,
+    write_results_csv,
+    write_summary_csv,
+)
 from adaterm.rng import make_rng
-from adaterm.surfaces import GridSpec, write_grid_csvs
+from adaterm.specs import (ALGORITHMS, GridSpec, OnlineConvexSpec, OptimizerConfig,
+                           RegressionStreamSpec)
+from adaterm.surfaces import write_grid_csvs
 
 from _reference import reference_summarize_rows, summary_bits
 
@@ -158,7 +156,7 @@ def test_each_parse_builds_exactly_its_runs_arguments(tmp_path, source):
 # in turn (``float("nan")`` is YAML's ``.nan``; ``"1e-5"`` is how YAML reads
 # an unquoted 1e-5).
 BAD_VALUES = [None, "x", [], {}, -1, 0, 1.5, True, 1e300, -1e300, [None], [0], ["x"],
-              {"a": 1}, float("nan"), 2**70, "1e-5", [1, 1]]
+              {"a": 1}, float("nan"), 2**70, 10**400, "1e-5", [1, 1]]
 
 
 def _value_paths(node, path=()):

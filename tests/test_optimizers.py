@@ -9,12 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaterm.optimizers import (
-    ABLATIONS,
-    ALGORITHMS,
-    LR_SCHEDULES,
-    VARIANTS,
     GroupState,
-    OptimizerConfig,
     adam_eta,
     adam_moments,
     adabelief_moments,
@@ -23,8 +18,9 @@ from adaterm.optimizers import (
     tadam_moments,
     update_bias_accumulator,
 )
+from adaterm.results import NonFiniteGradientError
 from adaterm.rng import make_rng
-from adaterm.tdist import NonFiniteGradientError
+from adaterm.specs import ABLATIONS, ALGORITHMS, LR_SCHEDULES, VARIANTS, OptimizerConfig
 
 from _golden import (
     ADABELIEF_TRACE_D2,
@@ -146,6 +142,26 @@ def test_alternative_scale_rule_against_golden():
         assert m[0] == pytest.approx(G["ms"][k], rel=1e-12)
         assert v[0] == pytest.approx(G["vs"][k], rel=1e-12)
         assert float(nu) == pytest.approx(G["nus"][k], rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_alternative_scale_rule_steps_m_and_nu_as_default(seed):
+    """AdaTerm2 changes only the v update: on any batched state, one step's
+    m and nu are Default's bit for bit."""
+    rng = make_rng(seed)
+    n, d = 7, 5
+    default = OptimizerConfig(algorithm="AdaTerm")
+    alt = OptimizerConfig(algorithm="AdaTerm", variant="AdaTerm2")
+    m = rng.normal(size=(n, d))
+    v = default.eps**2 + rng.exponential(size=(n, d))
+    nu = default.nu_tilde_min + rng.exponential(10.0, size=n)
+    g = rng.standard_cauchy(size=(n, d))
+    m_d, v_d, nu_d, tau_d = adaterm_moments(m, v, nu, g, default)
+    m_a, v_a, nu_a, tau_a = adaterm_moments(m, v, nu, g, alt)
+    assert m_a.tobytes() == m_d.tobytes()
+    assert nu_a.tobytes() == nu_d.tobytes()
+    assert tau_a.tobytes() == tau_d.tobytes()
+    assert not np.array_equal(v_a, v_d)
 
 
 def test_adaterm_three_step_trace():

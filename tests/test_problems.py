@@ -7,19 +7,17 @@ import numpy as np
 import pytest
 
 from adaterm.experiments import _run_test_function_cell, draw_test_function_noise
-from adaterm.optimizers import OptimizerConfig
 from adaterm.problems import (
     NOISE_HALF_RANGE,
-    OnlineConvexSpec,
     QuadraticSequence,
-    RegressionStreamSpec,
     TEST_FUNCTIONS,
     apply_coordinate_noise,
     generate_regression_stream,
     true_regression_fn,
 )
-from adaterm.specs import TEST_FUNCTION_NAMES
 from adaterm.rng import make_rng
+from adaterm.specs import (TEST_FUNCTION_NAMES, OnlineConvexSpec, OptimizerConfig,
+                           RegressionStreamSpec)
 
 from _golden import (
     MICHALEWICZ_FSTAR,

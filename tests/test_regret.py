@@ -4,8 +4,7 @@ Gaussian-limit closed form."""
 import numpy as np
 import pytest
 
-from adaterm.optimizers import OptimizerConfig
-from adaterm.problems import OnlineConvexSpec, QuadraticSequence
+from adaterm.problems import QuadraticSequence
 from adaterm.regret import (
     BLOCK,
     run_regret_experiment,
@@ -14,6 +13,7 @@ from adaterm.regret import (
     write_regret_csv,
 )
 from adaterm.rng import make_rng
+from adaterm.specs import OnlineConvexSpec, OptimizerConfig
 
 from _reference import corollary_rhs, theorem_rhs
 from _regret_replay import replay_logs

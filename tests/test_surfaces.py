@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from adaterm.special import EPS_FLOAT32, W_NU_BAR_CEIL
-from adaterm.surfaces import GRID_KINDS, GridSpec, emit_grid, write_grid_csvs
+from adaterm.specs import GRID_KINDS, GridSpec
+from adaterm.surfaces import emit_grid, write_grid_csvs
 from adaterm.tdist import (
     diagnostics_arrays,
     dof_step,

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from adaterm.results import NonFiniteGradientError
 from adaterm.special import W_NU_BAR_CEIL
 from adaterm.tdist import (
-    NonFiniteGradientError,
     advance_arrays,
     diagnostics_arrays,
     grad_m,
@@ -27,8 +27,9 @@ from _golden import (
 )
 from _reference import ascent_forms, grad_nu_tilde_surrogate
 
-from adaterm.optimizers import GroupState, OptimizerConfig
+from adaterm.optimizers import GroupState
 from adaterm.rng import make_rng
+from adaterm.specs import OptimizerConfig
 
 
 def fresh(d, **kwargs):

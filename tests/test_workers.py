@@ -14,7 +14,8 @@ import pytest
 
 from adaterm import experiments
 from adaterm.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_WORKER, main
-from adaterm.harness import WorkerError, _map_cells
+from adaterm.harness import _map_cells
+from adaterm.results import WorkerError
 
 TEST_FUNCTION = """\
 schema_version: 1
