@@ -2,19 +2,20 @@
 per-trial draws and its cells.  ``harness.run_experiment`` imports this
 module once a config has been checked.
 
-An experiment draws each trial's randomness once, from
-``make_rng(base_seed + i)`` through the draw helpers below (which document
-the canonical per-trial draw order), and hands the arrays to every
-optimizer's cell; a cell only computes from what it is handed.  The cell
+Trial i of an experiment draws its randomness from ``make_rng(base_seed +
+i)`` in the canonical order the draw helpers below document, so every
+optimizer sees the same noise: the draws depend only on the seed.  A cell
 advances all of its trials as one batched array computation (trial axis
 leading) through ``optimizers.GroupState``, the same state a regret run
 steps with one dimension's seeds on the trial axis; a single model is the
-case n = 1.  A test-function cell is one optimizer's pass: its k noise
-ratios are stacked on the trial axis (k * n rows, ratio outer) over the
-same (n, steps) noise.  A regression experiment draws each trial's model
-and stream once, into arrays with the trial axis leading; a regression
-cell runs one ratio and makes its labels from those draws.  A single
-trial is a cell run on that trial's draws alone (a row slice), and rows
+case n = 1.  A test-function cell is one optimizer's pass, handed only its
+trials' seeds: it draws their noise itself, ``BLOCK`` steps at a time
+(``_noise_blocks``), so no process holds a (trials, steps) array, and its
+k noise ratios are stacked on the trial axis (k * n rows, ratio outer)
+over the same noise.  A regression experiment draws each trial's model and
+stream once, into arrays with the trial axis leading, and hands them to
+every cell; a regression cell runs one ratio and makes its labels from
+those draws.  A single trial is a cell run on that trial alone, and rows
 do not depend on how ratios or trials are grouped: any split of the
 trials into contiguous batches, and any grouping of the ratios, gives
 byte-identical rows.  The cells run in forked workers
@@ -34,7 +35,7 @@ from .mlp import backward as _batched_backward, forward as _batched_forward
 from .optimizers import GroupState
 from .problems import (TEST_FUNCTIONS, NOISE_HALF_RANGE, QuadraticSequence,
                        apply_coordinate_noise, generate_regression_stream, true_regression_fn)
-from .regret import run_regret_experiment, sublinearity_ratio, write_regret_csv
+from .regret import BLOCK, run_regret_experiment, sublinearity_ratio, write_regret_csv
 from .results import NonFiniteGradientError, ResultRow, VerificationError
 from .rng import make_rng
 from .specs import RegressionStreamSpec
@@ -84,12 +85,38 @@ def _error_norm(diff):
     return np.sqrt(np.add.reduce(diff * diff, axis=-1))
 
 
-def _run_test_function_cell(function, ratios, opt_cfg, us, deltas, record_every=0):
+def _noise_blocks(seeds, steps):
+    """Yield the noise of the trials ``seeds``, ``BLOCK`` steps at a time, as
+    (us (n, b), deltas (n, b, 2)) with b <= BLOCK.  Joined along the step
+    axis, the blocks are each trial's
+    ``draw_test_function_noise(make_rng(seed), steps)`` bit for bit: a trial
+    reads its trigger uniforms from one ``make_rng(seed)`` and its
+    perturbations from a second one advanced past the ``steps`` uniforms,
+    since ``random`` and ``uniform`` each take one 64-bit PCG64 output per
+    double.  The two buffers are reused, so a block is valid only until the
+    next one is drawn.
+    """
+    triggers = [make_rng(s) for s in seeds]
+    perturbations = [make_rng(s) for s in seeds]
+    for rng in perturbations:
+        rng.bit_generator.advance(steps)
+    us, deltas = np.empty((len(seeds), BLOCK)), np.empty((len(seeds), BLOCK, 2))
+    for t0 in range(0, steps, BLOCK):
+        b = min(BLOCK, steps - t0)
+        for i, (trigger, perturbation) in enumerate(zip(triggers, perturbations)):
+            trigger.random(out=us[i, :b])
+            deltas[i, :b] = perturbation.uniform(-NOISE_HALF_RANGE, NOISE_HALF_RANGE,
+                                                 size=(b, 2))
+        yield us[:, :b], deltas[:, :b]
+
+
+def _run_test_function_cell(function, ratios, opt_cfg, seeds, steps, record_every=0):
     """One (function, optimizer) cell at every noise ratio in ``ratios``,
-    as a single batched run of k * n rows, ratio outer, on the n trials'
-    noise draws ``us`` (n, steps) and ``deltas`` (n, steps, 2); a single
-    ratio is k = 1 and a single trial is a row slice of the draws.  Every
-    ratio shares the draws, since they do not depend on the ratio.
+    as a single batched run of k * n rows, ratio outer, over ``steps`` steps
+    of the n trials ``seeds``, whose noise the cell draws block by block
+    (``_noise_blocks``); a single ratio is k = 1 and a single trial is one
+    seed.  Every ratio shares the draws, since they do not depend on the
+    ratio.
 
     Returns (final error norms (k, n), final nu_tilde (k, n) or None,
     [(step, error norms (k, n))]).
@@ -98,18 +125,20 @@ def _run_test_function_cell(function, ratios, opt_cfg, us, deltas, record_every=
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"Invalid noise probability: {p}")
     tf = TEST_FUNCTIONS[function]
-    k, (n, steps) = len(ratios), us.shape
+    k, n = len(ratios), len(seeds)
     probs = np.asarray(ratios, dtype=np.float64)[:, None]  # (k, 1): one per row block
     theta = np.tile(np.asarray(tf.start, dtype=np.float64), (k * n, 1))
     grid = theta.reshape(k, n, 2)  # a view: the step updates theta in place
     state = GroupState(opt_cfg, k * n, 2)
     opt_pt = np.asarray(tf.optimum)
     trails = []
-    for t in range(1, steps + 1):
-        noisy = apply_coordinate_noise(grid, us[:, t - 1], deltas[:, t - 1], probs)
-        state.step(theta, tf.grad(noisy).reshape(k * n, 2), t)
-        if record_every and t % record_every == 0:
-            trails.append((t, _error_norm(grid - opt_pt)))
+    for t0, (us, deltas) in zip(range(0, steps, BLOCK), _noise_blocks(seeds, steps)):
+        for j in range(us.shape[1]):
+            t = t0 + j + 1
+            noisy = apply_coordinate_noise(grid, us[:, j], deltas[:, j], probs)
+            state.step(theta, tf.grad(noisy).reshape(k * n, 2), t)
+            if record_every and t % record_every == 0:
+                trails.append((t, _error_norm(grid - opt_pt)))
     final_norm = _error_norm(grid - opt_pt)
     final_nu = state.nu.reshape(k, n) if opt_cfg.algorithm == "AdaTerm" else None
     return final_norm, final_nu, trails
@@ -117,14 +146,10 @@ def _run_test_function_cell(function, ratios, opt_cfg, us, deltas, record_every=
 
 def _run_test_function_experiment(output_dir, *, function, noise_ratios, optimizers, seed,
                                   trials, steps, record_every):
-    us = np.empty((trials, steps))
-    deltas = np.empty((trials, steps, 2))
-    for i in range(trials):
-        us[i], deltas[i] = draw_test_function_noise(make_rng(seed + i), steps)
-    cells = _map_cells(_run_test_function_cell, {
-        f"{function} {name}": (function, noise_ratios, opt_cfg, us, deltas, record_every)
-        for name, opt_cfg in optimizers})
     seeds = range(seed, seed + trials)
+    cells = _map_cells(_run_test_function_cell, {
+        f"{function} {name}": (function, noise_ratios, opt_cfg, seeds, steps, record_every)
+        for name, opt_cfg in optimizers})
     # One (ratio, optimizer) block at a time: only its (n,) slices become floats.
     for j, p in enumerate(noise_ratios):
         exp_id = f"{function}:p={p:g}"

@@ -7,9 +7,9 @@ what a kind reads, its parse (``_KINDS``) builds exactly that, and a key no
 parse reads is refused.  This module imports no numpy, so a bad config exits
 before any numerical module loads or the output directory is made.
 ``run_experiment`` then imports ``experiments`` and calls the kind's run.
-The cells run in forked workers, one per usable core, which inherit the
-draws and send back only their results (``_map_cells``); with one usable
-core they run in this process.
+The cells run in forked workers, one per usable core, which inherit their
+arguments and send back only their results (``_map_cells``); with one
+usable core they run in this process.
 
 The result tables, ``results.csv`` and ``summary.csv``, their rows and
 statistics live in ``results`` (no numpy).  ``run_experiment`` streams the
@@ -67,6 +67,32 @@ _ALGORITHM_KEYS = {
 }
 
 
+# The longest text a message shows for one config value.
+_SHOWN_CHARS = 100
+
+
+def _shown(value, form=repr):
+    """``form(value)`` for a message when that is short, else the value's
+    type and size: the bit length of an int, the length of a string, list or
+    mapping.  YAML builds ints of any length from hexadecimal literals, and
+    one of more than 4,300 digits, or a list holding one, has no ``repr``."""
+    try:
+        text = form(value)
+    except ValueError:
+        text = None
+    if text is not None and len(text) <= _SHOWN_CHARS:
+        return text
+    kind = type(value).__name__
+    if isinstance(value, int):
+        return f"<{kind} of {value.bit_length()} bits>"
+    return f"<{kind} of length {len(value)}>" if hasattr(value, "__len__") else f"<{kind}>"
+
+
+def _keys(keys):
+    """``keys`` sorted by their text, so that mixed types sort, shown as a list."""
+    return f"[{', '.join(map(_shown, sorted(keys, key=lambda key: _shown(key, str))))}]"
+
+
 def _number(value, kind, what, low=None):
     """``value`` as ``kind`` (int or float), or a ConfigError naming ``what``.
 
@@ -82,21 +108,21 @@ def _number(value, kind, what, low=None):
         finite = math.isfinite(number)
     except (TypeError, ValueError):
         noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{what} must be {noun}, got {value!r}") from None
+        raise ConfigError(f"{what} must be {noun}, got {_shown(value)}") from None
     except OverflowError:  # its digits may be too many even to print
         raise ConfigError(f"{what} is out of range: an integer of "
                           f"{value.bit_length()} bits") from None
     if not finite:
-        raise ConfigError(f"{what} must be finite, got {value!r}")
+        raise ConfigError(f"{what} must be finite, got {_shown(value)}")
     if low is not None and number < low:
-        raise ConfigError(f"{what} must be >= {low}, got {number}")
+        raise ConfigError(f"{what} must be >= {low}, got {_shown(number)}")
     return number
 
 
 def _number_list(value, kind, what, low=None):
     """A non-empty list of numbers, each through ``_number``."""
     if not isinstance(value, list) or not value:
-        raise ConfigError(f"need non-empty {what}: a non-empty list, got {value!r}")
+        raise ConfigError(f"need non-empty {what}: a non-empty list, got {_shown(value)}")
     return [_number(x, kind, f"{what} entry", low) for x in value]
 
 
@@ -122,16 +148,16 @@ def _parse_optimizer(section, index):
         raise ConfigError(f"optimizers[{index}] must be a mapping")
     algorithm = section.get("algorithm", "AdaTerm")
     if algorithm not in ALGORITHMS:
-        raise ConfigError(f"optimizers[{index}]: Unknown algorithm: {algorithm!r}")
+        raise ConfigError(f"optimizers[{index}]: Unknown algorithm: {_shown(algorithm)}")
     unknown = set(section) - _SHARED_OPTIMIZER_KEYS - _ALGORITHM_KEYS[algorithm]
     if unknown:
         raise ConfigError(
-            f"optimizers[{index}]: unknown key(s) {sorted(unknown, key=str)} for {algorithm}"
+            f"optimizers[{index}]: unknown key(s) {_keys(unknown)} for {algorithm}"
         )
     cfg = _spec(OptimizerConfig, f"optimizers[{index}]",
                 {k: v for k, v in section.items() if k != "name"})
     if not isinstance(name := section.get("name", cfg.algorithm), str):
-        raise ConfigError(f"optimizers[{index}]: name must be text, got {name!r}")
+        raise ConfigError(f"optimizers[{index}]: name must be text, got {_shown(name)}")
     return name, cfg
 
 
@@ -147,11 +173,11 @@ def _optimizer_list(raw, kind):
     return optimizers
 
 
-def _distinct(values, what, label=str):
+def _distinct(values, what, label=lambda value: value):
     """``values``, whose labels must differ: two of one label would name one cell."""
     labels = [label(v) for v in values]
     if repeated := [key for key in labels if labels.count(key) > 1]:
-        raise ConfigError(f"Duplicate {what}: {repeated[0]} (in {values})")
+        raise ConfigError(f"Duplicate {what}: {_shown(repeated[0], str)} (in {_shown(values)})")
     return values
 
 
@@ -178,17 +204,17 @@ def load_config(path) -> ExperimentConfig:
     raw = dict(raw)  # each key read is popped: what is left, no kind reads
     if type(version := raw.pop("schema_version", None)) is not int or version != SCHEMA_VERSION:
         raise ConfigError(
-            f"Unsupported schema_version {version!r} "
+            f"Unsupported schema_version {_shown(version)} "
             f"(expected {SCHEMA_VERSION})"
         )
     kind = raw.pop("experiment", None)
     if kind not in EXPERIMENT_KINDS:  # a tuple, so an unhashable kind is just unknown
-        raise ConfigError(f"Unknown experiment kind: {kind!r}")
+        raise ConfigError(f"Unknown experiment kind: {_shown(kind)}")
     if not isinstance(out := raw.pop("output_dir", "results"), str):
-        raise ConfigError(f"output_dir must be a string, got {out!r}")
+        raise ConfigError(f"output_dir must be a string, got {_shown(out)}")
     args = _KINDS[kind].parse(raw)
     if raw:
-        raise ConfigError(f"{kind} configs do not use key(s) {sorted(raw, key=str)}")
+        raise ConfigError(f"{kind} configs do not use key(s) {_keys(raw)}")
     return ExperimentConfig(kind, Path(out), args)
 
 
@@ -199,7 +225,7 @@ _FIELD_KINDS = {int: int, float: float, Optional[float]: float, bool: bool}
 
 def _field_value(value, kind, what):
     if kind is bool and not isinstance(value, bool):
-        raise ConfigError(f"{what} must be true or false, got {value!r}")
+        raise ConfigError(f"{what} must be true or false, got {_shown(value)}")
     return _number(value, kind, what) if kind in (int, float) else value
 
 
@@ -210,11 +236,11 @@ def _spec(cls, what, values, **fixed):
     field is declared an int or a float (optional or not) goes through
     ``_number`` as that type first, and one declared a bool must be one."""
     if not isinstance(values, dict):
-        raise ConfigError(f"{what} must be a mapping, got {values!r}")
+        raise ConfigError(f"{what} must be a mapping, got {_shown(values)}")
     hints = get_type_hints(cls)
     kinds = {f.name: _FIELD_KINDS.get(hints[f.name]) for f in fields(cls)}
     if unknown := set(values) - set(kinds).difference(fixed):
-        raise ConfigError(f"{what}: unknown key(s) {sorted(unknown, key=str)}")
+        raise ConfigError(f"{what}: unknown key(s) {_keys(unknown)}")
     values = {k: _field_value(v, kinds[k], f"{what}: {k}") for k, v in values.items()}
     try:
         return cls(**values, **fixed)
@@ -228,9 +254,9 @@ def _parse_test_function(raw):
     optimizers, ratios = _optimizer_list(raw, "test_function"), _noise_ratios(problem)
     function, names = problem.pop("function", None), sorted(TEST_FUNCTION_NAMES)
     if problem:
-        raise ConfigError(f"problem: unknown key(s) {sorted(problem, key=str)}")
+        raise ConfigError(f"problem: unknown key(s) {_keys(problem)}")
     if function not in names:
-        raise ConfigError(f"Unknown test function: {function!r} (choose from {names})")
+        raise ConfigError(f"Unknown test function: {_shown(function)} (choose from {names})")
     return dict(seeds, steps=steps, record_every=record_every, function=function,
                 noise_ratios=ratios, optimizers=optimizers)
 
@@ -240,13 +266,13 @@ def _parse_regression(raw):
     optimizers, ratios = _optimizer_list(raw, "regression"), _noise_ratios(problem)
     model = raw.pop("model", {})
     if not isinstance(model, dict) or set(model) - {"layer_sizes"}:
-        raise ConfigError(f"model must map layer_sizes only, got {model!r}")
+        raise ConfigError(f"model must map layer_sizes only, got {_shown(model)}")
     sizes = model.get("layer_sizes", list(DEFAULT_LAYER_SIZES))
     sizes = _number_list(sizes, int, "model.layer_sizes", 1)
     if len(sizes) < 2:
-        raise ConfigError(f"model.layer_sizes must list >= 2 sizes, got {sizes!r}")
+        raise ConfigError(f"model.layer_sizes must list >= 2 sizes, got {_shown(sizes)}")
     if sizes[0] != 1 or sizes[-1] != 1:  # one input x, one output y
-        raise ConfigError(f"model.layer_sizes must start and end with 1, got {sizes!r}")
+        raise ConfigError(f"model.layer_sizes must start and end with 1, got {_shown(sizes)}")
     return dict(seeds, optimizers=optimizers, noise_ratios=ratios, model_sizes=tuple(sizes),
                 stream=_spec(RegressionStreamSpec, "problem section", problem))
 
@@ -277,13 +303,14 @@ def _parse_surfaces(raw):
         raise ConfigError("grids must be a non-empty list")
     specs = []
     for g in grids:  # GridSpec refuses a kind that is not a grid's name
+        what = f"grid {_shown(g, str)}"
         values = problem.get(g, {}) if isinstance(g, str) else {}
         if isinstance(values, dict) and "d_list" in values:
             values = {**values, "d_list": _number_list(values["d_list"], int,
-                                                       f"grid {g}: d_list", 1)}
-        specs.append(_spec(GridSpec, f"grid {g}", values, kind=g))
+                                                       f"{what}: d_list", 1)}
+        specs.append(_spec(GridSpec, what, values, kind=g))
     if unknown := set(problem) - set(grids):
-        raise ConfigError(f"problem: key(s) {sorted(unknown, key=str)} name no listed grid")
+        raise ConfigError(f"problem: key(s) {_keys(unknown)} name no listed grid")
     return {"grids": specs}
 
 

@@ -249,12 +249,16 @@ def sublinearity_ratio(report: RegretReport, t_low=1000, t_high=5000):
     """max over T in [t_low, t_high] of (R_T/sqrt(T)) / (R_{t_low}/sqrt(t_low)).
 
     A ratio near or below 1 means the normalized regret stopped growing.
+    NaN when R_{t_low} is not positive: a ratio to it says nothing of
+    growth, and a negative one would pass any upper bound.
     """
     hi = min(t_high, report.T)
     if hi < t_low:
         raise ValueError(f"Horizon {report.T} shorter than t_low={t_low}")
     ts = np.arange(t_low, hi + 1)
     norm = report.regret_prefix[t_low - 1 : hi] / np.sqrt(ts)
+    if not norm[0] > 0.0:
+        return math.nan
     return float(np.max(norm) / norm[0])
 
 

@@ -308,6 +308,16 @@ def test_run_rejects_unused_top_level_key(tmp_path, capsys, template, old, new, 
          "alpha is out of range: an integer of 1326 bits"),
         (SMALL_REGRESSION, "n_pairs: 20", "n_pairs: 20\n  x_high: 1" + "0" * 399,
          "problem section: x_high is out of range"),
+        # A value too long to print (YAML builds a hexadecimal int past the
+        # digit limit) is shown by its type and size.
+        (SMALL_RUN, "schema_version: 1", "schema_version: 0x1" + "0" * 5000,
+         "Unsupported schema_version <int of 20001 bits> (expected 1)"),
+        (SMALL_RUN, "experiment: test_function", "experiment: 0x1" + "0" * 5000,
+         "Unknown experiment kind: <int of 20001 bits>"),
+        (SMALL_RUN, "alpha: 0.01", "alpha: [0x1" + "0" * 5000 + "]",
+         "optimizers[0]: alpha must be a number, got <list of length 1>"),
+        (SMALL_RUN, "trials: 2", "trials: 2\n? 0x1" + "0" * 5000 + "\n: 1\nbogus: 3",
+         "test_function configs do not use key(s) [<int of 20001 bits>, 'bogus']"),
     ],
     ids=["tolerance", "testfn-ratio", "regression-ratio", "dims", "layer-sizes",
          "misspelt-noise-ratios", "regret-bias-correction", "regret-algorithm",
@@ -328,7 +338,8 @@ def test_run_rejects_unused_top_level_key(tmp_path, capsys, template, old, new, 
          "name-list", "name-null", "name-number", "zero-noise-nu", "negative-noise-nu",
          "negative-noise-scale", "layer-sizes-input-2", "layer-sizes-output-2",
          "regret-problem-dim", "grid-kind", "tiny-eps", "huge-nu-tilde-min",
-         "int-tag", "float-tag", "5000-digit-trials", "400-digit-alpha", "400-digit-x-high"],
+         "int-tag", "float-tag", "5000-digit-trials", "400-digit-alpha", "400-digit-x-high",
+         "hex-schema-version", "hex-experiment", "hex-alpha-list", "hex-key"],
 )
 def test_run_rejects_bad_value(tmp_path, capsys, template, old, new, fragment):
     cfg = write_config(tmp_path, template.replace(old, new))

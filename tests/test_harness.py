@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from adaterm import experiments, harness
 from adaterm.experiments import (
     TEST_X_POINTS,
+    _noise_blocks,
     _run_regression_cell,
     _run_test_function_cell,
     draw_regression_trial,
@@ -35,6 +36,7 @@ from adaterm.mlp import MlpModel, backward, forward, mse_loss, stack_parameters
 from adaterm.optimizers import GroupState
 from adaterm.problems import (
     NOISE_HALF_RANGE,
+    TEST_FUNCTIONS,
     QuadraticSequence,
     apply_coordinate_noise,
     generate_regression_stream,
@@ -189,6 +191,15 @@ def test_parsing_fails_only_with_config_error(tmp_path):
                     pass
                 except Exception as exc:
                     pytest.fail(f"{shipped.name} {where} = {bad!r}: {exc!r}")
+
+
+def test_messages_show_a_long_value_by_its_type_and_size():
+    assert harness._shown([1, "a"]) == "[1, 'a']"
+    assert harness._shown("a", str) == "a"
+    assert harness._shown("x" * 101) == "<str of length 101>"
+    assert harness._shown(-(10**200)) == "<int of 665 bits>"
+    assert harness._shown({"a": [16**5000]}) == "<dict of length 1>"
+    assert harness._keys(["b", 2**20000, 1]) == "[1, <int of 20001 bits>, 'b']"
 
 
 def test_missing_file_is_config_error(tmp_path):
@@ -538,6 +549,21 @@ def test_noise_draw_order():
     )
 
 
+@pytest.mark.parametrize("steps", [1, 255, 257, 600])
+def test_noise_blocks_join_into_the_canonical_draws(steps):
+    # Blocks of at most 256 steps, from two generators per trial, one of them
+    # advanced past the trigger uniforms.
+    seeds = [0, 7, 123456]
+    blocks = [(us.copy(), deltas.copy()) for us, deltas in _noise_blocks(seeds, steps)]
+    assert [us.shape[1] for us, _ in blocks] == [min(256, steps - t0)
+                                                 for t0 in range(0, steps, 256)]
+    want = [draw_test_function_noise(make_rng(s), steps) for s in seeds]
+    assert (np.concatenate([us for us, _ in blocks], axis=1).tobytes()
+            == np.stack([us for us, _ in want]).tobytes())
+    assert (np.concatenate([deltas for _, deltas in blocks], axis=1).tobytes()
+            == np.stack([deltas for _, deltas in want]).tobytes())
+
+
 def test_regression_draw_order():
     spec = RegressionStreamSpec(n_pairs=25, batch_size=10)
     model, *draws = draw_regression_trial(spec, (1, 4, 1), make_rng(6))
@@ -568,11 +594,22 @@ EQUIV_CONFIGS = [
 ]
 
 
-def noise(base_seed, n, steps):
-    """The noise of trials base_seed .. base_seed + n - 1, each drawn from
-    its own generator as a test-function experiment draws it."""
-    draws = [draw_test_function_noise(make_rng(base_seed + i), steps) for i in range(n)]
-    return np.stack([u for u, _ in draws]), np.stack([d for _, d in draws])
+@pytest.mark.parametrize("label, kwargs", EQUIV_CONFIGS, ids=[c[0] for c in EQUIV_CONFIGS])
+def test_cell_steps_on_the_canonical_draws(label, kwargs):
+    """Over 300 steps, across a block edge, the cell's final points are
+    those of a plain step loop on each trial's draw_test_function_noise."""
+    cfg, seeds, steps, p = OptimizerConfig(**kwargs), [5, 6], 300, 0.15
+    draws = [draw_test_function_noise(make_rng(s), steps) for s in seeds]
+    us, deltas = np.stack([u for u, _ in draws]), np.stack([d for _, d in draws])
+    tf = TEST_FUNCTIONS["Rosenbrock"]
+    theta = np.tile(np.asarray(tf.start), (len(seeds), 1))
+    state = GroupState(cfg, len(seeds), 2)
+    for t in range(1, steps + 1):
+        noisy = apply_coordinate_noise(theta, us[:, t - 1], deltas[:, t - 1], p)
+        state.step(theta, tf.grad(noisy), t)
+    norms, _, _ = _run_test_function_cell("Rosenbrock", [p], cfg, seeds, steps)
+    want = np.sqrt(np.add.reduce((theta - np.asarray(tf.optimum)) ** 2, axis=-1))
+    assert norms[0].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("label, kwargs", EQUIV_CONFIGS, ids=[c[0] for c in EQUIV_CONFIGS])
@@ -580,13 +617,13 @@ def test_batched_cell_matches_sequential_trials(label, kwargs):
     cfg = OptimizerConfig(**kwargs)
     steps, n = 200, 3
     norms, nus, trails = _run_test_function_cell(
-        "Rosenbrock", [0.05], cfg, *noise(0, n, steps), record_every=50
+        "Rosenbrock", [0.05], cfg, range(n), steps, record_every=50
     )
     assert [s for s, _ in trails] == [50, 100, 150, 200]
     for i in range(n):
         # Trial i alone, on the draws of its own generator make_rng(i).
         norm1, nu1, trail1 = _run_test_function_cell(
-            "Rosenbrock", [0.05], cfg, *noise(i, 1, steps), record_every=50
+            "Rosenbrock", [0.05], cfg, [i], steps, record_every=50
         )
         assert norm1[0, 0] == norms[0, i]
         if cfg.algorithm == "AdaTerm":
@@ -601,16 +638,15 @@ def test_batched_cell_matches_sequential_trials(label, kwargs):
 @pytest.mark.parametrize("label, kwargs", EQUIV_CONFIGS, ids=[c[0] for c in EQUIV_CONFIGS])
 def test_stacked_ratios_match_one_cell_per_ratio(label, kwargs):
     cfg = OptimizerConfig(**kwargs)
-    ratios = [0.0, 0.05, 1.0]
-    us, deltas = noise(4, 3, 120)
+    ratios, seeds = [0.0, 0.05, 1.0], range(4, 7)
     norms, nus, trails = _run_test_function_cell(
-        "Rosenbrock", ratios, cfg, us, deltas, record_every=40
+        "Rosenbrock", ratios, cfg, seeds, 120, record_every=40
     )
     assert norms.shape == (3, 3)
     assert [s for s, _ in trails] == [40, 80, 120]
     for j, p in enumerate(ratios):
         norm1, nu1, trail1 = _run_test_function_cell(
-            "Rosenbrock", [p], cfg, us, deltas, record_every=40
+            "Rosenbrock", [p], cfg, seeds, 120, record_every=40
         )
         assert norm1[0].tobytes() == norms[j].tobytes()
         if cfg.algorithm == "AdaTerm":
@@ -698,11 +734,11 @@ def test_any_contiguous_split_gives_identical_rows(algorithm, ratios, base_seed,
     record_every = data.draw(st.integers(0, steps))
     bounds = [0, *sorted(cuts), n]
     cfg = OptimizerConfig(algorithm=algorithm, alpha=0.01)
-    us, deltas = noise(base_seed, n, steps)
+    seeds = range(base_seed, base_seed + n)
 
     def cell(lo, hi):
         return _run_test_function_cell(
-            "Rosenbrock", ratios, cfg, us[lo:hi], deltas[lo:hi], record_every
+            "Rosenbrock", ratios, cfg, seeds[lo:hi], steps, record_every
         )
 
     # Trials are the inner axis of each (k, n) result.
@@ -747,14 +783,14 @@ def test_run_experiment_writes_tables_and_fans_out_seeds(tmp_path):
         and r.metric == "final_error_norm"
     ]
     assert [r.seed for r in adaterm_rows] == [3, 4, 5]  # base seed + trial index
-    # Each trial's row is a one-trial cell on the draws of make_rng(seed) alone.
+    # Each trial's row is a one-trial cell on the draws of its own seed alone.
     for p in cfg.args["noise_ratios"]:
         for name, opt_cfg in cfg.args["optimizers"]:
             got = [r.value for r in rows if r.optimizer == name
                    and r.experiment == f"Rosenbrock:p={p:g}"
                    and r.metric == "final_error_norm"]
-            want = [float(_run_test_function_cell("Rosenbrock", [p], opt_cfg,
-                                                  *noise(seed, 1, cfg.args["steps"]))[0][0, 0])
+            want = [float(_run_test_function_cell("Rosenbrock", [p], opt_cfg, [seed],
+                                                  cfg.args["steps"])[0][0, 0])
                     for seed in (3, 4, 5)]
             assert got == want
     kinds = {r.metric for r in rows}
@@ -780,6 +816,29 @@ def test_run_experiment_streams_its_rows(tmp_path):
     # AdaTerm's final nu_tilde.
     assert count == len(rows) == 2 * 20 * (2 * 301 + 1)
     assert run_peak < read_peak / 2, (run_peak, read_peak)
+
+
+def test_test_function_memory_does_not_grow_with_steps(tmp_path, monkeypatch):
+    """A test-function cell draws its noise 256 steps at a time, so no
+    (trials, steps) array is held: in one process, a 20-trial run's traced
+    peak grows by less than one (trials, 256) block of draws (24 bytes per
+    trial-step) from 512 to 2048 steps."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # cells run here
+
+    def peak(steps):
+        cfg = load_config(write_cfg(tmp_path, VALID_TEST_FUNCTION))
+        cfg.output_dir = tmp_path / f"out-{steps}"
+        cfg.args.update(trials=20, steps=steps, record_every=0)
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(512)  # the first run loads modules and fills caches
+    small, large = peak(512), peak(2048)
+    assert large - small < 20 * 256 * 24, (small, large)
 
 
 def test_run_that_fails_while_rows_stream_keeps_the_old_tables(tmp_path, monkeypatch):

@@ -25,8 +25,8 @@ from _golden import (
     REGRESSION_F_QUARTER,
 )
 
-# The noise of one trial over one step: (us, deltas) for a one-step cell.
-NO_NOISE = (np.ones((1, 1)), np.zeros((1, 1, 2)))
+# One trial (seed 0) over one step: (seeds, steps) for a one-step cell.
+ONE_STEP = ([0], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +92,7 @@ def test_eval_test_function_batches_and_errors():
     assert tf.fn(np.zeros((4, 3, 2))).shape == (4, 3)
     assert tf.grad(np.zeros((4, 3, 2))).shape == (4, 3, 2)
     with pytest.raises(KeyError, match="Sphere"):
-        _run_test_function_cell("Sphere", [0.0], OptimizerConfig(), *NO_NOISE)
+        _run_test_function_cell("Sphere", [0.0], OptimizerConfig(), *ONE_STEP)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +140,7 @@ def test_inject_noise_replays_canonical_draw_order():
 def test_inject_noise_rejects_bad_probability():
     for p in (1.5, -0.1, float("nan")):
         with pytest.raises(ValueError, match="noise probability"):
-            _run_test_function_cell("Rosenbrock", [0.0, p], OptimizerConfig(), *NO_NOISE)
+            _run_test_function_cell("Rosenbrock", [0.0, p], OptimizerConfig(), *ONE_STEP)
 
 
 def test_trigger_rate_matches_probability():

@@ -1,12 +1,15 @@
 """Online convex runs: projection, the per-prefix bound, and its
 Gaussian-limit closed form."""
 
+import math
+
 import numpy as np
 import pytest
 
 from adaterm.problems import QuadraticSequence
 from adaterm.regret import (
     BLOCK,
+    RegretReport,
     run_regret_experiment,
     sublinearity_ratio,
     weighted_projection,
@@ -343,6 +346,25 @@ def test_sublinearity_ratio_manual(medium_report):
     assert got == pytest.approx(float(norm.max() / norm[0]), rel=1e-12)
     with pytest.raises(ValueError, match="shorter than t_low"):
         sublinearity_ratio(report, t_low=1000, t_high=5000)
+
+
+def _prefix_report(regret_prefix):
+    """A report that holds only a regret prefix, for ``sublinearity_ratio``."""
+    T = len(regret_prefix)
+    zeros = np.zeros(T)
+    return RegretReport(T=T, D_diam=2.0, G=1.0, theta_star=np.zeros(1), losses=zeros,
+                        regret_prefix=np.asarray(regret_prefix, dtype=np.float64),
+                        bound_rhs_prefix=zeros, tau=zeros, bound_terms=np.zeros(4))
+
+
+@pytest.mark.parametrize("r_low", [-1.0, -0.0, 0.0])
+def test_sublinearity_ratio_is_nan_when_regret_at_t_low_is_not_positive(r_low):
+    # A negative ratio would pass "<= 1.2"; a NaN fails every comparison.
+    report = _prefix_report([5.0, r_low, -2.0, 3.0])
+    assert math.isnan(sublinearity_ratio(report, t_low=2, t_high=4))
+    # From a positive R_{t_low} on, the ratio is the largest R_t/sqrt(t) over it.
+    report = _prefix_report([5.0, r_low, 2.0, 3.0])
+    assert sublinearity_ratio(report, t_low=3, t_high=4) == (3.0 / 2.0) / (2.0 / math.sqrt(3.0))
 
 
 def test_regret_csv_layout(medium_report, tmp_path):
